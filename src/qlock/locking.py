@@ -510,6 +510,8 @@ def import_key(text: str) -> Key:
         raise ValueError(f"malformed key file: {exc}") from exc
     if not isinstance(bits, str):
         raise ValueError("malformed key file: bits must be a string")
+    if not isinstance(raw, list):
+        raise ValueError("malformed key file: schedule must be a list")
     entries: list[KeyEntry] = []
     pos = 0
     for item in raw:
@@ -517,7 +519,8 @@ def import_key(text: str) -> Key:
             kind, layer, qubit, span = item["kind"], item["layer"], item["qubit"], item["span"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed key schedule entry: {item!r}") from exc
-        if not (isinstance(layer, int) and isinstance(qubit, int) and layer >= 0 and qubit >= 0):
+        # bool is an int subclass, but ``true`` is not an index
+        if not all(type(v) is int and v >= 0 for v in (layer, qubit, span)):
             raise ValueError(f"malformed key schedule entry: {item!r}")
         kappa = None
         if kind == "phase":

@@ -263,10 +263,10 @@ class _Parser:
         params: tuple[float, ...] = ()
         if self.peek().kind == "sym" and self.peek().text == "(":
             self.next()
-            values = [self._parse_expr()]
+            values = [self._parse_param()]
             while self.peek().kind == "sym" and self.peek().text == ",":
                 self.next()
-                values.append(self._parse_expr())
+                values.append(self._parse_param())
             self.expect("sym", ")")
             params = tuple(values)
         if len(params) != np_:
@@ -299,6 +299,13 @@ class _Parser:
         if len(set(stmt.operands)) != len(stmt.operands):
             raise QasmError(f"{name} operands must be distinct", name_tok.line, name_tok.col)
         return [stmt]
+
+    def _parse_param(self) -> float:
+        tok = self.peek()
+        value = self._parse_expr()
+        if not math.isfinite(value):
+            raise QasmError(f"gate parameter is not finite ({value})", tok.line, tok.col)
+        return value
 
     # angle expressions: expr := term (('+'|'-') term)*
     #                    term := factor (('*'|'/') factor)*

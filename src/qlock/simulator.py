@@ -5,11 +5,22 @@ bit of a basis index, and outcome strings print the highest measured qubit
 first (qubit 0 rightmost). Distributions serialize as
 ``{"shots": N, "bits": b, "counts": {...}}`` with those outcome strings.
 
+Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
+into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
+optionally carrying a trailing batch axis of independent states, with a norm
+check after every gate. Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits are
+refused before anything is allocated.
+
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
 or ``p2`` (multi-qubit gates), a Pauli drawn uniformly from {X, Y, Z} is
 applied to each of the gate's qubits. Trajectory streams are derived per shot
-from the run seed, so serial and parallel execution agree.
+from the run seed, so serial and parallel execution agree. The draws never
+depend on the state, so each shot's error pattern and sampling uniform are
+drawn first; each distinct pattern (most shots share the error-free one) is
+then simulated once, as one column of a batch, and every shot samples from
+its pattern's state. Streams, draws and counts are those of simulating each
+shot on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +37,8 @@ from .rng import derive_rng
 
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
+_STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
+_BATCH_AMPLITUDES = 2**18  # amplitudes one batch of noisy trajectories may hold
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,7 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_PAULI_LIST = (_PAULI["x"], _PAULI["y"], _PAULI["z"])
 
 
 def _phase(angle: float) -> np.ndarray:
@@ -165,18 +179,54 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], 
     return np.moveaxis(out.reshape(shape), range(k), axes)
 
 
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to a statevector, checking norm preservation."""
-    n = _qubit_count(state)
-    for q in gate.qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n}-qubit state")
-    tensor = state.reshape((2,) * n)
-    out = _apply_matrix(tensor, gate_matrix(gate), gate.qubits, n).reshape(-1)
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ArithmeticError(f"statevector norm drifted to {norm}")
-    return out
+Program = list[tuple[np.ndarray, tuple[int, ...]]]
+
+
+def _program(circuit: Circuit) -> Program:
+    """Resolve each gate once to (matrix, qubits); barriers and measurements drop out.
+
+    Qubit indices need no check here: ``Circuit`` keeps them in range. Circuits
+    whose state would exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes are refused
+    before anything is allocated.
+    """
+    n = circuit.num_qubits
+    if n > _STATE_QUBIT_LIMIT:
+        raise ValueError(
+            f"{n}-qubit circuit too large to simulate (at most {_STATE_QUBIT_LIMIT} qubits)"
+        )
+    return [(gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate)]
+
+
+def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.ndarray:
+    """Apply ``program`` to a state tensor, checking norm preservation after every gate.
+
+    ``tensor`` is shaped ``(2,) * n``, or ``(2,) * n + (columns,)`` for a batch
+    of states; the result comes back flat, ``(2**n,)`` or ``(2**n, columns)``.
+    ``errors`` maps a program index to the ``(column, qubit, pauli)`` insertions
+    that follow that gate, each in its own column only.
+    """
+    shape = tensor.shape
+    batched = len(shape) > n
+    flat = tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
+    errors = errors or {}
+    for index, (mat, qubits) in enumerate(program):
+        flat = _apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
+        for column, q, pauli in errors.get(index, ()):
+            state = flat[:, column].reshape((2,) * n)
+            flat[:, column] = _apply_matrix(state, pauli, (q,), n).reshape(-1)
+        # the checks are written so that a NaN norm counts as drift
+        if batched:
+            norms = np.linalg.norm(flat, axis=0)
+            drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
+            if drifted.any():
+                raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
+        else:
+            # plain statevectors keep the flat norm: a batch axis of one is slower
+            norm = np.linalg.norm(flat)
+            if not abs(norm - 1.0) <= _NORM_TOL:
+                raise ArithmeticError(f"statevector norm drifted to {norm}")
+        tensor = flat.reshape(shape)
+    return flat
 
 
 def _qubit_count(state: np.ndarray) -> int:
@@ -186,31 +236,77 @@ def _qubit_count(state: np.ndarray) -> int:
     return n
 
 
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate to a statevector, checking norm preservation."""
+    n = _qubit_count(state)
+    program = _program(Circuit(n, 0, (gate,)))
+    return _evolve(state.reshape((2,) * n), program, n)
+
+
+def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
+    state = zero_state(n) if initial is None else np.asarray(initial, dtype=complex)
+    if state.size != 2**n:
+        raise ValueError("initial state has wrong dimension")
+    return state
+
+
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Noiseless evolution through all gates; barriers and measurements skipped."""
-    state = zero_state(circuit.num_qubits) if initial is None else np.asarray(initial, dtype=complex)
-    if state.size != 2**circuit.num_qubits:
-        raise ValueError("initial state has wrong dimension")
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            state = apply_gate(state, op)
-    return state
+    program = _program(circuit)
+    n = circuit.num_qubits
+    return _evolve(_initial_state(n, initial).reshape((2,) * n), program, n)
 
 
-def _trajectory(circuit: Circuit, initial, noise: NoiseConfig, rng) -> np.ndarray:
-    state = zero_state(circuit.num_qubits) if initial is None else np.asarray(initial, dtype=complex)
-    paulis = ("x", "y", "z")
-    for op in circuit.ops:
-        if not isinstance(op, Gate):
-            continue
-        state = apply_gate(state, op)
-        p = noise.p1 if len(op.qubits) == 1 else noise.p2
-        # one uniform draw per gate keeps paired runs on common random numbers
+def _draw_errors(program: Program, rates: list[float], rng) -> tuple:
+    """One shot's error pattern: (program index, qubit, Pauli index) triples.
+
+    The draws depend on the error rates only, never on the state: one uniform
+    per gate (keeping paired runs on common random numbers), then one
+    ``integers(3)`` per qubit of a gate that errs.
+    """
+    pattern = []
+    for index, p in enumerate(rates):
         if rng.random() < p:
-            for q in op.qubits:
-                kind = paulis[rng.integers(3)]
-                state = apply_gate(state, Gate(kind, (), (q,)))
-    return state
+            pattern.extend((index, q, int(rng.integers(3))) for q in program[index][1])
+    return tuple(pattern)
+
+
+def _sample_noisy(
+    circuit: Circuit, shots: int, initial, noise: NoiseConfig, seed: int
+) -> list[int]:
+    """Basis index of each shot under depolarizing noise.
+
+    Every shot draws its error pattern and its sampling uniform from its own
+    stream first; each distinct pattern is then simulated once, as one column
+    of a batch, and sampled for every shot that drew it.
+    """
+    program = _program(circuit)
+    n = circuit.num_qubits
+    state = _initial_state(n, initial)
+    rates = [noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program]
+    patterns: dict[tuple, list[int]] = {}
+    uniforms = np.empty(shots)
+    for shot in range(shots):
+        rng = derive_rng(seed, "traj", noise.seed, shot)
+        patterns.setdefault(_draw_errors(program, rates, rng), []).append(shot)
+        uniforms[shot] = rng.random()
+    outcomes = np.empty(shots, dtype=np.int64)
+    distinct = list(patterns.items())
+    width = max(1, _BATCH_AMPLITUDES >> n)
+    for start in range(0, len(distinct), width):
+        chunk = distinct[start : start + width]
+        errors: dict[int, list] = {}
+        for column, (pattern, _) in enumerate(chunk):
+            for index, q, pauli in pattern:
+                errors.setdefault(index, []).append((column, q, _PAULI_LIST[pauli]))
+        batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1)
+        flat = _evolve(batch.reshape((2,) * n + (len(chunk),)), program, n, errors)
+        for column, (_, members) in enumerate(chunk):
+            probs = np.abs(flat[:, column]) ** 2
+            cumulative = np.cumsum(probs / probs.sum())
+            picked = np.searchsorted(cumulative, uniforms[members], side="right")
+            outcomes[members] = np.minimum(picked, probs.size - 1)
+    return outcomes.tolist()
 
 
 def _outcome_key(index: int, measured: tuple[int, ...]) -> str:
@@ -256,17 +352,7 @@ def run(
             if count:
                 counts[format(flat_index, f"0{b}b")] = int(count)
     else:
-        full_probs_cache = None
-        for shot in range(shots):
-            rng = derive_rng(seed, "traj", noise.seed, shot)
-            state = _trajectory(circuit, initial, noise, rng)
-            probs = np.abs(state) ** 2
-            probs = probs / probs.sum()
-            if full_probs_cache is None:
-                full_probs_cache = np.empty_like(probs)
-            np.cumsum(probs, out=full_probs_cache)
-            index = int(np.searchsorted(full_probs_cache, rng.random(), side="right"))
-            index = min(index, probs.size - 1)
+        for index in _sample_noisy(circuit, shots, initial, noise, seed):
             key = _outcome_key(index, measured)
             counts[key] = counts.get(key, 0) + 1
     return Distribution(counts=counts, shots=shots, bits=b)

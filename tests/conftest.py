@@ -64,3 +64,11 @@ def random_qasm_source(rng: np.random.Generator) -> str:
     if int(rng.integers(2)):
         lines.extend(f"measure q[{i}] -> c[{i}];" for i in range(n))
     return "\n".join(lines) + "\n"
+
+
+class NoNumpy:
+    """Stand-in for a module's ``np`` that fails on any use: proves a guard
+    refused its input before allocating anything."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached before the size guard")

@@ -1,11 +1,14 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from qlock import benchmarks, equivalent_up_to_global_phase, parse_circuit
+from qlock import benchmarks, equivalent_up_to_global_phase, parse_circuit, simulator
 from qlock.circuit import flatten, layerize, metrics
 from qlock.cli import main
+
+from conftest import NoNumpy
 
 
 @pytest.fixture()
@@ -97,6 +100,45 @@ def test_deobfuscate_key_length_mismatch_exit_3(tmp_path, adder_path):
         ["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm"), "--key-bits", "01"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        5,
+        [{"kind": "logic", "layer": True, "qubit": 0, "span": 1}],
+        [{"kind": "logic", "layer": 0, "qubit": True, "span": 1}],
+        [{"kind": "logic", "layer": 0, "qubit": 0, "span": True}],
+    ],
+)
+def test_deobfuscate_malformed_schedule_exit_3(tmp_path, adder_path, capsys, schedule):
+    locked, _ = _obfuscate(tmp_path, adder_path)
+    key = tmp_path / "bad_key.json"
+    key.write_text(json.dumps({"bits": "1", "schedule": schedule}))
+    code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed key") and err.count("\n") == 1
+
+
+def test_simulate_non_finite_parameter_exit_2(tmp_path, capsys):
+    source = tmp_path / "inf.qasm"
+    source.write_text("qreg q[1]; rz(1e400) q[0];")
+    code = main(["simulate", str(source), "-o", str(tmp_path / "c.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise"]])
+def test_simulate_too_many_qubits_exit_3_without_allocating(tmp_path, capsys, monkeypatch, noise):
+    monkeypatch.setattr(simulator, "np", NoNumpy())
+    source = tmp_path / "big.qasm"
+    source.write_text("qreg q[40]; creg c[1]; h q[0]; measure q[0] -> c[0];")
+    code = main(["simulate", str(source), "-o", str(tmp_path / "c.json"), *noise])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "too large to simulate" in err and err.count("\n") == 1
 
 
 def test_simulate_bell_support(tmp_path):
@@ -205,6 +247,21 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
     assert main(["deobfuscate", str(locked), str(key), "-o", str(restored)]) == 0
     assert main(["simulate", str(restored), "-o", str(counts), "--shots", "64"]) == 0
     assert sum(json.loads(counts.read_text())["counts"].values()) == 64
+
+
+def test_evaluate_noise_report_golden(tmp_path, adder_path):
+    """Report bytes of a noisy evaluate, fixed before noisy runs were batched."""
+    locked, key = _obfuscate(tmp_path, adder_path)
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "evaluate", str(adder_path), str(locked), str(key),
+            "-o", str(out), "--noise", "--inputs", "1", "--seed", "4",
+        ]
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ffab5ad0d68bd0512c0bf2a0fdfe057d26d1e3c47472ea5ec8ccf3c6cfd069f2"
 
 
 def test_env_var_default_seed(tmp_path, adder_path, monkeypatch):

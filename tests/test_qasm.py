@@ -63,6 +63,12 @@ def test_index_out_of_range():
         parse("qreg q[2]; x q[2];")
 
 
+@pytest.mark.parametrize("expr", ["1e400", "-1e400", "1e308*10", "1e400-1e400"])
+def test_non_finite_parameter_rejected(expr):
+    with pytest.raises(QasmError, match="not finite"):
+        parse(f"qreg q[1]; u3(0, {expr}, 0) q[0];")
+
+
 def test_unsupported_gate_named_in_error():
     with pytest.raises(QasmError, match="unsupported gate 'ry'"):
         parse("qreg q[1]; ry(0.5) q[0];")

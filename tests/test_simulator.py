@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qlock import benchmarks, locking, simulator
 from qlock.circuit import Barrier, Circuit, Gate, Measure
+from qlock.evaluation import random_input_layer, with_input_layer
+from qlock.rng import derive_rng
 from qlock.simulator import (
     Distribution,
     NoiseConfig,
@@ -16,7 +19,9 @@ from qlock.simulator import (
     zero_state,
 )
 
-from conftest import random_circuit
+from qlock.qasm import parse_circuit
+
+from conftest import NoNumpy, random_circuit
 
 
 def _gate(kind, *qubits, params=()):
@@ -210,3 +215,105 @@ def test_barriers_ignored_by_simulation():
     a = Circuit(2, 0, (_gate("h", 0), Barrier((0, 1)), _gate("cx", 0, 1)))
     b = Circuit(2, 0, (_gate("h", 0), _gate("cx", 0, 1)))
     assert np.allclose(statevector(a), statevector(b))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_norm_counts_as_drift():
+    with pytest.raises(ArithmeticError, match="drifted to nan"):
+        apply_gate(zero_state(1), _gate("rz", 0, params=(math.inf,)))
+    circuit = Circuit(1, 0, (_gate("rz", 0, params=(math.inf,)),))
+    with pytest.raises(ArithmeticError, match="drifted to nan"):
+        run(circuit, 5, noise=NoiseConfig(enabled=True, seed=1))
+
+
+def test_state_size_guard_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(simulator, "np", NoNumpy())
+    big = Circuit(40, 1, (_gate("h", 0), Measure(0, 0)))
+    with pytest.raises(ValueError, match="too large to simulate"):
+        statevector(big)
+    with pytest.raises(ValueError, match="too large to simulate"):
+        run(big, 10)
+    with pytest.raises(ValueError, match="too large to simulate"):
+        run(big, 10, noise=NoiseConfig(enabled=True))
+
+
+# --- noisy run against the per-shot trajectory loop it replaced ---------------
+
+def _trajectory(circuit, initial, noise, rng):
+    state = zero_state(circuit.num_qubits) if initial is None else np.asarray(initial, dtype=complex)
+    paulis = ("x", "y", "z")
+    for op in circuit.ops:
+        if not isinstance(op, Gate):
+            continue
+        state = apply_gate(state, op)
+        p = noise.p1 if len(op.qubits) == 1 else noise.p2
+        if rng.random() < p:
+            for q in op.qubits:
+                kind = paulis[rng.integers(3)]
+                state = apply_gate(state, Gate(kind, (), (q,)))
+    return state
+
+
+def _per_shot_run(circuit, shots, noise, seed, initial=None):
+    measured = circuit.measured_qubits()
+    counts: dict[str, int] = {}
+    for shot in range(shots):
+        rng = derive_rng(seed, "traj", noise.seed, shot)
+        state = _trajectory(circuit, initial, noise, rng)
+        probs = np.abs(state) ** 2
+        cumulative = np.cumsum(probs / probs.sum())
+        index = min(int(np.searchsorted(cumulative, rng.random(), side="right")), probs.size - 1)
+        key = "".join(str((index >> q) & 1) for q in sorted(measured, reverse=True))
+        counts[key] = counts.get(key, 0) + 1
+    return Distribution(counts=counts, shots=shots, bits=len(measured))
+
+
+@pytest.fixture(scope="module")
+def noisy_cases():
+    """Every bundled circuit, original and locked, bare and behind a Haar input layer."""
+    cases = []
+    for i, name in enumerate(benchmarks.NAMES):
+        original = parse_circuit(benchmarks.load(name))
+        plan = locking.dense_plan(original, seed=i)
+        locked = locking.obfuscate(original, plan, seed=i).locked_circuit
+        layer = random_input_layer(original.num_qubits, seed=i)
+        for circuit in (original, locked):
+            cases.append(circuit)
+            cases.append(with_input_layer(circuit, layer))
+    return cases
+
+
+_NOISE_SETTINGS = [NoiseConfig(enabled=True, seed=3), NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=3)]
+
+
+@pytest.mark.parametrize("noise", _NOISE_SETTINGS, ids=["default", "p0.3"])
+def test_noisy_run_matches_per_shot_trajectories(noisy_cases, noise):
+    for seed, circuit in enumerate(noisy_cases):
+        assert run(circuit, 30, noise=noise, seed=seed) == _per_shot_run(circuit, 30, noise, seed)
+
+
+def test_noisy_run_initial_state_matches_per_shot_trajectories():
+    circuit = Circuit(2, 0, (_gate("h", 0), _gate("cx", 0, 1), _gate("t", 1)))
+    initial = np.array([0.6, 0.0, 0.8j, 0.0])
+    noise = NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=2)
+    assert run(circuit, 60, initial=initial, noise=noise, seed=5) == _per_shot_run(
+        circuit, 60, noise, 5, initial
+    )
+
+
+def test_noisy_run_chunked_batches_match(noisy_cases, monkeypatch):
+    calls = []
+    evolve = simulator._evolve
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[-1])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 32)
+    monkeypatch.setattr(simulator, "_evolve", counting)
+    noise = _NOISE_SETTINGS[1]
+    for seed, circuit in enumerate(noisy_cases[:4]):
+        calls.clear()
+        got = run(circuit, 30, noise=noise, seed=seed)
+        assert len(calls) > 1 and max(calls) <= max(1, 32 >> circuit.num_qubits)
+        assert got == _per_shot_run(circuit, 30, noise, seed)
