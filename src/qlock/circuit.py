@@ -51,8 +51,6 @@ IMPLICIT_PHASE_ANGLE = {
     "tdg": -math.pi / 4,
 }
 
-ORIGINS = ("original", "dummy", "converted", "inserted")
-
 
 def is_phase_kind(kind: str) -> bool:
     return kind in PHASE_KINDS
@@ -70,7 +68,6 @@ class Gate:
     kind: str
     params: tuple[float, ...]
     qubits: tuple[int, ...]
-    origin: str = "original"
 
     def __post_init__(self):
         if self.kind not in GATE_SPECS:
@@ -82,8 +79,6 @@ class Gate:
             raise ValueError(f"{self.kind} expects {np_} parameter(s), got {len(self.params)}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} operands must be distinct: {self.qubits}")
-        if self.origin not in ORIGINS:
-            raise ValueError(f"unknown gate origin {self.origin!r}")
 
     @property
     def is_phase(self) -> bool:
@@ -293,8 +288,6 @@ class LightConeRank:
     outputs and are monotone non-increasing along a fixed wire.
     """
 
-    num_layers: int
-    outputs: frozenset[int]
     boundary_reach: tuple[dict[int, frozenset[int]], ...] = field(repr=False)
 
     def boundary_score(self, boundary: int, qubit: int) -> int:
@@ -327,8 +320,4 @@ def light_cone_rank(circuit: Circuit) -> LightConeRank:
                 reach[q] = union
         boundaries.append(dict(reach))
     boundaries.reverse()
-    return LightConeRank(
-        num_layers=len(layered.layers),
-        outputs=outputs,
-        boundary_reach=tuple(boundaries),
-    )
+    return LightConeRank(boundary_reach=tuple(boundaries))

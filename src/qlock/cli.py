@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import benchmarks, evaluation, locking, qasm, unlocking
-from .circuit import metrics
+from .circuit import flatten, layerize, metrics
 from .rng import derive_rng
 from .simulator import NoiseConfig, run
 
@@ -173,9 +173,7 @@ def _cmd_evaluate(args) -> int:
     key = locking.import_key(_read_text(args.key))
     record = locking.ObfuscationRecord(
         locked_circuit=locked,
-        ancilla_index=unlocking.find_ancilla(locked),
         key=key,
-        plan=None,
         original_metrics=metrics(original),
         locked_metrics=metrics(locked),
     )
@@ -242,6 +240,8 @@ def _cmd_repro(args) -> int:
         _write_text(str(out / f"{name}.locked.qasm"), qasm.emit_circuit(record.locked_circuit))
         _write_text(str(out / f"{name}.key.json"), locking.export_key(record.key))
         restored = unlocking.unlock(record.locked_circuit, record.key).restored_circuit
+        if not evaluation.equivalent_up_to_global_phase(restored, flatten(layerize(circuit))):
+            raise ValueError(f"{name}: the correct key does not restore the original circuit")
         _write_text(str(out / f"{name}.restored.qasm"), qasm.emit_circuit(restored))
         config = evaluation.EvalConfig(
             n_inputs=args.inputs,

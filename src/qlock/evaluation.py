@@ -67,7 +67,7 @@ def random_input_layer(num_qubits: int, seed: int = 0) -> tuple[Gate, ...]:
         theta = 2.0 * math.acos(math.sqrt(float(rng.uniform(0.0, 1.0))))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         lam = float(rng.uniform(0.0, 2.0 * math.pi))
-        gates.append(Gate("u3", (theta, phi, lam), (q,), origin="inserted"))
+        gates.append(Gate("u3", (theta, phi, lam), (q,)))
     return tuple(gates)
 
 
@@ -144,11 +144,6 @@ class TvdReport:
     mean: dict[str, float]
     min: dict[str, float]
     max: dict[str, float]
-    n_inputs: int
-    shots: int
-    seed: int
-    noise_enabled: bool
-    sampling: str = "independent"
 
 
 def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str, Circuit]:
@@ -183,38 +178,41 @@ def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str
     return out
 
 
-def evaluate(original: Circuit, record: ObfuscationRecord, config: EvalConfig) -> TvdReport:
-    """TVD of each requested mode against the original, over sampled inputs."""
-    circuits = mode_circuits(record, config.modes)
-    per_input: dict[str, list[float]] = {mode: [] for mode in config.modes}
+def _tvds(original: Circuit, arms: dict[str, Circuit], config: EvalConfig) -> dict[str, list[float]]:
+    """Per-input TVD of each named arm against the original.
+
+    Each input gets its own Haar layer from the ``"eval-input"`` stream and one
+    reference run; every run samples from its own derived seed, so the order
+    of runs cannot change any count.
+    """
+    out: dict[str, list[float]] = {arm: [] for arm in arms}
     for i in range(config.n_inputs):
         layer_seed = int(derive_rng(config.seed, "eval-input", i).integers(2**63))
         layer = random_input_layer(original.num_qubits, layer_seed)
-        reference = run(
-            with_input_layer(original, layer),
-            config.shots,
-            noise=config.noise,
-            seed=_arm_seed(config.seed, i, "reference", config.sampling),
-        )
-        for mode in config.modes:
-            dist = run(
-                with_input_layer(circuits[mode], layer),
+
+        def sample(circuit: Circuit, arm: str) -> Distribution:
+            return run(
+                with_input_layer(circuit, layer),
                 config.shots,
                 noise=config.noise,
-                seed=_arm_seed(config.seed, i, mode, config.sampling),
+                seed=_arm_seed(config.seed, i, arm, config.sampling),
             )
-            per_input[mode].append(tvd(reference, dist))
+
+        reference = sample(original, "reference")
+        for arm, circuit in arms.items():
+            out[arm].append(tvd(reference, sample(circuit, arm)))
+    return out
+
+
+def evaluate(original: Circuit, record: ObfuscationRecord, config: EvalConfig) -> TvdReport:
+    """TVD of each requested mode against the original, over sampled inputs."""
+    per_input = _tvds(original, mode_circuits(record, config.modes), config)
     return TvdReport(
         modes=config.modes,
         per_input={m: tuple(v) for m, v in per_input.items()},
         mean={m: sum(v) / len(v) for m, v in per_input.items()},
         min={m: min(v) for m, v in per_input.items()},
         max={m: max(v) for m, v in per_input.items()},
-        n_inputs=config.n_inputs,
-        shots=config.shots,
-        seed=config.seed,
-        noise_enabled=config.noise.enabled,
-        sampling=config.sampling,
     )
 
 
@@ -228,33 +226,13 @@ def wrong_key_sweep(
     full unlock, plus a 10-bin histogram of those means."""
     rng = derive_rng(config.seed, "wrong-keys")
     key_len = len(record.key.bits)
-    tvds: list[float] = []
-    layers = []
-    for i in range(config.n_inputs):
-        layer_seed = int(derive_rng(config.seed, "eval-input", i).integers(2**63))
-        layers.append(random_input_layer(original.num_qubits, layer_seed))
-    references = [
-        run(
-            with_input_layer(original, layers[i]),
-            config.shots,
-            noise=config.noise,
-            seed=_arm_seed(config.seed, i, "reference", config.sampling),
-        )
-        for i in range(config.n_inputs)
-    ]
+    arms: dict[str, Circuit] = {}
     for k in range(n_keys):
         bits = "".join(str(int(rng.integers(2))) for _ in range(key_len))
-        restored = unlock(record.locked_circuit, record.key, candidate_bits=bits).restored_circuit
-        values = []
-        for i in range(config.n_inputs):
-            dist = run(
-                with_input_layer(restored, layers[i]),
-                config.shots,
-                noise=config.noise,
-                seed=_arm_seed(config.seed, i, f"wrong-key-{k}", config.sampling),
-            )
-            values.append(tvd(references[i], dist))
-        tvds.append(sum(values) / len(values))
+        arms[f"wrong-key-{k}"] = unlock(
+            record.locked_circuit, record.key, candidate_bits=bits
+        ).restored_circuit
+    tvds = [sum(v) / len(v) for v in _tvds(original, arms, config).values()]
     histogram = {f"{b / 10:.1f}-{(b + 1) / 10:.1f}": 0 for b in range(10)}
     for value in tvds:
         bucket = min(int(value * 10), 9)

@@ -63,7 +63,7 @@ class Site:
 
     ``gate`` is the existing gate at the site, or None for an empty slot. For
     phase slots, ``layer`` names the boundary the dummy block is inserted at
-    (0 = before the first layer, num_layers = after the last).
+    (0 = before the first layer, the layer count = after the last).
     """
 
     layer: int
@@ -75,7 +75,6 @@ class Site:
 class ObfuscationPlan:
     logic_sites: tuple[Site, ...]
     phase_sites: tuple[Site, ...]
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -94,7 +93,6 @@ class KeyEntry:
     layer: int  # barrier-delimited block index in the locked circuit
     qubit: int
     span: int
-    kappa: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("logic", "phase"):
@@ -138,9 +136,7 @@ class Key:
 @dataclass(frozen=True)
 class ObfuscationRecord:
     locked_circuit: Circuit
-    ancilla_index: int | None
     key: Key
-    plan: ObfuscationPlan | None  # None when reconstructed from files
     original_metrics: tuple[int, int]
     locked_metrics: tuple[int, int]
 
@@ -201,6 +197,11 @@ def _site_score(rank, layered: LayeredCircuit, site: Site, phase: bool) -> int:
     return rank.slot_score(site.layer, site.qubit)
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("random", "lightcone"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def _pick(
     candidates: list[Site],
     count: int,
@@ -220,13 +221,11 @@ def _pick(
     if strategy == "random":
         idx = rng.choice(len(candidates), size=count, replace=False)
         return [candidates[i] for i in sorted(idx)]
-    if strategy == "lightcone":
-        ranked = sorted(
-            candidates,
-            key=lambda s: (-_site_score(rank, layered, s, phase), s.layer, s.qubit),
-        )
-        return ranked[:count]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    ranked = sorted(
+        candidates,
+        key=lambda s: (-_site_score(rank, layered, s, phase), s.layer, s.qubit),
+    )
+    return ranked[:count]
 
 
 def select_sites(
@@ -242,6 +241,7 @@ def select_sites(
     ``lightcone`` takes the top-scoring candidates (ties: earlier layer, then
     lower qubit).
     """
+    _check_strategy(strategy)
     if isinstance(circuit, LayeredCircuit):
         layered = circuit
         circuit = flatten(layered)
@@ -253,7 +253,7 @@ def select_sites(
     phase_pool = _phase_gate_candidates(layered) + _phase_slot_candidates(layered)
     logic = _pick(logic_pool, n_logic, strategy, rng, rank, layered, False, "logic")
     phase = _pick(phase_pool, n_phase, strategy, rng, rank, layered, True, "phase")
-    return ObfuscationPlan(tuple(logic), tuple(phase), seed=seed)
+    return ObfuscationPlan(tuple(logic), tuple(phase))
 
 
 def dense_plan(
@@ -269,6 +269,7 @@ def dense_plan(
     contributes one phase slot at the boundary just before it. Caps truncate
     each list after ranking (lightcone) or a seeded subsample (random).
     """
+    _check_strategy(strategy)
     layered = layerize(circuit)
     rank = light_cone_rank(circuit)
     rng = derive_rng(seed, "dense")
@@ -293,19 +294,15 @@ def dense_plan(
             q = int(rng.choice(qubits))
         phase.append(Site(boundary, q))
 
-    def cap(sites: list[Site], limit: int | None, phase_kind: bool) -> list[Site]:
+    def cap(sites: list[Site], limit: int | None, phase_kind: bool, label: str) -> list[Site]:
+        # a cap that keeps every site must not reach _pick: a random pick of
+        # all sites still draws from rng and would shift the picks after it
         if limit is None or limit >= len(sites):
             return sites
-        if strategy == "lightcone":
-            ranked = sorted(
-                sites, key=lambda s: (-_site_score(rank, layered, s, phase_kind), s.layer, s.qubit)
-            )
-            return ranked[:limit]
-        idx = rng.choice(len(sites), size=limit, replace=False)
-        return [sites[i] for i in sorted(idx)]
+        return _pick(sites, limit, strategy, rng, rank, layered, phase_kind, label)
 
     return ObfuscationPlan(
-        tuple(cap(logic, logic_cap, False)), tuple(cap(phase, phase_cap, True)), seed=seed
+        tuple(cap(logic, logic_cap, False, "logic")), tuple(cap(phase, phase_cap, True, "phase"))
     )
 
 
@@ -370,7 +367,7 @@ def _random_angle(rng) -> float:
 
 
 def _controlled_gate(gate: Gate, ancilla: int) -> Gate:
-    return Gate(CONTROLLED_FORM[gate.kind], gate.params, (ancilla,) + gate.qubits, origin="converted")
+    return Gate(CONTROLLED_FORM[gate.kind], gate.params, (ancilla,) + gate.qubits)
 
 
 def obfuscate(
@@ -427,9 +424,9 @@ def obfuscate(
         if slots:
             here = open_block()
             for site in sorted(slots, key=lambda s: s.qubit):
-                ops.append(Gate("rz", (_random_angle(rng),), (site.qubit,), origin="dummy"))
+                ops.append(Gate("rz", (_random_angle(rng),), (site.qubit,)))
                 phase_bits.append("000")
-                phase_entries.append(KeyEntry("phase", here, site.qubit, 3, kappa=0))
+                phase_entries.append(KeyEntry("phase", here, site.qubit, 3))
         if b == len(layered.layers):
             break
         layer = layered.layers[b]
@@ -444,15 +441,15 @@ def obfuscate(
             if g in keyed_phase:
                 kappa = normalize_phase_angle(phase_angle_of(g))
                 assert kappa is not None
-                ops.append(Gate("rz", (_random_angle(rng),), g.qubits, origin="converted"))
+                ops.append(Gate("rz", (_random_angle(rng),), g.qubits))
                 converted.append((g.qubits[0], kappa))
             else:
                 ops.append(g)
         for qubit, kappa in sorted(converted):
             phase_bits.append(format(kappa, "03b"))
-            phase_entries.append(KeyEntry("phase", here, qubit, 3, kappa=kappa))
+            phase_entries.append(KeyEntry("phase", here, qubit, 3))
         for site in section_sites:
-            ops.append(Gate("h", (), (ancilla,), origin="inserted"))
+            ops.append(Gate("h", (), (ancilla,)))
             if site.gate is not None:
                 ops.append(_controlled_gate(site.gate, ancilla))
                 logic_bits.append("1")
@@ -460,7 +457,7 @@ def obfuscate(
                 kind = (
                     "cx" if dummy_gates == "cx" else DUMMY_KINDS[int(rng.integers(len(DUMMY_KINDS)))]
                 )
-                ops.append(Gate(kind, (), (ancilla, site.qubit), origin="dummy"))
+                ops.append(Gate(kind, (), (ancilla, site.qubit)))
                 logic_bits.append("0")
             logic_entries.append(KeyEntry("logic", here, site.qubit, 1))
 
@@ -483,9 +480,7 @@ def obfuscate(
     )
     return ObfuscationRecord(
         locked_circuit=locked,
-        ancilla_index=ancilla,
         key=key,
-        plan=plan,
         original_metrics=metrics(circuit),
         locked_metrics=metrics(locked),
     )
@@ -513,7 +508,6 @@ def import_key(text: str) -> Key:
     if not isinstance(raw, list):
         raise ValueError("malformed key file: schedule must be a list")
     entries: list[KeyEntry] = []
-    pos = 0
     for item in raw:
         try:
             kind, layer, qubit, span = item["kind"], item["layer"], item["qubit"], item["span"]
@@ -522,10 +516,5 @@ def import_key(text: str) -> Key:
         # bool is an int subclass, but ``true`` is not an index
         if not all(type(v) is int and v >= 0 for v in (layer, qubit, span)):
             raise ValueError(f"malformed key schedule entry: {item!r}")
-        kappa = None
-        if kind == "phase":
-            chunk = bits[pos : pos + 3]
-            kappa = int(chunk, 2) if len(chunk) == 3 else None
-        entries.append(KeyEntry(kind, layer, qubit, span, kappa=kappa))
-        pos += span
+        entries.append(KeyEntry(kind, layer, qubit, span))
     return Key(bits=bits, schedule=tuple(entries))

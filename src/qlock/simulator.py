@@ -362,14 +362,11 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full unitary as the ordered product of gate unitaries.
 
     Measurements are stripped, barriers ignored; circuits beyond 10 qubits are
-    rejected to bound memory.
+    rejected to bound memory. Each column keeps the kernel's norm check.
     """
     n = circuit.num_qubits
     if n > _UNITARY_QUBIT_LIMIT:
         raise ValueError(f"unitary_of supports at most {_UNITARY_QUBIT_LIMIT} qubits")
     dim = 2**n
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            tensor = _apply_matrix(tensor, gate_matrix(op), op.qubits, n)
-    return tensor.reshape(dim, dim)
+    # each column of the identity is one basis state, evolved as a batch
+    return _evolve(np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), _program(circuit), n)

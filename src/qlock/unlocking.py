@@ -13,21 +13,23 @@ ancilla stays classical no matter which bits are supplied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from .circuit import Barrier, Circuit, Gate, Measure, phase_angle_of
-from .locking import ANCILLA_REGISTER, KAPPA_STEP, Key, KeyEntry, UNCONTROLLED_FORM
-
-_ZERO_ANGLE_TOL = 1e-9
+from .locking import (
+    ANCILLA_REGISTER,
+    KAPPA_STEP,
+    Key,
+    KeyEntry,
+    UNCONTROLLED_FORM,
+    normalize_phase_angle,
+)
 
 
 @dataclass(frozen=True)
 class UnlockResult:
     restored_circuit: Circuit
-    applied_key: Key
-    simplified: bool
 
 
 def find_ancilla(circuit: Circuit) -> int | None:
@@ -71,7 +73,7 @@ def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int)
                 )
             bit = bits[section]
             if bit != prev:
-                ops.append(Gate("x", (), (ancilla,), origin="inserted"))
+                ops.append(Gate("x", (), (ancilla,)))
                 prev = bit
             section += 1
             ops.append(op)
@@ -111,7 +113,7 @@ def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]
             continue
         if isinstance(op, Gate) and op.kind == "rz" and (block, op.qubits[0]) in targets:
             key = (block, op.qubits[0])
-            ops.append(Gate("rz", (targets[key] * KAPPA_STEP,), op.qubits, origin=op.origin))
+            ops.append(Gate("rz", (targets[key] * KAPPA_STEP,), op.qubits))
             found.add(key)
         else:
             ops.append(op)
@@ -125,15 +127,6 @@ def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]
         qubit_labels=locked.qubit_labels,
         clbit_labels=locked.clbit_labels,
     )
-
-
-def _zero_angle(gate: Gate) -> bool:
-    if not gate.is_phase:
-        return False
-    reduced = math.fmod(phase_angle_of(gate), 2.0 * math.pi)
-    if reduced < 0.0:
-        reduced += 2.0 * math.pi
-    return reduced < _ZERO_ANGLE_TOL or 2.0 * math.pi - reduced < _ZERO_ANGLE_TOL
 
 
 def _simplify_impl(
@@ -160,11 +153,9 @@ def _simplify_impl(
                         raise ValueError("ancilla state disagrees with the supplied logic bits")
                 section += 1
                 if state == 1:
-                    ops.append(
-                        Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:], origin=op.origin)
-                    )
+                    ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
                 continue
-            if _zero_angle(op):
+            if op.is_phase and normalize_phase_angle(phase_angle_of(op)) == 0:
                 continue
             ops.append(op)
         elif isinstance(op, Barrier):
@@ -190,7 +181,7 @@ def _simplify_impl(
     remapped: list = []
     for op in ops:
         if isinstance(op, Gate):
-            remapped.append(Gate(op.kind, op.params, tuple(remap(q) for q in op.qubits), op.origin))
+            remapped.append(Gate(op.kind, op.params, tuple(remap(q) for q in op.qubits)))
         elif isinstance(op, Barrier):
             remapped.append(Barrier(tuple(remap(q) for q in op.qubits)))
         else:
@@ -242,4 +233,4 @@ def unlock(
     current = apply_phase_key(current, applied.phase_assignments())
     if simplify:
         current = _simplify_impl(current, logic_bits if logic_bits else None, ancilla)
-    return UnlockResult(restored_circuit=current, applied_key=applied, simplified=simplify)
+    return UnlockResult(restored_circuit=current)

@@ -144,14 +144,15 @@ def test_light_cone_dead_wire_scores_zero():
         3, 2, (_gate("x", 0), _gate("cx", 0, 1), Measure(0, 0), Measure(1, 1))
     )
     rank = light_cone_rank(circuit)
-    assert rank.boundary_score(rank.num_layers, 2) == 0
+    assert rank.boundary_score(len(layerize(circuit).layers), 2) == 0
 
 
 def test_light_cone_monotone_along_wire(bench_circuits):
     for circuit in bench_circuits.values():
         rank = light_cone_rank(circuit)
+        boundaries = len(layerize(circuit).layers) + 1
         for q in range(circuit.num_qubits):
-            scores = [rank.boundary_score(b, q) for b in range(rank.num_layers + 1)]
+            scores = [rank.boundary_score(b, q) for b in range(boundaries)]
             assert scores == sorted(scores, reverse=True)
 
 

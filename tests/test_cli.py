@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qlock import benchmarks, equivalent_up_to_global_phase, parse_circuit, simulator
+from qlock import benchmarks, equivalent_up_to_global_phase, parse_circuit, simulator, unlocking
 from qlock.circuit import flatten, layerize, metrics
 from qlock.cli import main
 
@@ -249,19 +249,72 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
     assert sum(json.loads(counts.read_text())["counts"].values()) == 64
 
 
-def test_evaluate_noise_report_golden(tmp_path, adder_path):
-    """Report bytes of a noisy evaluate, fixed before noisy runs were batched."""
+# sha256 of every file a command writes. The noisy report was fixed before
+# noisy runs were batched, the others before evaluate and wrong_key_sweep
+# shared one loop and dense_plan's caps went through the shared site picker.
+_GOLDEN = [
+    pytest.param(
+        ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
+         "--noise", "--inputs", "1", "--seed", "4"],
+        {"report.json": "ffab5ad0d68bd0512c0bf2a0fdfe057d26d1e3c47472ea5ec8ccf3c6cfd069f2"},
+        id="evaluate-noise",
+    ),
+    pytest.param(
+        ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
+         "--inputs", "2", "--seed", "1", "--wrong-key-sweep", "5"],
+        {"report.json": "6ecd5c704809811e26a2b0ada38243d90784647ea2431df7b8864bf99caf4b84"},
+        id="evaluate-wrong-key-sweep",
+    ),
+    pytest.param(
+        ["obfuscate", "{adder}", "-o", "{out}/locked.qasm", "--key", "{out}/key.json", "--seed", "5",
+         "--dense", "--strategy", "random", "--logic-sites", "2", "--phase-sites", "1"],
+        {
+            "key.json": "197ec952b669536d23411235a83fc3c471f99d7a3656c0c529b4b212b550f2aa",
+            "locked.qasm": "ff4965aa9b1d8cf58c30748edfbd834ecf50641e0213ab1a44c61f7ddd6e1de8",
+        },
+        id="obfuscate-dense-random-caps",
+    ),
+    pytest.param(
+        ["repro", "--out-dir", "{out}", "--seed", "0", "--inputs", "2"],
+        {
+            "adder_n4.key.json": "176674a03ab02aa1894faa620e0768092e4ffe1cba38ecda5c36889e300b5a66",
+            "adder_n4.locked.qasm": "05c7779b46facdc5b4fabeed27ce3261d7376da074bef1350a6eca0fa6ea480f",
+            "adder_n4.restored.qasm": "decb9691aee05fb659e07144beb0561af58e1258eea085294191ebdcbeffaee8",
+            "basis_change_n3.key.json": "30111d2f5c92675a40ffe0ad7580960aaef73998e53503642987c92fbb6f4c5b",
+            "basis_change_n3.locked.qasm": "d11329fb87ddafacb1ef0c005cc3e0f126b84ed146f266ce9d44bd07febe2a3a",
+            "basis_change_n3.restored.qasm": "b920c9600d01bf579fe3e3b5cb61d008e6c4bd1dbb5123d192573f8563cb1047",
+            "fredkin_n3.key.json": "147ebaf9506d31077cb479354ea4012dec9600eaac76d92593fd7fee639e0289",
+            "fredkin_n3.locked.qasm": "ddb76a8e5dec211d051a7614a652195469b7ddfaab3da850eabc923e2f98fc7e",
+            "fredkin_n3.restored.qasm": "9125aa9927e34850339480f95859cb319a33ba5b5347db8b87e2e957645e4d88",
+            "report.csv": "1f8511ae850fc5d7d9333b5d63b32da03acef991931d1c63bd378d13f66688ff",
+            "report.json": "b980500c9e1db3f1e4f29034dbd7cc788a2897c67c7262123d981ca55f77a973",
+            "wstate_n3.key.json": "103f277314a30c92f2babf7e15647d23b2fbe83c67aef213fc0e0d105da6d709",
+            "wstate_n3.locked.qasm": "63e8639bf5334730ef9e08b635cbb05e3311cf512794a7cf0568a2c47fd6aa40",
+            "wstate_n3.restored.qasm": "f8a199d17fb824ecd9cf69563f9dfdb3ef9801e745fd9ecd21f179fadda0a268",
+        },
+        id="repro",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digests", _GOLDEN)
+def test_output_bytes_golden(tmp_path, adder_path, argv, digests):
     locked, key = _obfuscate(tmp_path, adder_path)
-    out = tmp_path / "report.json"
-    code = main(
-        [
-            "evaluate", str(adder_path), str(locked), str(key),
-            "-o", str(out), "--noise", "--inputs", "1", "--seed", "4",
-        ]
-    )
-    assert code == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "ffab5ad0d68bd0512c0bf2a0fdfe057d26d1e3c47472ea5ec8ccf3c6cfd069f2"
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"adder": adder_path, "locked": locked, "key": key, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == digests
+
+
+def test_repro_refuses_failed_restoration(tmp_path, monkeypatch, capsys):
+    # a broken unlock that skips the phase key leaves randomized angles behind
+    monkeypatch.setattr(unlocking, "apply_phase_key", lambda circuit, assignments: circuit)
+    code = main(["repro", "--out-dir", str(tmp_path / "repro"), "--inputs", "1", "--shots", "10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "does not restore" in err and err.count("\n") == 1
 
 
 def test_env_var_default_seed(tmp_path, adder_path, monkeypatch):

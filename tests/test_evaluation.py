@@ -206,11 +206,18 @@ def test_evaluate_zero_plan_restored_matches_combined():
 
 def test_noise_config_attached_to_report(wstate_record):
     circuit, record = wstate_record
-    config = EvalConfig(
-        n_inputs=2, shots=50, seed=7, noise=NoiseConfig(enabled=True, seed=7), modes=("restored",)
-    )
-    report = evaluate(circuit, record, config)
-    assert report.noise_enabled
+    reports = [
+        evaluate(
+            circuit,
+            record,
+            EvalConfig(
+                n_inputs=2, shots=50, seed=7, noise=NoiseConfig(enabled=enabled, seed=7),
+                modes=("restored",),
+            ),
+        )
+        for enabled in (False, True)
+    ]
+    assert reports[0].per_input != reports[1].per_input  # the noise config reaches the runs
 
 
 def test_wrong_key_sweep_histogram(wstate_record):
@@ -226,10 +233,11 @@ def test_wrong_key_sweep_histogram(wstate_record):
 
 def test_report_row_key_bit_columns(wstate_record):
     circuit, record = wstate_record
+    plan = dense_plan(circuit, seed=3)  # the fixture's plan
     report = evaluate(circuit, record, EvalConfig(n_inputs=2, shots=50, seed=1))
     row = report_row("Wstate", record, report)
-    assert row["logic_key_bits"] == len(record.plan.logic_sites)
-    assert row["phase_key_bits"] == 3 * len(record.plan.phase_sites)
+    assert row["logic_key_bits"] == len(plan.logic_sites)
+    assert row["phase_key_bits"] == 3 * len(plan.phase_sites)
     assert row["gates_obf"] > row["gates"]
     assert set(k for k in row if k.startswith("tvd_")) == {
         "tvd_logic_only",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qlock import parse_circuit
-from qlock.circuit import Gate
+from qlock.circuit import Barrier, Gate
 from qlock.locking import (
     Key,
     KeyEntry,
@@ -20,10 +20,30 @@ from qlock.locking import (
     obfuscate,
     select_sites,
 )
+from qlock.unlocking import find_ancilla
 
 
 def _gate(kind, *qubits, params=()):
     return Gate(kind, tuple(params), tuple(qubits))
+
+
+def _section_gates(locked):
+    """The gate of each key section: every gate the ancilla controls."""
+    ancilla = find_ancilla(locked)
+    return [g for g in locked.gates() if len(g.qubits) > 1 and g.qubits[0] == ancilla]
+
+
+def _keyed_phase_gates(record):
+    """The rz gates addressed by the key's phase entries (block, qubit)."""
+    sites = {(e.layer, e.qubit) for e in record.key.schedule if e.kind == "phase"}
+    block, found = 0, []
+    for op in record.locked_circuit.ops:
+        if isinstance(op, Barrier):
+            block += 1
+        elif isinstance(op, Gate) and op.kind == "rz" and (block, op.qubits[0]) in sites:
+            found.append(op)
+    assert len(found) == len(sites)
+    return found
 
 
 # --- kappa grid ------------------------------------------------------------
@@ -66,6 +86,11 @@ def test_select_single_candidate():
     plan = select_sites(circuit, 1, 0, strategy="random", seed=3)
     (site,) = plan.logic_sites
     assert site.gate == _gate("x", 0)
+    for planner in (lambda: select_sites(circuit, 1, 0, strategy="bogus"),
+                    lambda: select_sites(circuit, 0, 0, strategy="bogus"),
+                    lambda: dense_plan(circuit, strategy="bogus")):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            planner()
 
 
 def test_select_insufficient_sites():
@@ -111,7 +136,7 @@ def test_single_logic_site_structure():
     circuit = parse_circuit("qreg q[1]; x q[0];")
     record = obfuscate(circuit, select_sites(circuit, 1, 0, seed=1), seed=1)
     assert record.key.bits == "1"
-    assert record.ancilla_index == 1
+    assert find_ancilla(record.locked_circuit) == 1
     assert [(op.kind, op.qubits) for op in record.locked_circuit.ops] == [
         ("h", (1,)),
         ("cx", (1, 0)),
@@ -123,9 +148,9 @@ def test_single_phase_site_structure():
     plan = ObfuscationPlan((), (Site(0, 0, gate=_gate("t", 0)),))
     record = obfuscate(circuit, plan, seed=4)
     assert record.key.bits == "001"
-    assert record.ancilla_index is None  # no logic sites, no ancilla
+    assert find_ancilla(record.locked_circuit) is None  # no logic sites, no ancilla
     (op,) = record.locked_circuit.ops
-    assert op.kind == "rz" and op.origin == "converted"
+    assert _keyed_phase_gates(record) == [op] and op.kind == "rz"
     assert normalize_phase_angle(op.params[0]) is None  # angle randomized off-grid
 
 
@@ -143,7 +168,7 @@ def test_dummy_logic_slot_bit_zero():
     plan = ObfuscationPlan((Site(0, 1),), ())  # qubit 1 free in the only layer
     record = obfuscate(circuit, plan, seed=0)
     assert record.key.bits == "0"
-    dummy = [g for g in record.locked_circuit.gates() if g.origin == "dummy"]
+    dummy = _section_gates(record.locked_circuit)
     assert len(dummy) == 1 and dummy[0].qubits == (2, 1)  # targets the slot qubit
 
 
@@ -152,8 +177,8 @@ def test_dummy_phase_slot_bits_zero():
     plan = ObfuscationPlan((), (Site(0, 0),))
     record = obfuscate(circuit, plan, seed=0)
     assert record.key.bits == "000"
-    dummy = [g for g in record.locked_circuit.gates() if g.origin == "dummy"]
-    assert len(dummy) == 1 and dummy[0].kind == "rz"
+    dummy = _keyed_phase_gates(record)
+    assert len(dummy) == 1 and dummy[0].qubits == (0,)
 
 
 def test_key_length_accounting_random_plans(bench_circuits):
@@ -173,8 +198,9 @@ def test_key_length_accounting_random_plans(bench_circuits):
 
 def test_every_hadamard_heads_exactly_one_section(bench_circuits):
     for name, circuit in bench_circuits.items():
-        record = obfuscate(circuit, dense_plan(circuit, seed=5), seed=5)
-        qk = record.ancilla_index
+        plan = dense_plan(circuit, seed=5)
+        record = obfuscate(circuit, plan, seed=5)
+        qk = find_ancilla(record.locked_circuit)
         pending_h = 0
         sections = 0
         for op in record.locked_circuit.ops:
@@ -191,16 +217,15 @@ def test_every_hadamard_heads_exactly_one_section(bench_circuits):
                 sections += 1
         assert pending_h == 0
         assert sections == len(plan_logic_bits := record.key.logic_bits())
-        assert len(plan_logic_bits) == len(record.plan.logic_sites)
+        assert len(plan_logic_bits) == len(plan.logic_sites)
 
 
 def test_locked_angles_avoid_kappa_grid(bench_circuits):
     circuit = bench_circuits["basis_change_n3"]
     record = obfuscate(circuit, dense_plan(circuit, seed=2), seed=2)
-    for gate in record.locked_circuit.gates():
-        if gate.origin in ("dummy", "converted") and gate.kind == "rz":
-            steps = gate.params[0] / (math.pi / 4)
-            assert abs(steps - round(steps)) * (math.pi / 4) > 1e-6
+    for gate in _keyed_phase_gates(record):
+        steps = gate.params[0] / (math.pi / 4)
+        assert abs(steps - round(steps)) * (math.pi / 4) > 1e-6
 
 
 def test_locked_angle_distribution_independent_of_kappa():
@@ -252,7 +277,7 @@ def test_dummy_gates_random_option():
     for seed in range(30):
         plan = ObfuscationPlan((Site(0, 1),), ())
         record = obfuscate(circuit, plan, seed=seed, dummy_gates="random")
-        (dummy,) = [g for g in record.locked_circuit.gates() if g.origin == "dummy"]
+        (dummy,) = _section_gates(record.locked_circuit)
         kinds.add(dummy.kind)
     assert kinds > {"cx"}  # draws beyond the default controlled-x
 
