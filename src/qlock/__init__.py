@@ -41,7 +41,7 @@ from .locking import (
     obfuscate,
     select_sites,
 )
-from .qasm import QasmError, QasmProgram, emit, emit_circuit, parse, parse_circuit
+from .qasm import QasmError, emit_circuit, parse_circuit
 from .simulator import Distribution, NoiseConfig, apply_gate, run, statevector, unitary_of
 from .unlocking import UnlockResult, apply_phase_key, insert_key_toggles, simplify, unlock
 
@@ -64,14 +64,12 @@ __all__ = [
     "ObfuscationRecord",
     "PlanError",
     "QasmError",
-    "QasmProgram",
     "Site",
     "TvdReport",
     "UnlockResult",
     "apply_gate",
     "apply_phase_key",
     "dense_plan",
-    "emit",
     "emit_circuit",
     "equivalent_up_to_global_phase",
     "evaluate",
@@ -84,7 +82,6 @@ __all__ = [
     "metrics",
     "normalize_phase_angle",
     "obfuscate",
-    "parse",
     "parse_circuit",
     "random_input_layer",
     "run",

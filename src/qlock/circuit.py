@@ -52,10 +52,6 @@ IMPLICIT_PHASE_ANGLE = {
 }
 
 
-def is_phase_kind(kind: str) -> bool:
-    return kind in PHASE_KINDS
-
-
 def phase_angle_of(gate: "Gate") -> float:
     """Rotation angle of a phase gate (explicit parameter or implied by kind)."""
     if gate.kind in ("rz", "p"):
@@ -149,9 +145,6 @@ class Circuit:
     def gates(self) -> tuple[Gate, ...]:
         return tuple(op for op in self.ops if isinstance(op, Gate))
 
-    def measurements(self) -> tuple[Measure, ...]:
-        return tuple(op for op in self.ops if isinstance(op, Measure))
-
     def measured_qubits(self) -> tuple[int, ...]:
         """Qubits with a measurement, ascending; all qubits if none measured."""
         qs = sorted({op.qubit for op in self.ops if isinstance(op, Measure)})
@@ -189,9 +182,6 @@ class LayeredCircuit:
     measurements: tuple[Measure, ...]
     qubit_labels: tuple[str, ...]
     clbit_labels: tuple[str, ...]
-
-    def gate_count(self) -> int:
-        return sum(len(layer.gates) for layer in self.layers)
 
 
 def layerize(circuit: Circuit) -> LayeredCircuit:

@@ -154,7 +154,7 @@ def _cmd_deobfuscate(args) -> int:
     locked = qasm.parse_circuit(_read_text(args.locked))
     key = locking.import_key(_read_text(args.key))
     result = unlocking.unlock(
-        locked, key, candidate_bits=args.key_bits, simplify=not args.no_simplify
+        locked, key, candidate_bits=args.key_bits, keep_ancilla=args.no_simplify
     )
     _write_text(args.output, qasm.emit_circuit(result.restored_circuit))
     return EXIT_OK

@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,13 +74,7 @@ def random_input_layer(num_qubits: int, seed: int = 0) -> tuple[Gate, ...]:
 def with_input_layer(circuit: Circuit, layer: tuple[Gate, ...]) -> Circuit:
     """Prepend input-state gates (indices must fit the circuit) plus a barrier."""
     ops = tuple(layer) + (Barrier(tuple(range(circuit.num_qubits))),) + circuit.ops
-    return Circuit(
-        num_qubits=circuit.num_qubits,
-        num_clbits=circuit.num_clbits,
-        ops=ops,
-        qubit_labels=circuit.qubit_labels,
-        clbit_labels=circuit.clbit_labels,
-    )
+    return replace(circuit, ops=ops)
 
 
 def unitaries_equivalent(ua: np.ndarray, ub: np.ndarray, tol: float = 1e-9) -> bool:
@@ -130,6 +124,7 @@ class EvalConfig:
     def __post_init__(self):
         if self.n_inputs < 1 or self.shots < 1:
             raise ValueError("n_inputs and shots must be positive")
+        object.__setattr__(self, "modes", tuple(dict.fromkeys(self.modes)))
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
@@ -158,7 +153,7 @@ def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str
         if mode == "combined":
             out[mode] = locked
         elif mode == "restored":
-            out[mode] = unlock(locked, key, simplify=True).restored_circuit
+            out[mode] = unlock(locked, key).restored_circuit
         elif mode == "logic_only":
             if n_logic == 0:
                 raise ValueError("record has no logic sites; logic_only mode is undefined")

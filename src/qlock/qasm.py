@@ -9,9 +9,12 @@ Everything else (gate definitions, ``if``, ``reset``, opaque declarations,
 unknown mnemonics) is rejected with a line/column diagnostic: parsing is
 total on the subset and never drops statements silently.
 
-``emit`` produces a canonical one-statement-per-line layout with angles
-printed to 17 significant digits, so ``parse(emit(p))`` reproduces ``p``
-exactly, angles bit-identical. Input accepts LF or CRLF; output is LF.
+``parse_circuit`` flattens registers into the circuit's global qubit and
+classical-bit indices and keeps each bit's ``name[i]`` label. ``emit_circuit``
+derives the declarations from those labels and produces a canonical
+one-statement-per-line layout with angles printed to 17 significant digits,
+so ``parse_circuit(emit_circuit(c)) == c`` for every parsed circuit ``c``,
+angles bit-identical. Input accepts LF or CRLF; output is LF.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure
+from .circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure, Op
 
 
 class QasmError(Exception):
@@ -32,34 +35,6 @@ class QasmError(Exception):
         super().__init__(message)
         self.line = line
         self.col = col
-
-
-@dataclass(frozen=True)
-class GateStatement:
-    name: str
-    params: tuple[float, ...]
-    operands: tuple[tuple[str, int], ...]  # (register name, index)
-
-
-@dataclass(frozen=True)
-class BarrierStatement:
-    operands: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class MeasureStatement:
-    qubit: tuple[str, int]
-    clbit: tuple[str, int]
-
-
-Statement = GateStatement | BarrierStatement | MeasureStatement
-
-
-@dataclass(frozen=True)
-class QasmProgram:
-    version: str
-    register_decls: tuple[tuple[str, str, int], ...]  # (name, "quantum"|"classical", size)
-    statements: tuple[Statement, ...]
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -124,7 +99,10 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.registers: dict[str, tuple[str, int]] = {}  # name -> (kind, size)
+        # name -> (kind, size, global index of the register's first bit)
+        self.registers: dict[str, tuple[str, int, int]] = {}
+        self.labels: dict[str, list[str]] = {"quantum": [], "classical": []}
+        self.ops: list[Op] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -145,10 +123,7 @@ class _Parser:
         tok = tok or self.peek()
         return QasmError(message, tok.line, tok.col)
 
-    def parse(self) -> QasmProgram:
-        version = "2.0"
-        decls: list[tuple[str, str, int]] = []
-        statements: list[Statement] = []
+    def parse(self) -> Circuit:
         if self.peek().kind == "id" and self.peek().text == "OPENQASM":
             self.next()
             tok = self.next()
@@ -165,16 +140,28 @@ class _Parser:
             if name == "include":
                 self._parse_include()
             elif name in ("qreg", "creg"):
-                decls.append(self._parse_reg_decl())
+                self._parse_reg_decl()
             elif name in _UNSUPPORTED:
                 raise self.error(f"unsupported QASM construct: {_UNSUPPORTED[name]}")
             elif name == "barrier":
-                statements.append(self._parse_barrier())
+                self._parse_barrier()
             elif name == "measure":
-                statements.extend(self._parse_measure())
+                self._parse_measure()
             else:
-                statements.extend(self._parse_gate())
-        return QasmProgram(version, tuple(decls), tuple(statements))
+                self._parse_gate()
+        qubit_labels, clbit_labels = self.labels["quantum"], self.labels["classical"]
+        if not qubit_labels:
+            raise QasmError("program declares no quantum register")
+        try:
+            return Circuit(
+                num_qubits=len(qubit_labels),
+                num_clbits=len(clbit_labels),
+                ops=tuple(self.ops),
+                qubit_labels=tuple(qubit_labels),
+                clbit_labels=tuple(clbit_labels),
+            )
+        except ValueError as exc:
+            raise QasmError(str(exc)) from exc
 
     def _parse_include(self) -> None:
         tok = self.next()
@@ -183,12 +170,14 @@ class _Parser:
             raise QasmError(f"unsupported include {target.text}", tok.line, tok.col)
         self.expect("sym", ";")
 
-    def _parse_reg_decl(self) -> tuple[str, str, int]:
+    def _parse_reg_decl(self) -> None:
+        """Registers flatten into global indices in declaration order, per kind."""
         kw = self.next()
         kind = "quantum" if kw.text == "qreg" else "classical"
         name_tok = self.expect("id")
-        if name_tok.text in self.registers:
-            raise QasmError(f"register {name_tok.text!r} redeclared", name_tok.line, name_tok.col)
+        name = name_tok.text
+        if name in self.registers:
+            raise QasmError(f"register {name!r} redeclared", name_tok.line, name_tok.col)
         self.expect("sym", "[")
         size_tok = self.expect("int")
         size = int(size_tok.text)
@@ -196,15 +185,17 @@ class _Parser:
             raise QasmError("register size must be positive", size_tok.line, size_tok.col)
         self.expect("sym", "]")
         self.expect("sym", ";")
-        self.registers[name_tok.text] = (kind, size)
-        return (name_tok.text, kind, size)
+        labels = self.labels[kind]
+        self.registers[name] = (kind, size, len(labels))
+        labels.extend(f"{name}[{i}]" for i in range(size))
 
-    def _parse_operand(self, want: str) -> tuple[str, int] | tuple[str, None]:
-        """Indexed or bare register reference of the wanted kind."""
+    def _parse_operand(self, want: str) -> tuple[range, bool]:
+        """Global indices named by an indexed (``q[i]``) or bare (``q``)
+        register reference of the wanted kind, and whether it was bare."""
         name_tok = self.expect("id")
         if name_tok.text not in self.registers:
             raise QasmError(f"undeclared register {name_tok.text!r}", name_tok.line, name_tok.col)
-        kind, size = self.registers[name_tok.text]
+        kind, size, offset = self.registers[name_tok.text]
         if kind != want:
             raise QasmError(
                 f"register {name_tok.text!r} is {kind}, expected {want}",
@@ -222,39 +213,32 @@ class _Parser:
                     idx_tok.col,
                 )
             self.expect("sym", "]")
-            return (name_tok.text, idx)
-        return (name_tok.text, None)
+            return range(offset + idx, offset + idx + 1), False
+        return range(offset, offset + size), True
 
-    def _expand(self, operand: tuple[str, int | None]) -> list[tuple[str, int]]:
-        name, idx = operand
-        if idx is not None:
-            return [(name, idx)]
-        return [(name, i) for i in range(self.registers[name][1])]
-
-    def _parse_barrier(self) -> BarrierStatement:
+    def _parse_barrier(self) -> None:
         self.next()
-        operands: list[tuple[str, int]] = []
+        qubits: list[int] = []
         while True:
-            operands.extend(self._expand(self._parse_operand("quantum")))
+            qubits.extend(self._parse_operand("quantum")[0])
             tok = self.next()
             if tok.kind == "sym" and tok.text == ";":
                 break
             if not (tok.kind == "sym" and tok.text == ","):
                 raise QasmError(f"expected ',' or ';', found {tok.text!r}", tok.line, tok.col)
-        return BarrierStatement(tuple(operands))
+        self.ops.append(Barrier(tuple(qubits)))
 
-    def _parse_measure(self) -> list[MeasureStatement]:
+    def _parse_measure(self) -> None:
         kw = self.next()
-        src = self._parse_operand("quantum")
+        qubits, _ = self._parse_operand("quantum")
         self.expect("arrow")
-        dst = self._parse_operand("classical")
+        clbits, _ = self._parse_operand("classical")
         self.expect("sym", ";")
-        srcs, dsts = self._expand(src), self._expand(dst)
-        if len(srcs) != len(dsts):
+        if len(qubits) != len(clbits):
             raise QasmError("measure operand sizes differ", kw.line, kw.col)
-        return [MeasureStatement(s, d) for s, d in zip(srcs, dsts)]
+        self.ops.extend(Measure(q, c) for q, c in zip(qubits, clbits))
 
-    def _parse_gate(self) -> list[GateStatement]:
+    def _parse_gate(self) -> None:
         name_tok = self.next()
         name = name_tok.text
         if name not in GATE_SPECS:
@@ -275,7 +259,7 @@ class _Parser:
                 name_tok.line,
                 name_tok.col,
             )
-        operands: list[tuple[str, int | None]] = [self._parse_operand("quantum")]
+        operands = [self._parse_operand("quantum")]
         while self.peek().kind == "sym" and self.peek().text == ",":
             self.next()
             operands.append(self._parse_operand("quantum"))
@@ -286,19 +270,21 @@ class _Parser:
                 name_tok.line,
                 name_tok.col,
             )
-        bare = [op for op in operands if op[1] is None]
-        if bare:
+        # broadcast follows the syntax, not the size: ``cx a, b`` is refused
+        # even when both registers hold one qubit
+        if any(bare for _, bare in operands):
             if nq != 1:
                 raise QasmError(
                     f"whole-register broadcast not supported for {nq}-qubit gate {name!r}",
                     name_tok.line,
                     name_tok.col,
                 )
-            return [GateStatement(name, params, (ref,)) for ref in self._expand(operands[0])]
-        stmt = GateStatement(name, params, tuple(operands))  # type: ignore[arg-type]
-        if len(set(stmt.operands)) != len(stmt.operands):
+            self.ops.extend(Gate(name, params, (q,)) for q in operands[0][0])
+            return
+        qubits = tuple(bits[0] for bits, _ in operands)
+        if len(set(qubits)) != len(qubits):
             raise QasmError(f"{name} operands must be distinct", name_tok.line, name_tok.col)
-        return [stmt]
+        self.ops.append(Gate(name, params, qubits))
 
     def _parse_param(self) -> float:
         tok = self.peek()
@@ -346,8 +332,8 @@ class _Parser:
         raise QasmError(f"expected angle expression, found {tok.text!r}", tok.line, tok.col)
 
 
-def parse(source: str) -> QasmProgram:
-    """Parse OpenQASM 2.0 text into a program; raises QasmError on anything
+def parse_circuit(source: str) -> Circuit:
+    """Parse OpenQASM 2.0 text into a circuit; raises QasmError on anything
     outside the supported subset."""
     return _Parser(source).parse()
 
@@ -358,121 +344,36 @@ def _fmt_angle(value: float) -> str:
     return format(value, ".17g")
 
 
-def _fmt_ref(ref: tuple[str, int]) -> str:
-    return f"{ref[0]}[{ref[1]}]"
-
-
-def emit(program: QasmProgram) -> str:
-    """Canonical text form: header, include, declarations, one statement per line."""
-    lines = [f"OPENQASM {program.version};", 'include "qelib1.inc";']
-    for name, kind, size in program.register_decls:
-        kw = "qreg" if kind == "quantum" else "creg"
-        lines.append(f"{kw} {name}[{size}];")
-    for stmt in program.statements:
-        if isinstance(stmt, GateStatement):
-            head = stmt.name
-            if stmt.params:
-                head += "(" + ",".join(_fmt_angle(v) for v in stmt.params) + ")"
-            lines.append(f"{head} {','.join(_fmt_ref(r) for r in stmt.operands)};")
-        elif isinstance(stmt, BarrierStatement):
-            lines.append(f"barrier {','.join(_fmt_ref(r) for r in stmt.operands)};")
-        else:
-            lines.append(f"measure {_fmt_ref(stmt.qubit)} -> {_fmt_ref(stmt.clbit)};")
-    return "\n".join(lines) + "\n"
-
-
-# --- conversion to / from the circuit IR --------------------------------------
-
-def to_circuit(program: QasmProgram) -> Circuit:
-    """Flatten registers into global indices, preserving declaration order."""
-    qubit_offsets: dict[str, int] = {}
-    clbit_offsets: dict[str, int] = {}
-    qubit_labels: list[str] = []
-    clbit_labels: list[str] = []
-    for name, kind, size in program.register_decls:
-        if kind == "quantum":
-            qubit_offsets[name] = len(qubit_labels)
-            qubit_labels.extend(f"{name}[{i}]" for i in range(size))
-        else:
-            clbit_offsets[name] = len(clbit_labels)
-            clbit_labels.extend(f"{name}[{i}]" for i in range(size))
-    if not qubit_labels:
-        raise QasmError("program declares no quantum register")
-
-    def qindex(ref: tuple[str, int]) -> int:
-        return qubit_offsets[ref[0]] + ref[1]
-
-    ops = []
-    for stmt in program.statements:
-        if isinstance(stmt, GateStatement):
-            ops.append(Gate(stmt.name, stmt.params, tuple(qindex(r) for r in stmt.operands)))
-        elif isinstance(stmt, BarrierStatement):
-            ops.append(Barrier(tuple(qindex(r) for r in stmt.operands)))
-        else:
-            ops.append(Measure(qindex(stmt.qubit), clbit_offsets[stmt.clbit[0]] + stmt.clbit[1]))
-    try:
-        return Circuit(
-            num_qubits=len(qubit_labels),
-            num_clbits=len(clbit_labels),
-            ops=tuple(ops),
-            qubit_labels=tuple(qubit_labels),
-            clbit_labels=tuple(clbit_labels),
-        )
-    except ValueError as exc:
-        raise QasmError(str(exc)) from exc
-
-
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
 
 
-def _labels_to_decls(labels: tuple[str, ...], kind: str) -> tuple[tuple[str, str, int], ...]:
-    decls: list[tuple[str, str, int]] = []
+def _declarations(keyword: str, labels: tuple[str, ...]) -> list[str]:
+    """One declaration per register named in ``labels``, in order of first
+    appearance, sized to its highest index."""
     sizes: dict[str, int] = {}
-    order: list[str] = []
     for label in labels:
         m = _LABEL_RE.match(label)
         if m is None:
             raise ValueError(f"cannot derive register declaration from label {label!r}")
-        name, idx = m.group(1), int(m.group(2))
-        if name not in sizes:
-            sizes[name] = 0
-            order.append(name)
-        sizes[name] = max(sizes[name], idx + 1)
-    for name in order:
-        decls.append((name, kind, sizes[name]))
-    return tuple(decls)
-
-
-def from_circuit(circuit: Circuit) -> QasmProgram:
-    """Rebuild a program from the IR; register structure comes from the labels."""
-    decls = _labels_to_decls(circuit.qubit_labels, "quantum") + _labels_to_decls(
-        circuit.clbit_labels, "classical"
-    )
-
-    def qref(q: int) -> tuple[str, int]:
-        m = _LABEL_RE.match(circuit.qubit_labels[q])
-        assert m is not None
-        return (m.group(1), int(m.group(2)))
-
-    def cref(c: int) -> tuple[str, int]:
-        m = _LABEL_RE.match(circuit.clbit_labels[c])
-        assert m is not None
-        return (m.group(1), int(m.group(2)))
-
-    statements: list[Statement] = []
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            statements.append(GateStatement(op.kind, op.params, tuple(qref(q) for q in op.qubits)))
-        elif isinstance(op, Barrier):
-            statements.append(BarrierStatement(tuple(qref(q) for q in op.qubits)))
-        else:
-            statements.append(MeasureStatement(qref(op.qubit), cref(op.clbit)))
-    return QasmProgram("2.0", decls, tuple(statements))
-
-
-def parse_circuit(source: str) -> Circuit:
-    return to_circuit(parse(source))
+        name = m.group(1)
+        sizes[name] = max(sizes.get(name, 0), int(m.group(2)) + 1)
+    return [f"{keyword} {name}[{size}];" for name, size in sizes.items()]
 
 
 def emit_circuit(circuit: Circuit) -> str:
-    return emit(from_circuit(circuit))
+    """Canonical text form: header, include, quantum then classical
+    declarations, one statement per line with each operand as its label."""
+    qubits, clbits = circuit.qubit_labels, circuit.clbit_labels
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+    lines += _declarations("qreg", qubits) + _declarations("creg", clbits)
+    for op in circuit.ops:
+        if isinstance(op, Gate):
+            head = op.kind
+            if op.params:
+                head += "(" + ",".join(_fmt_angle(v) for v in op.params) + ")"
+            lines.append(f"{head} {','.join(qubits[q] for q in op.qubits)};")
+        elif isinstance(op, Barrier):
+            lines.append(f"barrier {','.join(qubits[q] for q in op.qubits)};")
+        else:
+            lines.append(f"measure {qubits[op.qubit]} -> {clbits[op.clbit]};")
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ ancilla stays classical no matter which bits are supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .circuit import Barrier, Circuit, Gate, Measure, phase_angle_of
@@ -83,13 +83,7 @@ def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int)
         raise ValueError(f"{section} key sections but {len(bits)} logic bits")
     if removed_h != section:
         raise ValueError(f"{removed_h} ancilla Hadamards for {section} key sections")
-    return Circuit(
-        num_qubits=locked.num_qubits,
-        num_clbits=locked.num_clbits,
-        ops=tuple(ops),
-        qubit_labels=locked.qubit_labels,
-        clbit_labels=locked.clbit_labels,
-    )
+    return replace(locked, ops=tuple(ops))
 
 
 def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]) -> Circuit:
@@ -120,18 +114,19 @@ def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]
     missing = set(targets) - found
     if missing:
         raise ValueError(f"phase key sites not found in locked circuit: {sorted(missing)}")
-    return Circuit(
-        num_qubits=locked.num_qubits,
-        num_clbits=locked.num_clbits,
-        ops=tuple(ops),
-        qubit_labels=locked.qubit_labels,
-        clbit_labels=locked.clbit_labels,
-    )
+    return replace(locked, ops=tuple(ops))
 
 
-def _simplify_impl(
-    circuit: Circuit, logic_bits: Iterable[int] | None, ancilla: int | None
+def simplify(
+    circuit: Circuit, logic_bits: Iterable[int] | None = None, ancilla: int | None = None
 ) -> Circuit:
+    """Resolve key sections against the ancilla's classical state and drop it.
+
+    Requires every remaining single-qubit ancilla gate to be an X (a surviving
+    Hadamard means the circuit was not toggled first, and simplification is
+    refused). Zero-angle phase gates are removed; barriers are retained with
+    the ancilla stripped from their span.
+    """
     bits = None if logic_bits is None else [int(b) for b in logic_bits]
     ops: list = []
     state = 0
@@ -167,13 +162,7 @@ def _simplify_impl(
                 raise ValueError("key ancilla must not be measured")
             ops.append(op)
     if ancilla is None:
-        return Circuit(
-            num_qubits=circuit.num_qubits,
-            num_clbits=circuit.num_clbits,
-            ops=tuple(ops),
-            qubit_labels=circuit.qubit_labels,
-            clbit_labels=circuit.clbit_labels,
-        )
+        return replace(circuit, ops=tuple(ops))
 
     def remap(q: int) -> int:
         return q if q < ancilla else q - 1
@@ -196,31 +185,18 @@ def _simplify_impl(
     )
 
 
-def simplify(
-    circuit: Circuit, logic_bits: Iterable[int] | None = None, ancilla: int | None = None
-) -> Circuit:
-    """Resolve key sections against the ancilla's classical state and drop it.
-
-    Requires every remaining single-qubit ancilla gate to be an X (a surviving
-    Hadamard means the circuit was not toggled first, and simplification is
-    refused). Zero-angle phase gates are removed; barriers are retained with
-    the ancilla stripped from their span.
-    """
-    return _simplify_impl(circuit, logic_bits, ancilla)
-
-
 def unlock(
     locked: Circuit,
     key: Key,
     candidate_bits: str | None = None,
-    simplify: bool = True,
+    keep_ancilla: bool = False,
 ) -> UnlockResult:
     """Apply a key to a locked circuit.
 
     ``candidate_bits`` overrides the key's own bits (same length) for
-    wrong-key experiments. With the locking key and ``simplify`` on, the
-    result is unitarily equivalent to the original circuit up to global
-    phase.
+    wrong-key experiments. Unless ``keep_ancilla`` is set, the result is
+    passed through ``simplify``; with the locking key it is then unitarily
+    equivalent to the original circuit up to global phase.
     """
     applied = key if candidate_bits is None else key.with_bits(candidate_bits)
     logic_bits = applied.logic_bits()
@@ -231,6 +207,6 @@ def unlock(
     if logic_bits:
         current = insert_key_toggles(current, logic_bits, ancilla)
     current = apply_phase_key(current, applied.phase_assignments())
-    if simplify:
-        current = _simplify_impl(current, logic_bits if logic_bits else None, ancilla)
+    if not keep_ancilla:
+        current = simplify(current, logic_bits if logic_bits else None, ancilla)
     return UnlockResult(restored_circuit=current)

@@ -16,7 +16,7 @@ from qlock.circuit import Circuit, Gate, flatten, layerize
 from qlock.cli import main
 from qlock.evaluation import EvalConfig, evaluate, tvd, unitaries_equivalent
 from qlock.locking import dense_plan, obfuscate, select_sites
-from qlock.qasm import emit, parse
+from qlock.qasm import emit_circuit, parse_circuit
 from qlock.rng import derive_rng
 from qlock.simulator import Distribution, NoiseConfig, unitary_of
 from qlock.unlocking import insert_key_toggles, unlock
@@ -234,12 +234,12 @@ def test_criterion_8_wrong_key_sensitivity(bench_circuits):
 @criterion(9, "parser round trip")
 def test_criterion_9_parser_round_trip(bench_circuits):
     for name in benchmarks.NAMES:
-        program = parse(benchmarks.load(name))
-        assert parse(emit(program)) == program, name
+        circuit = parse_circuit(benchmarks.load(name))
+        assert parse_circuit(emit_circuit(circuit)) == circuit, name
     rng = np.random.default_rng(1009)
     for _ in range(500):
-        program = parse(random_qasm_source(rng))
-        assert parse(emit(program)) == program
+        circuit = parse_circuit(random_qasm_source(rng))
+        assert parse_circuit(emit_circuit(circuit)) == circuit
 
 
 @criterion(10, "CLI determinism")

@@ -195,20 +195,27 @@ def test_evaluate_writes_report_and_csv(tmp_path, adder_path):
     assert header.startswith("circuit,depth,depth_obf,gates,gates_obf,logic_key_bits,phase_key_bits")
 
 
-def test_evaluate_single_mode_column(tmp_path, adder_path):
+def test_evaluate_single_mode_column(tmp_path, adder_path, capsys):
     locked, key = _obfuscate(tmp_path, adder_path)
     report = tmp_path / "r.json"
-    code = main(
-        [
-            "evaluate", str(adder_path), str(locked), str(key),
-            "-o", str(report), "--inputs", "2", "--shots", "20", "--seed", "1",
-            "--modes", "restored",
-        ]
-    )
-    assert code == 0
-    (row,) = json.loads(report.read_text())["rows"]
-    tvd_cols = [k for k in row if k.startswith("tvd_")]
-    assert tvd_cols == ["tvd_restored"]
+    capsys.readouterr()
+    outputs = []
+    # a repeated mode is evaluated and printed once
+    for modes in (["restored"], ["restored", "restored"]):
+        code = main(
+            [
+                "evaluate", str(adder_path), str(locked), str(key),
+                "-o", str(report), "--inputs", "2", "--shots", "20", "--seed", "1",
+                "--modes", *modes,
+            ]
+        )
+        assert code == 0
+        (row,) = json.loads(report.read_text())["rows"]
+        tvd_cols = [k for k in row if k.startswith("tvd_")]
+        assert tvd_cols == ["tvd_restored"]
+        outputs.append((capsys.readouterr().out, report.read_bytes()))
+    assert outputs[0][0].count("tvd restored") == 1
+    assert outputs[1] == outputs[0]
 
 
 def test_evaluate_wrong_key_sweep(tmp_path, adder_path):

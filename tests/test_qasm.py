@@ -4,31 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qlock import benchmarks, qasm
-from qlock.qasm import (
-    BarrierStatement,
-    GateStatement,
-    MeasureStatement,
-    QasmError,
-    emit,
-    parse,
-    parse_circuit,
-)
+import qlock
+from qlock import Barrier, Circuit, Gate, Measure, benchmarks
+from qlock.qasm import QasmError, emit_circuit, parse_circuit
 
 from conftest import random_qasm_source
 
 
 def test_minimal_program():
-    prog = parse("qreg q[1]; x q[0];")
-    assert prog.version == "2.0"
-    assert prog.register_decls == (("q", "quantum", 1),)
-    assert prog.statements == (GateStatement("x", (), (("q", 0),)),)
+    circuit = parse_circuit("qreg q[1]; x q[0];")
+    assert circuit == Circuit(1, 0, (Gate("x", (), (0,)),))
+    assert circuit.qubit_labels == ("q[0]",) and circuit.clbit_labels == ()
 
 
 def test_angle_expression_pi_over_4():
-    prog = parse("qreg q[1]; rz(pi/4) q[0];")
-    stmt = prog.statements[0]
-    assert stmt.params == (0.7853981633974483,)
+    circuit = parse_circuit("qreg q[1]; rz(pi/4) q[0];")
+    assert circuit.ops[0].params == (0.7853981633974483,)
 
 
 @pytest.mark.parametrize(
@@ -44,34 +35,34 @@ def test_angle_expression_pi_over_4():
     ],
 )
 def test_angle_expression_forms(expr, value):
-    prog = parse(f"qreg q[1]; rz({expr}) q[0];")
-    assert prog.statements[0].params == (value,)
+    circuit = parse_circuit(f"qreg q[1]; rz({expr}) q[0];")
+    assert circuit.ops[0].params == (value,)
 
 
 def test_arity_error():
     with pytest.raises(QasmError, match="cx expects 2 operand"):
-        parse("qreg q[2]; cx q[0];")
+        parse_circuit("qreg q[2]; cx q[0];")
 
 
 def test_undeclared_register():
     with pytest.raises(QasmError, match="undeclared register 'r'"):
-        parse("qreg q[1]; x r[0];")
+        parse_circuit("qreg q[1]; x r[0];")
 
 
 def test_index_out_of_range():
     with pytest.raises(QasmError, match="out of range"):
-        parse("qreg q[2]; x q[2];")
+        parse_circuit("qreg q[2]; x q[2];")
 
 
 @pytest.mark.parametrize("expr", ["1e400", "-1e400", "1e308*10", "1e400-1e400"])
 def test_non_finite_parameter_rejected(expr):
     with pytest.raises(QasmError, match="not finite"):
-        parse(f"qreg q[1]; u3(0, {expr}, 0) q[0];")
+        parse_circuit(f"qreg q[1]; u3(0, {expr}, 0) q[0];")
 
 
 def test_unsupported_gate_named_in_error():
     with pytest.raises(QasmError, match="unsupported gate 'ry'"):
-        parse("qreg q[1]; ry(0.5) q[0];")
+        parse_circuit("qreg q[1]; ry(0.5) q[0];")
 
 
 @pytest.mark.parametrize(
@@ -85,84 +76,90 @@ def test_unsupported_gate_named_in_error():
 )
 def test_unsupported_constructs_rejected(source, what):
     with pytest.raises(QasmError, match=what):
-        parse(source)
+        parse_circuit(source)
 
 
 def test_syntax_error_carries_position():
     with pytest.raises(QasmError) as err:
-        parse("qreg q[1];\nx q[0]")  # missing semicolon at line 2
+        parse_circuit("qreg q[1];\nx q[0]")  # missing semicolon at line 2
     assert err.value.line == 2
 
 
 def test_duplicate_operands_rejected():
     with pytest.raises(QasmError, match="distinct"):
-        parse("qreg q[2]; cx q[0],q[0];")
+        parse_circuit("qreg q[2]; cx q[0],q[0];")
 
 
 def test_comments_include_and_crlf_accepted():
     src = 'OPENQASM 2.0;\r\n// a comment\r\ninclude "qelib1.inc";\r\nqreg q[1];\r\nx q[0]; // trailing\r\n'
-    prog = parse(src)
-    assert len(prog.statements) == 1
+    circuit = parse_circuit(src)
+    assert circuit.ops == (Gate("x", (), (0,)),)
 
 
 def test_non_qelib_include_rejected():
     with pytest.raises(QasmError, match="unsupported include"):
-        parse('include "other.inc"; qreg q[1];')
+        parse_circuit('include "other.inc"; qreg q[1];')
 
 
 def test_register_broadcast_single_qubit_gate():
-    prog = parse("qreg q[3]; h q;")
-    assert [s.operands for s in prog.statements] == [(("q", 0),), (("q", 1),), (("q", 2),)]
+    circuit = parse_circuit("qreg q[3]; h q;")
+    assert circuit.ops == tuple(Gate("h", (), (q,)) for q in range(3))
 
 
 def test_register_broadcast_measure():
-    prog = parse("qreg q[2]; creg c[2]; measure q -> c;")
-    assert prog.statements == (
-        MeasureStatement(("q", 0), ("c", 0)),
-        MeasureStatement(("q", 1), ("c", 1)),
-    )
+    circuit = parse_circuit("qreg q[2]; creg c[2]; measure q -> c;")
+    assert circuit.ops == (Measure(0, 0), Measure(1, 1))
+    assert circuit.clbit_labels == ("c[0]", "c[1]")
 
 
 def test_barrier_register_expansion():
-    prog = parse("qreg q[2]; barrier q;")
-    assert prog.statements == (BarrierStatement((("q", 0), ("q", 1)),),)
+    circuit = parse_circuit("qreg q[2]; barrier q;")
+    assert circuit.ops == (Barrier((0, 1)),)
 
 
 def test_emit_single_statement_lines():
-    prog = parse("qreg q[1]; h q[0];")
-    text = emit(prog)
+    text = emit_circuit(parse_circuit("qreg q[1]; h q[0];"))
     assert "h q[0];" in text.splitlines()
     assert text.endswith("\n") and "\r" not in text
 
 
 def test_emit_pi_17_digits():
-    prog = parse("qreg q[1]; rz(pi) q[0];")
-    assert "rz(3.1415926535897931) q[0];" in emit(prog)
+    circuit = parse_circuit("qreg q[1]; rz(pi) q[0];")
+    assert "rz(3.1415926535897931) q[0];" in emit_circuit(circuit)
 
 
 def test_measure_emitted_with_arrow():
-    prog = parse("qreg q[1]; creg c[1]; measure q[0] -> c[0];")
-    assert "measure q[0] -> c[0];" in emit(prog)
+    circuit = parse_circuit("qreg q[1]; creg c[1]; measure q[0] -> c[0];")
+    assert "measure q[0] -> c[0];" in emit_circuit(circuit)
 
 
 @pytest.mark.parametrize("name", benchmarks.NAMES)
 def test_round_trip_benchmarks(name):
-    prog = parse(benchmarks.load(name))
-    assert parse(emit(prog)) == prog
+    circuit = parse_circuit(benchmarks.load(name))
+    assert parse_circuit(emit_circuit(circuit)) == circuit
 
 
 def test_round_trip_randomized_programs():
     rng = np.random.default_rng(20240811)
     for _ in range(100):
-        prog = parse(random_qasm_source(rng))
-        assert parse(emit(prog)) == prog
+        circuit = parse_circuit(random_qasm_source(rng))
+        assert parse_circuit(emit_circuit(circuit)) == circuit
+
+
+def test_circuit_conversion_round_trip():
+    circuit = parse_circuit(benchmarks.load("adder_n4"))
+    assert parse_circuit(emit_circuit(circuit)) == circuit
+    multi = parse_circuit("qreg a[1]; qreg b[2]; creg c[1]; cx a[0],b[1]; measure b[0] -> c[0];")
+    again = parse_circuit(emit_circuit(multi))
+    assert again == multi
+    assert again.qubit_labels == ("a[0]", "b[0]", "b[1]") and again.clbit_labels == ("c[0]",)
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
 def test_angle_round_trip_bit_identical(angle):
-    prog = parse(f"qreg q[1]; rz({angle!r}) q[0];")
-    again = parse(emit(prog))
-    assert again.statements[0].params[0] == prog.statements[0].params[0]
+    circuit = parse_circuit(f"qreg q[1]; rz({angle!r}) q[0];")
+    again = parse_circuit(emit_circuit(circuit))
+    assert again.ops[0].params[0] == circuit.ops[0].params[0]
 
 
 def test_gate_after_measure_rejected():
@@ -170,14 +167,44 @@ def test_gate_after_measure_rejected():
         parse_circuit("qreg q[1]; creg c[1]; measure q[0] -> c[0]; x q[0];")
 
 
-def test_circuit_conversion_round_trip():
-    src = benchmarks.load("adder_n4")
-    circuit = parse_circuit(src)
-    assert qasm.parse_circuit(qasm.emit_circuit(circuit)) == circuit
-
-
 def test_multi_register_flattening():
     circuit = parse_circuit("qreg a[1]; qreg b[2]; creg c[1]; cx a[0],b[1]; measure b[0] -> c[0];")
     assert circuit.num_qubits == 3
     assert circuit.qubit_labels == ("a[0]", "b[0]", "b[1]")
     assert circuit.gates()[0].qubits == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        (
+            "qreg a[1]; qreg b[1]; cx a, b;",
+            "line 1, col 23: whole-register broadcast not supported for 2-qubit gate 'cx'",
+        ),
+        (
+            "qreg a[2]; qreg b[2]; cx a[0], b;",
+            "line 1, col 23: whole-register broadcast not supported for 2-qubit gate 'cx'",
+        ),
+        (
+            "qreg q[3]; ccx q, q[1], q[2];",
+            "line 1, col 12: whole-register broadcast not supported for 3-qubit gate 'ccx'",
+        ),
+        ("qreg q[1]; qreg q[2];", "line 1, col 17: register 'q' redeclared"),
+        ("qreg q[1]; creg q[2];", "line 1, col 17: register 'q' redeclared"),
+        ("creg c[2];", "program declares no quantum register"),
+        ("", "program declares no quantum register"),
+        ("qreg q[2]; creg c[1]; measure q -> c;", "line 1, col 23: measure operand sizes differ"),
+        ("qreg q[1]; creg c[2]; measure q[0] -> c;", "line 1, col 23: measure operand sizes differ"),
+        ("OPENQASM 3.0; qreg q[1];", "line 1, col 10: unsupported OPENQASM version '3.0'"),
+        ("qreg q[1]; creg c[1]; x c[0];", "line 1, col 25: register 'c' is classical, expected quantum"),
+        ("qreg q[1]; creg c[1]; x c;", "line 1, col 25: register 'c' is classical, expected quantum"),
+    ],
+)
+def test_parser_errors(source, message):
+    with pytest.raises(QasmError) as err:
+        parse_circuit(source)
+    assert str(err.value) == message
+
+
+def test_public_names_resolve():
+    assert [name for name in qlock.__all__ if not hasattr(qlock, name)] == []

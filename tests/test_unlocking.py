@@ -185,7 +185,7 @@ def test_unlock_key_length_mismatch():
 def test_unlock_without_simplify_keeps_ancilla():
     circuit = parse_circuit("qreg q[1]; x q[0];")
     record = obfuscate(circuit, select_sites(circuit, 1, 0, seed=6), seed=6)
-    result = unlock(record.locked_circuit, record.key, simplify=False)
+    result = unlock(record.locked_circuit, record.key, keep_ancilla=True)
     assert result.restored_circuit.num_qubits == 2
     assert find_ancilla(result.restored_circuit) == 1
 
