@@ -185,7 +185,7 @@ def _cmd_evaluate(args) -> int:
         modes=tuple(args.modes),
         sampling=args.sampling,
     )
-    rep = evaluation.evaluate(original, record, config)
+    rep = evaluation.evaluate(original, record, config, wrong_keys=args.wrong_key_sweep)
     name = args.name or Path(args.original).stem
     row = evaluation.report_row(name, record, rep)
     extra = {
@@ -196,10 +196,8 @@ def _cmd_evaluate(args) -> int:
         "sampling": args.sampling,
         "per_input": {m: list(v) for m, v in rep.per_input.items()},
     }
-    if args.wrong_key_sweep:
-        extra["wrong_key_sweep"] = evaluation.wrong_key_sweep(
-            original, record, config, args.wrong_key_sweep
-        )
+    if rep.wrong_key_sweep is not None:
+        extra["wrong_key_sweep"] = rep.wrong_key_sweep
     _write_text(args.output, evaluation.report_json([row], extra))
     if args.csv:
         _write_text(args.csv, evaluation.rows_to_csv([row]))

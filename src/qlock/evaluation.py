@@ -139,6 +139,7 @@ class TvdReport:
     mean: dict[str, float]
     min: dict[str, float]
     max: dict[str, float]
+    wrong_key_sweep: dict | None = None
 
 
 def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str, Circuit]:
@@ -199,16 +200,50 @@ def _tvds(original: Circuit, arms: dict[str, Circuit], config: EvalConfig) -> di
     return out
 
 
-def evaluate(original: Circuit, record: ObfuscationRecord, config: EvalConfig) -> TvdReport:
-    """TVD of each requested mode against the original, over sampled inputs."""
-    per_input = _tvds(original, mode_circuits(record, config.modes), config)
+def evaluate(
+    original: Circuit, record: ObfuscationRecord, config: EvalConfig, wrong_keys: int = 0
+) -> TvdReport:
+    """TVD of each requested mode against the original, over sampled inputs.
+
+    With ``wrong_keys`` set, the report also carries the sweep
+    ``wrong_key_sweep`` computes; the random keys share the mode arms' runs of
+    the reference, so each input's reference is simulated once.
+    """
+    arms = mode_circuits(record, config.modes)
+    sweep = _wrong_key_arms(record, config, wrong_keys)
+    per_input = _tvds(original, arms | sweep, config)
+    modes = {m: per_input[m] for m in arms}
+    summary = _sweep_summary(wrong_keys, [per_input[k] for k in sweep]) if wrong_keys else None
     return TvdReport(
         modes=config.modes,
-        per_input={m: tuple(v) for m, v in per_input.items()},
-        mean={m: sum(v) / len(v) for m, v in per_input.items()},
-        min={m: min(v) for m, v in per_input.items()},
-        max={m: max(v) for m, v in per_input.items()},
+        per_input={m: tuple(v) for m, v in modes.items()},
+        mean={m: sum(v) / len(v) for m, v in modes.items()},
+        min={m: min(v) for m, v in modes.items()},
+        max={m: max(v) for m, v in modes.items()},
+        wrong_key_sweep=summary,
     )
+
+
+def _wrong_key_arms(record: ObfuscationRecord, config: EvalConfig, n_keys: int) -> dict[str, Circuit]:
+    """``n_keys`` uniformly random concrete keys pushed through a full unlock."""
+    rng = derive_rng(config.seed, "wrong-keys")
+    key_len = len(record.key.bits)
+    arms: dict[str, Circuit] = {}
+    for k in range(n_keys):
+        bits = "".join(str(int(rng.integers(2))) for _ in range(key_len))
+        arms[f"wrong-key-{k}"] = unlock(
+            record.locked_circuit, record.key, candidate_bits=bits
+        ).restored_circuit
+    return arms
+
+
+def _sweep_summary(n_keys: int, per_key: list[list[float]]) -> dict:
+    tvds = [sum(v) / len(v) for v in per_key]
+    histogram = {f"{b / 10:.1f}-{(b + 1) / 10:.1f}": 0 for b in range(10)}
+    for value in tvds:
+        bucket = min(int(value * 10), 9)
+        histogram[f"{bucket / 10:.1f}-{(bucket + 1) / 10:.1f}"] += 1
+    return {"n_keys": n_keys, "tvds": tvds, "histogram": histogram}
 
 
 def wrong_key_sweep(
@@ -218,21 +253,15 @@ def wrong_key_sweep(
     n_keys: int,
 ) -> dict:
     """Mean TVD of ``n_keys`` uniformly random concrete keys pushed through a
-    full unlock, plus a 10-bin histogram of those means."""
-    rng = derive_rng(config.seed, "wrong-keys")
-    key_len = len(record.key.bits)
-    arms: dict[str, Circuit] = {}
-    for k in range(n_keys):
-        bits = "".join(str(int(rng.integers(2))) for _ in range(key_len))
-        arms[f"wrong-key-{k}"] = unlock(
-            record.locked_circuit, record.key, candidate_bits=bits
-        ).restored_circuit
-    tvds = [sum(v) / len(v) for v in _tvds(original, arms, config).values()]
-    histogram = {f"{b / 10:.1f}-{(b + 1) / 10:.1f}": 0 for b in range(10)}
-    for value in tvds:
-        bucket = min(int(value * 10), 9)
-        histogram[f"{bucket / 10:.1f}-{(bucket + 1) / 10:.1f}"] += 1
-    return {"n_keys": n_keys, "tvds": tvds, "histogram": histogram}
+    full unlock, plus a 10-bin histogram of those means.
+
+    ``evaluate(..., wrong_keys=n_keys)`` computes the same sweep and is what the
+    CLI calls. This function is kept because the benchmark's tracer
+    (``perfbench/tracer.py``) wraps it by name; ROADMAP item 3 records its
+    removal once the benchmark may change.
+    """
+    per_input = _tvds(original, _wrong_key_arms(record, config, n_keys), config)
+    return _sweep_summary(n_keys, list(per_input.values()))
 
 
 # --- reporting -----------------------------------------------------------------

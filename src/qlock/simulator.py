@@ -7,9 +7,12 @@ first (qubit 0 rightmost). Distributions serialize as
 
 Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
 into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
-optionally carrying a trailing batch axis of independent states, with a norm
-check after every gate. Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits are
-refused before anything is allocated.
+optionally carrying a trailing batch axis of independent states. Each gate is
+one matmul between two ``transpose`` views whose axis permutations are
+resolved once per (qubits, qubit count, rank), followed by a norm check: one
+``np.vdot`` for a statevector, ``np.linalg.norm`` per column for a batch.
+Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits are refused before anything is
+allocated.
 
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
@@ -165,18 +168,26 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
+@lru_cache(maxsize=None)
+def _permutations(qubits: tuple[int, ...], n: int, ndim: int) -> tuple[tuple[int, ...], ...]:
+    """Axis order bringing ``qubits`` to the front, as ``np.moveaxis`` would, and its inverse."""
+    axes = tuple(n - 1 - q for q in qubits)
+    order = axes + tuple(i for i in range(ndim) if i not in axes)
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
+
+
 def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int):
     """Apply ``mat`` to the given qubits of a state (or stacked-state) tensor.
 
     ``tensor`` has n leading axes of size 2 (axis i holds qubit n-1-i, keeping
-    qubit 0 least significant) plus optional trailing axes.
+    qubit 0 least significant) plus optional trailing axes. The axis
+    permutations are resolved once per ``(qubits, n, ndim)`` and applied as
+    ``transpose`` views.
     """
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    moved = np.moveaxis(tensor, axes, range(k))
-    shape = moved.shape
-    out = mat @ moved.reshape(2**k, -1)
-    return np.moveaxis(out.reshape(shape), range(k), axes)
+    order, inverse = _permutations(qubits, n, tensor.ndim)
+    moved = tensor.transpose(order)
+    out = mat @ moved.reshape(mat.shape[0], -1)
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 Program = list[tuple[np.ndarray, tuple[int, ...]]]
@@ -222,7 +233,7 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
                 raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
         else:
             # plain statevectors keep the flat norm: a batch axis of one is slower
-            norm = np.linalg.norm(flat)
+            norm = math.sqrt(np.vdot(flat, flat).real)
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
         tensor = flat.reshape(shape)

@@ -257,8 +257,9 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
 
 
 # sha256 of every file a command writes. The noisy report was fixed before
-# noisy runs were batched, the others before evaluate and wrong_key_sweep
-# shared one loop and dense_plan's caps went through the shared site picker.
+# noisy runs were batched, the simulate counts before the kernel dropped
+# np.moveaxis, the others before evaluate and wrong_key_sweep shared one loop
+# and dense_plan's caps went through the shared site picker.
 _GOLDEN = [
     pytest.param(
         ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
@@ -271,6 +272,16 @@ _GOLDEN = [
          "--inputs", "2", "--seed", "1", "--wrong-key-sweep", "5"],
         {"report.json": "6ecd5c704809811e26a2b0ada38243d90784647ea2431df7b8864bf99caf4b84"},
         id="evaluate-wrong-key-sweep",
+    ),
+    pytest.param(
+        ["simulate", "{locked}", "-o", "{out}/counts.json", "--seed", "3"],
+        {"counts.json": "733a9e161a19dc3b9cc8a81d19fedac246786938baed90fc7353d025d25dcd83"},
+        id="simulate",
+    ),
+    pytest.param(
+        ["simulate", "{locked}", "-o", "{out}/counts.json", "--seed", "3", "--noise"],
+        {"counts.json": "df3c3068e7cdc02a14c71fd230ab822dc3fdc3fa3aac28af5e7c9ba99f6c3ed1"},
+        id="simulate-noise",
     ),
     pytest.param(
         ["obfuscate", "{adder}", "-o", "{out}/locked.qasm", "--key", "{out}/key.json", "--seed", "5",

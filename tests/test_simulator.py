@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from qlock import benchmarks, locking, simulator
-from qlock.circuit import Barrier, Circuit, Gate, Measure
+from qlock.circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure
 from qlock.evaluation import random_input_layer, with_input_layer
 from qlock.rng import derive_rng
 from qlock.simulator import (
@@ -317,3 +318,124 @@ def test_noisy_run_chunked_batches_match(noisy_cases, monkeypatch):
         got = run(circuit, 30, noise=noise, seed=seed)
         assert len(calls) > 1 and max(calls) <= max(1, 32 >> circuit.num_qubits)
         assert got == _per_shot_run(circuit, 30, noise, seed)
+
+
+# --- the kernel against the moveaxis + linalg.norm loop it replaced ----------
+
+def _oracle_apply_matrix(tensor, mat, qubits, n):
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    moved = np.moveaxis(tensor, axes, range(k))
+    shape = moved.shape
+    out = mat @ moved.reshape(2**k, -1)
+    return np.moveaxis(out.reshape(shape), range(k), axes)
+
+
+def _oracle_evolve(tensor, program, n, errors=None):
+    shape = tensor.shape
+    batched = len(shape) > n
+    flat = tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
+    errors = errors or {}
+    for index, (mat, qubits) in enumerate(program):
+        flat = _oracle_apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
+        for column, q, pauli in errors.get(index, ()):
+            state = flat[:, column].reshape((2,) * n)
+            flat[:, column] = _oracle_apply_matrix(state, pauli, (q,), n).reshape(-1)
+        if batched:
+            norms = np.linalg.norm(flat, axis=0)
+            drifted = ~(np.abs(norms - 1.0) <= 1e-10)
+            if drifted.any():
+                raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
+        else:
+            norm = np.linalg.norm(flat)
+            if not abs(norm - 1.0) <= 1e-10:
+                raise ArithmeticError(f"statevector norm drifted to {norm}")
+        tensor = flat.reshape(shape)
+    return flat
+
+
+def _simulate(circuit, noise, shots):
+    return statevector(circuit), unitary_of(circuit), run(circuit, shots, noise=noise, seed=2)
+
+
+def _assert_matches_oracle(circuit, monkeypatch, noise, shots=30):
+    """Bit-identical statevector and unitary, equal noisy counts, against the oracle kernel."""
+    state, unitary, counts = _simulate(circuit, noise, shots)
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "_evolve", _oracle_evolve)
+        want_state, want_unitary, want_counts = _simulate(circuit, noise, shots)
+    assert np.array_equal(state, want_state)
+    assert np.array_equal(unitary, want_unitary)
+    assert counts == want_counts
+
+
+def test_kernel_bit_identical_to_moveaxis_loop(noisy_cases, monkeypatch):
+    for circuit in noisy_cases:
+        _assert_matches_oracle(circuit, monkeypatch, _NOISE_SETTINGS[1])
+
+
+def test_kernel_bit_identical_on_descending_non_adjacent_qubits(monkeypatch):
+    gates = (
+        _gate("h", 0), _gate("u3", 4, params=(0.3, 1.1, 2.9)), _gate("cx", 3, 0),
+        _gate("ccx", 0, 4, 2), _gate("ch", 4, 1), _gate("cy", 2, 0), _gate("rz", 3, params=(0.7,)),
+    )
+    _assert_matches_oracle(Circuit(5, 0, gates), monkeypatch, _NOISE_SETTINGS[1])
+
+
+_ANGLES = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
+
+
+@st.composite
+def _circuits(draw):
+    """1-6 qubits, every gate kind, operands in any order on any qubits."""
+    n = draw(st.integers(1, 6))
+    kinds = sorted(k for k, (nq, _) in GATE_SPECS.items() if nq <= n)
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        nq, n_params = GATE_SPECS[kind]
+        qubits = tuple(draw(st.permutations(range(n)))[:nq])
+        params = tuple(draw(st.lists(_ANGLES, min_size=n_params, max_size=n_params)))
+        ops.append(Gate(kind, params, qubits))
+    return Circuit(n, 0, tuple(ops))
+
+
+@given(_circuits())
+def test_kernel_bit_identical_property(circuit):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches_oracle(circuit, monkeypatch, NoiseConfig(enabled=True, p1=0.2, p2=0.2, seed=1), shots=10)
+
+
+# --- the norm check on every path ------------------------------------------------
+
+def test_norm_check_catches_non_unitary_gate_on_every_path(monkeypatch):
+    exact = simulator.gate_matrix
+    monkeypatch.setattr(
+        simulator, "gate_matrix", lambda gate: 1.5 * exact(gate) if gate.kind == "t" else exact(gate)
+    )
+    circuit = Circuit(3, 0, (_gate("h", 0), _gate("cx", 0, 2), _gate("t", 2), _gate("h", 1)))
+    for simulate in (
+        statevector,
+        unitary_of,
+        lambda c: run(c, 20, noise=NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=1)),
+    ):
+        with pytest.raises(ArithmeticError, match="statevector norm drifted"):
+            simulate(circuit)
+
+
+def test_norm_check_is_per_column(monkeypatch):
+    # Z errors scale by 1 + 3e-10, above the 1e-10 tolerance in their own
+    # column but below it in any norm pooled over the batch's columns
+    circuit = Circuit(2, 0, (_gate("h", 0), _gate("cx", 0, 1), _gate("t", 1)))
+    noise = NoiseConfig(enabled=True, p1=0.1, p2=0.1, seed=12)
+    program = simulator._program(circuit)
+    patterns = {
+        simulator._draw_errors(program, [0.1] * 3, derive_rng(0, "traj", noise.seed, shot))
+        for shot in range(20)
+    }
+    with_z = [p for p in patterns if any(pauli == 2 for _, _, pauli in p)]
+    assert len(patterns) >= 4 and len(with_z) == 1  # one drifting column in the batch
+    run(circuit, 20, noise=noise, seed=0)
+    x, y, z = simulator._PAULI_LIST
+    monkeypatch.setattr(simulator, "_PAULI_LIST", (x, y, (1 + 3e-10) * z))
+    with pytest.raises(ArithmeticError, match="norm drifted"):
+        run(circuit, 20, noise=noise, seed=0)
