@@ -42,7 +42,7 @@ from .locking import (
     select_sites,
 )
 from .qasm import QasmError, emit_circuit, parse_circuit
-from .simulator import Distribution, NoiseConfig, apply_gate, run, statevector, unitary_of
+from .simulator import Distribution, NoiseConfig, run, statevector, unitary_of
 from .unlocking import UnlockResult, apply_phase_key, insert_key_toggles, simplify, unlock
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "Site",
     "TvdReport",
     "UnlockResult",
-    "apply_gate",
     "apply_phase_key",
     "dense_plan",
     "emit_circuit",

@@ -27,13 +27,6 @@ EXIT_INPUT = 2
 EXIT_SEMANTIC = 3
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("QLOCK_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -56,12 +49,15 @@ def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through ``type=int`` like a flag value, so a
+    # malformed QLOCK_SEED is a usage error
+    seed = os.environ.get("QLOCK_SEED", "0")
 
     p = sub.add_parser("obfuscate", help="lock a circuit and emit the correct key")
     p.add_argument("input", help="circuit to lock (.qasm)")
     p.add_argument("-o", "--output", required=True, help="locked circuit path (.qasm)")
     p.add_argument("--key", required=True, help="key file path (.json)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--logic-sites", type=int, default=None)
     p.add_argument("--phase-sites", type=int, default=None)
     p.add_argument("--dense", action="store_true", help="all eligible gates plus one slot per layer (counts become caps)")
@@ -79,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="circuit to run (.qasm)")
     p.add_argument("-o", "--output", required=True, help="counts path (.json)")
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     _add_noise_flags(p)
 
     p = sub.add_parser("evaluate", help="TVD of locked/restored modes vs the original")
@@ -90,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the report row as CSV")
     p.add_argument("--inputs", type=int, default=10)
     p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--modes", nargs="+", choices=evaluation.MODES, default=list(evaluation.MODES))
     p.add_argument("--sampling", choices=("independent", "paired"), default="independent",
                    help="fresh stream per run, or common random numbers across arms")
@@ -105,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the consolidated benchmark experiment")
     p.add_argument("--out-dir", default="repro_out")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--inputs", type=int, default=10)
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--strategy", choices=("random", "lightcone"), default="lightcone")

@@ -205,10 +205,14 @@ def evaluate(
 ) -> TvdReport:
     """TVD of each requested mode against the original, over sampled inputs.
 
-    With ``wrong_keys`` set, the report also carries the sweep
-    ``wrong_key_sweep`` computes; the random keys share the mode arms' runs of
-    the reference, so each input's reference is simulated once.
+    With ``wrong_keys`` set, the report also carries a wrong-key sweep: the
+    mean TVD of that many uniformly random concrete keys pushed through a full
+    unlock, plus a 10-bin histogram of those means. The random keys share the
+    mode arms' runs of the reference, so each input's reference is simulated
+    once.
     """
+    if wrong_keys < 0:
+        raise ValueError(f"wrong-key sweep size must not be negative, got {wrong_keys}")
     arms = mode_circuits(record, config.modes)
     sweep = _wrong_key_arms(record, config, wrong_keys)
     per_input = _tvds(original, arms | sweep, config)
@@ -251,17 +255,13 @@ def wrong_key_sweep(
     record: ObfuscationRecord,
     config: EvalConfig,
     n_keys: int,
-) -> dict:
-    """Mean TVD of ``n_keys`` uniformly random concrete keys pushed through a
-    full unlock, plus a 10-bin histogram of those means.
-
-    ``evaluate(..., wrong_keys=n_keys)`` computes the same sweep and is what the
-    CLI calls. This function is kept because the benchmark's tracer
-    (``perfbench/tracer.py``) wraps it by name; ROADMAP item 3 records its
-    removal once the benchmark may change.
+) -> dict | None:
+    """The wrong-key sweep of ``evaluate(..., wrong_keys=n_keys)`` alone; None
+    for no keys. The CLI calls ``evaluate``. This function is kept because the
+    benchmark's tracer (``perfbench/tracer.py``) wraps it by name; ROADMAP
+    item 3 records its removal once the benchmark may change.
     """
-    per_input = _tvds(original, _wrong_key_arms(record, config, n_keys), config)
-    return _sweep_summary(n_keys, list(per_input.values()))
+    return evaluate(original, record, replace(config, modes=()), n_keys).wrong_key_sweep
 
 
 # --- reporting -----------------------------------------------------------------
@@ -292,21 +292,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> list[dict]:
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        row: dict = {}
-        for k, v in raw.items():
-            if k == "circuit":
-                row[k] = v
-            elif k.startswith("tvd_"):
-                row[k] = float(v)
-            else:
-                row[k] = int(v)
-        rows.append(row)
-    return rows
 
 
 def report_json(rows: list[dict], extra: dict | None = None) -> str:

@@ -14,6 +14,12 @@ empty phase slots gain a dummy ``rz`` with kappa 0. Dummy phase gates occupy
 their own phase blocks at layer boundaries, so circuits without any phase
 gates still accept phase keys.
 
+Where a site may go is stated once. A logic site is a gate with a controlled
+form, or a qubit that a non-phase layer leaves free; a phase site is a phase
+gate whose angle lies on the pi/4 grid, or any qubit at a layer boundary.
+``select_sites`` and ``dense_plan`` choose among those candidates through one
+picker, and ``obfuscate`` refuses a plan with a site outside them.
+
 The locked circuit materializes layer boundaries as barriers. Key-schedule
 coordinates address the locked circuit: ``layer`` is the barrier-delimited
 block index and ``qubit`` pins the gate inside it, which survives a round
@@ -24,14 +30,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import (
     Barrier,
     Circuit,
     Gate,
     LayeredCircuit,
-    flatten,
     layerize,
     light_cone_rank,
     metrics,
@@ -57,8 +64,7 @@ class PlanError(ValueError):
     """A requested plan cannot be realized against the circuit."""
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
     """One obfuscation location in the layered circuit.
 
     ``gate`` is the existing gate at the site, or None for an empty slot. For
@@ -152,49 +158,41 @@ def normalize_phase_angle(angle: float) -> int | None:
     return kappa % 8
 
 
-def _logic_gate_candidates(layered: LayeredCircuit) -> list[Site]:
+def _gate_sites(layered: LayeredCircuit, phase: bool) -> list[Site]:
+    """The existing gates a plan may lock, layer by layer: phase gates whose
+    angle lies on the kappa grid, or gates with a controlled form. A gate site
+    sits on its gate's lowest qubit."""
     sites = []
     for i, layer in enumerate(layered.layers):
-        if layer.kind != "nonphase":
-            continue
         for g in layer.gates:
-            if g.kind in CONTROLLED_FORM:
-                sites.append(Site(i, min(g.qubits), gate=g))
+            if phase:
+                lockable = g.is_phase and normalize_phase_angle(phase_angle_of(g)) is not None
+            else:
+                lockable = g.kind in CONTROLLED_FORM
+            if lockable:
+                sites.append(Site(i, min(g.qubits), g))
     return sites
 
 
-def _logic_slot_candidates(layered: LayeredCircuit) -> list[Site]:
-    sites = []
-    for i, layer in enumerate(layered.layers):
-        if layer.kind != "nonphase":
-            continue
-        touched = layer.touched()
-        sites.extend(Site(i, q) for q in range(layered.num_qubits) if q not in touched)
-    return sites
-
-
-def _phase_gate_candidates(layered: LayeredCircuit) -> list[Site]:
-    sites = []
-    for i, layer in enumerate(layered.layers):
-        if layer.kind != "phase":
-            continue
-        for g in layer.gates:
-            if normalize_phase_angle(phase_angle_of(g)) is not None:
-                sites.append(Site(i, g.qubits[0], gate=g))
-    return sites
-
-
-def _phase_slot_candidates(layered: LayeredCircuit) -> list[Site]:
-    m = len(layered.layers)
-    return [Site(b, q) for b in range(m + 1) for q in range(layered.num_qubits)]
-
-
-def _site_score(rank, layered: LayeredCircuit, site: Site, phase: bool) -> int:
-    if site.gate is not None:
-        return rank.gate_score(site.layer, site.gate.qubits)
+def _free_qubits(layered: LayeredCircuit, index: int, phase: bool) -> Sequence[int]:
+    """The qubits an empty slot may take: every qubit of phase boundary
+    ``index`` (0 to the layer count), or the qubits non-phase layer ``index``
+    leaves untouched. Nothing for any other index."""
+    layers = layered.layers
     if phase:
-        return rank.boundary_score(site.layer, site.qubit)
-    return rank.slot_score(site.layer, site.qubit)
+        return range(layered.num_qubits) if 0 <= index <= len(layers) else ()
+    if not 0 <= index < len(layers) or layers[index].kind != "nonphase":
+        return ()
+    touched = layers[index].touched()
+    return [q for q in range(layered.num_qubits) if q not in touched]
+
+
+def _pool(layered: LayeredCircuit, phase: bool) -> list[Site]:
+    """Every site of one kind: the lockable gates, then the slots by layer
+    (logic) or boundary (phase)."""
+    ends = len(layered.layers) + (1 if phase else 0)
+    slots = [Site(i, q) for i in range(ends) for q in _free_qubits(layered, i, phase)]
+    return _gate_sites(layered, phase) + slots
 
 
 def _check_strategy(strategy: str) -> None:
@@ -202,16 +200,13 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _pick(
-    candidates: list[Site],
-    count: int,
-    strategy: str,
-    rng,
-    rank,
-    layered: LayeredCircuit,
-    phase: bool,
-    label: str,
-) -> list[Site]:
+def _pick(candidates: list[Site], count: int, strategy: str, rng, rank, phase: bool) -> list[Site]:
+    """``count`` of ``candidates``: a seeded uniform sample kept in candidate
+    order (``random``), or the highest light-cone scores (``lightcone``; ties
+    go to the earlier layer, then the lower qubit)."""
+    label = "phase" if phase else "logic"
+    if count < 0:
+        raise PlanError(f"{label} site count must not be negative, got {count}")
     if count > len(candidates):
         raise PlanError(
             f"requested {count} {label} sites but only {len(candidates)} are available"
@@ -221,38 +216,35 @@ def _pick(
     if strategy == "random":
         idx = rng.choice(len(candidates), size=count, replace=False)
         return [candidates[i] for i in sorted(idx)]
-    ranked = sorted(
-        candidates,
-        key=lambda s: (-_site_score(rank, layered, s, phase), s.layer, s.qubit),
-    )
-    return ranked[:count]
+    slot_score = rank.boundary_score if phase else rank.slot_score
+
+    def order(s: Site):
+        if s.gate is not None:
+            score = rank.gate_score(s.layer, s.gate.qubits)
+        else:
+            score = slot_score(s.layer, s.qubit)
+        return -score, s.layer, s.qubit
+
+    return sorted(candidates, key=order)[:count]
 
 
 def select_sites(
-    circuit: Circuit | LayeredCircuit,
+    circuit: Circuit,
     n_logic: int,
     n_phase: int,
     strategy: str = "lightcone",
     seed: int = 0,
 ) -> ObfuscationPlan:
-    """Choose ``n_logic`` logic and ``n_phase`` phase sites.
-
-    ``random`` samples uniformly without replacement from all candidates;
-    ``lightcone`` takes the top-scoring candidates (ties: earlier layer, then
-    lower qubit).
+    """Choose ``n_logic`` logic and ``n_phase`` phase sites from every
+    eligible site: ``random`` samples uniformly without replacement,
+    ``lightcone`` takes the top-scoring ones.
     """
     _check_strategy(strategy)
-    if isinstance(circuit, LayeredCircuit):
-        layered = circuit
-        circuit = flatten(layered)
-    else:
-        layered = layerize(circuit)
+    layered = layerize(circuit)
     rank = light_cone_rank(circuit)
     rng = derive_rng(seed, "select")
-    logic_pool = _logic_gate_candidates(layered) + _logic_slot_candidates(layered)
-    phase_pool = _phase_gate_candidates(layered) + _phase_slot_candidates(layered)
-    logic = _pick(logic_pool, n_logic, strategy, rng, rank, layered, False, "logic")
-    phase = _pick(phase_pool, n_phase, strategy, rng, rank, layered, True, "phase")
+    logic = _pick(_pool(layered, False), n_logic, strategy, rng, rank, False)
+    phase = _pick(_pool(layered, True), n_phase, strategy, rng, rank, True)
     return ObfuscationPlan(tuple(logic), tuple(phase))
 
 
@@ -263,98 +255,53 @@ def dense_plan(
     logic_cap: int | None = None,
     phase_cap: int | None = None,
 ) -> ObfuscationPlan:
-    """Default plan: every eligible existing gate plus one empty slot per layer.
+    """Default plan: every lockable gate plus one empty slot per layer.
 
-    Logic slots land on a free qubit of each non-phase layer; each layer also
-    contributes one phase slot at the boundary just before it. Caps truncate
-    each list after ranking (lightcone) or a seeded subsample (random).
+    Each non-phase layer with a free qubit gives one logic slot, and each
+    layer gives one phase slot at the boundary just before it. The one site
+    picker chooses each slot's qubit among that layer's candidates, then cuts
+    each whole list to its cap by ranking (lightcone) or a seeded subsample
+    (random).
     """
     _check_strategy(strategy)
     layered = layerize(circuit)
     rank = light_cone_rank(circuit)
     rng = derive_rng(seed, "dense")
-    logic = _logic_gate_candidates(layered)
-    phase = _phase_gate_candidates(layered)
-    for i, layer in enumerate(layered.layers):
-        if layer.kind == "nonphase":
-            free = [q for q in range(layered.num_qubits) if q not in layer.touched()]
-            if free:
-                if strategy == "lightcone":
-                    q = max(free, key=lambda q: (rank.slot_score(i, q), -q))
-                else:
-                    q = int(rng.choice(free))
-                logic.append(Site(i, q))
+    logic = _gate_sites(layered, False)
+    phase = _gate_sites(layered, True)
+    for i in range(len(layered.layers)):
+        slots = [Site(i, q) for q in _free_qubits(layered, i, False)]
+        if slots:
+            logic += _pick(slots, 1, strategy, rng, rank, False)
         # the slot sits before its layer: a dummy rotation after the final
         # layer would be diagonal right before measurement and do nothing
-        boundary = i
-        qubits = list(range(layered.num_qubits))
-        if strategy == "lightcone":
-            q = max(qubits, key=lambda q: (rank.boundary_score(boundary, q), -q))
-        else:
-            q = int(rng.choice(qubits))
-        phase.append(Site(boundary, q))
+        slots = [Site(i, q) for q in _free_qubits(layered, i, True)]
+        phase += _pick(slots, 1, strategy, rng, rank, True)
 
-    def cap(sites: list[Site], limit: int | None, phase_kind: bool, label: str) -> list[Site]:
+    def cap(sites: list[Site], limit: int | None, phase_kind: bool) -> list[Site]:
         # a cap that keeps every site must not reach _pick: a random pick of
         # all sites still draws from rng and would shift the picks after it
         if limit is None or limit >= len(sites):
             return sites
-        return _pick(sites, limit, strategy, rng, rank, layered, phase_kind, label)
+        return _pick(sites, limit, strategy, rng, rank, phase_kind)
 
-    return ObfuscationPlan(
-        tuple(cap(logic, logic_cap, False, "logic")), tuple(cap(phase, phase_cap, True, "phase"))
-    )
+    return ObfuscationPlan(tuple(cap(logic, logic_cap, False)), tuple(cap(phase, phase_cap, True)))
 
 
 def _validate_plan(layered: LayeredCircuit, plan: ObfuscationPlan) -> None:
-    m = len(layered.layers)
-    seen: set[tuple] = set()
-    for site in plan.logic_sites:
-        if not 0 <= site.layer < m:
-            raise PlanError(f"logic site layer {site.layer} out of range")
-        layer = layered.layers[site.layer]
-        if layer.kind != "nonphase":
-            raise PlanError(f"logic site in phase layer {site.layer}")
-        if site.gate is not None:
-            if site.gate not in layer.gates:
-                raise PlanError(f"logic site gate not found in layer {site.layer}")
-            if site.gate.kind not in CONTROLLED_FORM:
-                raise PlanError(f"gate {site.gate.kind} has no supported controlled form")
-            tag = ("logic", site.layer, site.gate)
-        else:
-            if not 0 <= site.qubit < layered.num_qubits:
-                raise PlanError(f"logic slot qubit {site.qubit} out of range")
-            if site.qubit in layer.touched():
-                raise PlanError(
-                    f"logic slot qubit {site.qubit} is occupied in layer {site.layer}"
-                )
-            tag = ("logic", site.layer, site.qubit)
-        if tag in seen:
+    """Every site must be one the candidate helpers list, and none may repeat."""
+    for phase, sites in ((False, plan.logic_sites), (True, plan.phase_sites)):
+        gates = set(_gate_sites(layered, phase))
+        for site in sites:
+            if site.gate is not None:
+                eligible = site in gates
+            else:
+                eligible = site.qubit in _free_qubits(layered, site.layer, phase)
+            if not eligible:
+                kind = "phase" if phase else "logic"
+                raise PlanError(f"{kind} site {site} is not eligible in this circuit")
+        if len(set(sites)) != len(sites):
             raise PlanError("plan sites are not disjoint")
-        seen.add(tag)
-    for site in plan.phase_sites:
-        if site.gate is not None:
-            if not 0 <= site.layer < m:
-                raise PlanError(f"phase site layer {site.layer} out of range")
-            layer = layered.layers[site.layer]
-            if layer.kind != "phase":
-                raise PlanError(f"phase site in non-phase layer {site.layer}")
-            if site.gate not in layer.gates:
-                raise PlanError(f"phase site gate not found in layer {site.layer}")
-            if normalize_phase_angle(phase_angle_of(site.gate)) is None:
-                raise PlanError(
-                    f"phase angle {phase_angle_of(site.gate)} is not a pi/4 multiple"
-                )
-            tag = ("phase", site.layer, site.gate)
-        else:
-            if not 0 <= site.layer <= m:
-                raise PlanError(f"phase slot boundary {site.layer} out of range")
-            if not 0 <= site.qubit < layered.num_qubits:
-                raise PlanError(f"phase slot qubit {site.qubit} out of range")
-            tag = ("phase-slot", site.layer, site.qubit)
-        if tag in seen:
-            raise PlanError("plan sites are not disjoint")
-        seen.add(tag)
 
 
 def _random_angle(rng) -> float:
@@ -423,7 +370,7 @@ def obfuscate(
         slots = phase_slots_by_boundary.get(b)
         if slots:
             here = open_block()
-            for site in sorted(slots, key=lambda s: s.qubit):
+            for site in slots:
                 ops.append(Gate("rz", (_random_angle(rng),), (site.qubit,)))
                 phase_bits.append("000")
                 phase_entries.append(KeyEntry("phase", here, site.qubit, 3))
@@ -431,7 +378,7 @@ def obfuscate(
             break
         layer = layered.layers[b]
         here = open_block()
-        section_sites = sorted(logic_by_layer.get(b, ()), key=lambda s: s.qubit)
+        section_sites = logic_by_layer.get(b, ())
         section_gates = {s.gate for s in section_sites if s.gate is not None}
         keyed_phase = phase_gates_by_layer.get(b, {})
         converted: list[tuple[int, int]] = []  # (qubit, kappa), key bits go qubit-minor

@@ -77,15 +77,6 @@ class Distribution:
             indent=2,
         ) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "Distribution":
-        data = json.loads(text)
-        return Distribution(
-            counts={str(k): int(v) for k, v in data["counts"].items()},
-            shots=int(data["shots"]),
-            bits=int(data["bits"]),
-        )
-
 
 # --- gate matrices -------------------------------------------------------------
 
@@ -238,20 +229,6 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
         tensor = flat.reshape(shape)
     return flat
-
-
-def _qubit_count(state: np.ndarray) -> int:
-    n = int(round(math.log2(state.size)))
-    if 2**n != state.size:
-        raise ValueError("statevector length is not a power of two")
-    return n
-
-
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to a statevector, checking norm preservation."""
-    n = _qubit_count(state)
-    program = _program(Circuit(n, 0, (gate,)))
-    return _evolve(state.reshape((2,) * n), program, n)
 
 
 def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:

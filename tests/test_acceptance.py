@@ -43,16 +43,11 @@ def criterion(number: int, name: str):
 
 def _random_plan(circuit: Circuit, rng: np.random.Generator):
     """A feasible random plan with at least one site of each kind."""
-    from qlock.locking import (
-        _logic_gate_candidates,
-        _logic_slot_candidates,
-        _phase_gate_candidates,
-        _phase_slot_candidates,
-    )
+    from qlock.locking import _pool
 
     layered = layerize(circuit)
-    max_logic = len(_logic_gate_candidates(layered)) + len(_logic_slot_candidates(layered))
-    max_phase = len(_phase_gate_candidates(layered)) + len(_phase_slot_candidates(layered))
+    max_logic = len(_pool(layered, False))
+    max_phase = len(_pool(layered, True))
     n_logic = int(rng.integers(1, min(max_logic, 20) + 1))
     n_phase = int(rng.integers(1, min(max_phase, 20) + 1))
     strategy = ("random", "lightcone")[int(rng.integers(2))]

@@ -258,8 +258,9 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
 
 # sha256 of every file a command writes. The noisy report was fixed before
 # noisy runs were batched, the simulate counts before the kernel dropped
-# np.moveaxis, the others before evaluate and wrong_key_sweep shared one loop
-# and dense_plan's caps went through the shared site picker.
+# np.moveaxis, the three select/uncapped obfuscate outputs before the site
+# rules and picker were merged, the others before evaluate and wrong_key_sweep
+# shared one loop and dense_plan's caps went through the shared site picker.
 _GOLDEN = [
     pytest.param(
         ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
@@ -291,6 +292,33 @@ _GOLDEN = [
             "locked.qasm": "ff4965aa9b1d8cf58c30748edfbd834ecf50641e0213ab1a44c61f7ddd6e1de8",
         },
         id="obfuscate-dense-random-caps",
+    ),
+    pytest.param(
+        ["obfuscate", "{adder}", "-o", "{out}/locked.qasm", "--key", "{out}/key.json", "--seed", "5",
+         "--strategy", "random", "--logic-sites", "3", "--phase-sites", "4"],
+        {
+            "key.json": "dcb4f8695c3ad4f7e52a146e4c7be8e47df1fd4439ca8f5263add0bbc64e931d",
+            "locked.qasm": "db66228695dab5110d4b0f6098a40cc0786bab69f37e9d01398cb7f5481eb085",
+        },
+        id="obfuscate-select-random",
+    ),
+    pytest.param(
+        ["obfuscate", "{adder}", "-o", "{out}/locked.qasm", "--key", "{out}/key.json", "--seed", "5",
+         "--strategy", "lightcone", "--logic-sites", "3", "--phase-sites", "4"],
+        {
+            "key.json": "be79d9b0b98e3f789a9e482f9ab54be06bf6ffb3d25c3fb83f7fa5d122368c99",
+            "locked.qasm": "86d6caa8aa67de600e392aeba63d4b8e39581ef935d45c07bfb8998fe85ec1f4",
+        },
+        id="obfuscate-select-lightcone",
+    ),
+    pytest.param(
+        ["obfuscate", "{adder}", "-o", "{out}/locked.qasm", "--key", "{out}/key.json", "--seed", "5",
+         "--dense", "--strategy", "random", "--dummy-gates", "random"],
+        {
+            "key.json": "42d70edbbc450ef1fb4cddb01bc5157a1209893a8e7a3a562882fc1ebcfdc5e6",
+            "locked.qasm": "f789369157830b7d3993172cea28604e3a17a326034a3eaa1f313cdce960b267",
+        },
+        id="obfuscate-dense-random-dummies",
     ),
     pytest.param(
         ["repro", "--out-dir", "{out}", "--seed", "0", "--inputs", "2"],
@@ -345,6 +373,48 @@ def test_env_var_default_seed(tmp_path, adder_path, monkeypatch):
         ["simulate", str(adder_path), "-o", str(out_flag), "--shots", "64", "--seed", "123"]
     ) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_env_var_malformed_seed_is_usage_error(tmp_path, adder_path, monkeypatch, capsys):
+    monkeypatch.setenv("QLOCK_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(adder_path), "-o", str(tmp_path / "c.json"), "--shots", "8"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+    # an explicit --seed does not read the variable
+    assert main(
+        ["simulate", str(adder_path), "-o", str(tmp_path / "c.json"), "--shots", "8", "--seed", "1"]
+    ) == 0
+
+
+@pytest.mark.parametrize("strategy", ["random", "lightcone"])
+@pytest.mark.parametrize(
+    "counts",
+    [["--logic-sites", "-1", "--phase-sites", "1"], ["--dense", "--logic-sites", "-2"]],
+    ids=["select", "dense"],
+)
+def test_obfuscate_negative_site_count_exits_3(tmp_path, adder_path, capsys, strategy, counts):
+    locked, key = tmp_path / "locked.qasm", tmp_path / "key.json"
+    code = main(
+        ["obfuscate", str(adder_path), "-o", str(locked), "--key", str(key), "--strategy", strategy, *counts]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "must not be negative" in err and err.count("\n") == 1
+    assert not locked.exists() and not key.exists()
+
+
+def test_evaluate_negative_wrong_key_sweep_exits_3(tmp_path, adder_path, capsys):
+    locked, key = _obfuscate(tmp_path, adder_path)
+    report = tmp_path / "r.json"
+    code = main(
+        ["evaluate", str(adder_path), str(locked), str(key), "-o", str(report), "--wrong-key-sweep", "-3"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "must not be negative" in err and err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_repro_smoke(tmp_path):

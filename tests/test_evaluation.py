@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +15,6 @@ from qlock.evaluation import (
     random_input_layer,
     report_json,
     report_row,
-    rows_from_csv,
     rows_to_csv,
     tvd,
     with_input_layer,
@@ -222,10 +224,12 @@ def test_noise_config_attached_to_report(wstate_record):
 
 def test_wrong_key_sweep_histogram(wstate_record):
     circuit, record = wstate_record
-    sweep = wrong_key_sweep(circuit, record, EvalConfig(n_inputs=2, shots=50, seed=5), n_keys=8)
+    config = EvalConfig(n_inputs=2, shots=50, seed=5)
+    sweep = wrong_key_sweep(circuit, record, config, n_keys=8)
     assert sweep["n_keys"] == 8
     assert len(sweep["tvds"]) == 8
     assert sum(sweep["histogram"].values()) == 8
+    assert wrong_key_sweep(circuit, record, config, n_keys=0) is None
 
 
 # --- reporting ----------------------------------------------------------------
@@ -259,7 +263,9 @@ def test_csv_round_trip(wstate_record):
     circuit, record = wstate_record
     report = evaluate(circuit, record, EvalConfig(n_inputs=2, shots=50, seed=1))
     row = report_row("Wstate", record, report)
-    assert rows_from_csv(rows_to_csv([row])) == [row]
+    (parsed,) = csv.DictReader(io.StringIO(rows_to_csv([row])))
+    assert parsed == {k: str(v) for k, v in row.items()}
+    assert list(parsed) == list(row)
 
 
 def test_report_json_contains_rows(wstate_record):

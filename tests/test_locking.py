@@ -125,8 +125,52 @@ def test_plan_sites_disjoint_validation():
 
 def test_plan_slot_must_be_free():
     circuit = parse_circuit("qreg q[1]; x q[0];")
-    with pytest.raises(PlanError, match="occupied"):
+    with pytest.raises(PlanError, match="not eligible"):
         obfuscate(circuit, ObfuscationPlan((Site(0, 0),), ()))
+
+
+# layers: 0 non-phase {x q0}, 1 phase {t q1, rz(0.3) q2}, 2 non-phase {ccx},
+# 3 non-phase {h q0}; phase boundaries run 0..4
+_PLAN_CIRCUIT = "qreg q[3]; x q[0]; t q[1]; rz(0.3) q[2]; ccx q[0],q[1],q[2]; h q[0];"
+_X, _T, _RZ = _gate("x", 0), _gate("t", 1), _gate("rz", 2, params=(0.3,))
+
+
+@pytest.mark.parametrize(
+    "logic, phase",
+    [
+        pytest.param((Site(0, 0),), (), id="occupied-slot"),
+        pytest.param((Site(1, 0),), (), id="logic-slot-in-phase-layer"),
+        pytest.param((Site(4, 1),), (), id="logic-layer-past-end"),
+        pytest.param((Site(-1, 1),), (), id="logic-layer-negative"),
+        pytest.param((), (Site(5, 0),), id="phase-boundary-past-end"),
+        pytest.param((), (Site(-1, 0),), id="phase-boundary-negative"),
+        pytest.param((Site(0, 3),), (), id="logic-qubit-out-of-range"),
+        pytest.param((), (Site(0, 3),), id="phase-qubit-out-of-range"),
+        pytest.param((Site(3, 0, _X),), (), id="logic-gate-not-in-layer"),
+        pytest.param((), (Site(2, 1, _T),), id="phase-gate-not-in-layer"),
+        pytest.param((Site(2, 0, _gate("ccx", 0, 1, 2)),), (), id="gate-without-controlled-form"),
+        pytest.param((Site(1, 1, _T),), (), id="phase-gate-as-logic-site"),
+        pytest.param((), (Site(0, 0, _X),), id="logic-gate-as-phase-site"),
+        pytest.param((), (Site(1, 2, _RZ),), id="off-grid-phase-gate"),
+        pytest.param((Site(0, 1), Site(0, 1)), (), id="duplicate-logic-slot"),
+        pytest.param((Site(0, 0, _X), Site(0, 0, _X)), (), id="duplicate-logic-gate"),
+        pytest.param((), (Site(4, 2), Site(4, 2)), id="duplicate-phase-slot"),
+        pytest.param((), (Site(1, 1, _T), Site(1, 1, _T)), id="duplicate-phase-gate"),
+    ],
+)
+def test_plan_rejects_ineligible_site(logic, phase):
+    circuit = parse_circuit(_PLAN_CIRCUIT)
+    with pytest.raises(PlanError):
+        obfuscate(circuit, ObfuscationPlan(logic, phase))
+
+
+def test_plan_gate_site_sits_on_lowest_qubit():
+    circuit = parse_circuit("qreg q[2]; cx q[1],q[0];")
+    cx = _gate("cx", 1, 0)
+    assert dense_plan(circuit).logic_sites[0] == Site(0, 0, cx)
+    obfuscate(circuit, ObfuscationPlan((Site(0, 0, cx),), ()))
+    with pytest.raises(PlanError, match="not eligible"):
+        obfuscate(circuit, ObfuscationPlan((Site(0, 1, cx),), ()))
 
 
 # --- obfuscation -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from qlock.rng import derive_rng
 from qlock.simulator import (
     Distribution,
     NoiseConfig,
-    apply_gate,
     gate_matrix,
     run,
     statevector,
@@ -30,19 +30,19 @@ def _gate(kind, *qubits, params=()):
 
 
 def test_x_flips_zero():
-    state = apply_gate(zero_state(1), _gate("x", 0))
+    state = statevector(Circuit(1, 0, (_gate("x", 0),)))
     assert np.allclose(state, [0, 1])
 
 
 def test_h_makes_plus():
-    state = apply_gate(zero_state(1), _gate("h", 0))
+    state = statevector(Circuit(1, 0, (_gate("h", 0),)))
     assert np.allclose(state, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_p_vs_rz_global_phase():
-    plus = apply_gate(zero_state(1), _gate("h", 0))
-    a = apply_gate(plus, _gate("p", 0, params=(math.pi / 2,)))
-    b = apply_gate(plus, _gate("rz", 0, params=(math.pi / 2,)))
+    plus = statevector(Circuit(1, 0, (_gate("h", 0),)))
+    a = statevector(Circuit(1, 0, (_gate("p", 0, params=(math.pi / 2,)),)), plus)
+    b = statevector(Circuit(1, 0, (_gate("rz", 0, params=(math.pi / 2,)),)), plus)
     ratio = a / b
     assert np.allclose(ratio, ratio[0])
     assert np.isclose(ratio[0], np.exp(1j * math.pi / 4))
@@ -72,16 +72,15 @@ def test_ccx_truth_table():
 
 
 def test_controlled_h_only_fires_on_one():
-    state = apply_gate(zero_state(2), _gate("ch", 0, 1))  # control qubit 0 is |0>
+    state = statevector(Circuit(2, 0, (_gate("ch", 0, 1),)))  # control qubit 0 is |0>
     assert np.allclose(state, zero_state(2))
-    state = apply_gate(zero_state(2), _gate("x", 0))
-    state = apply_gate(state, _gate("ch", 0, 1))
+    state = statevector(Circuit(2, 0, (_gate("x", 0), _gate("ch", 0, 1))))
     # amplitudes on |01> (index 1) and |11> (index 3): qubit 0 is the low bit
     assert np.allclose(state[[1, 3]], [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_little_endian_indexing():
-    state = apply_gate(zero_state(2), _gate("x", 1))
+    state = statevector(Circuit(2, 0, (_gate("x", 1),)))
     assert np.argmax(np.abs(state)) == 2  # qubit 1 contributes bit value 2
 
 
@@ -202,7 +201,7 @@ def test_noise_probability_validation():
 
 def test_distribution_json_round_trip():
     dist = Distribution(counts={"01": 30, "10": 70}, shots=100, bits=2)
-    assert Distribution.from_json(dist.to_json()) == dist
+    assert Distribution(**json.loads(dist.to_json())) == dist
 
 
 def test_distribution_validation():
@@ -220,9 +219,9 @@ def test_barriers_ignored_by_simulation():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_norm_counts_as_drift():
-    with pytest.raises(ArithmeticError, match="drifted to nan"):
-        apply_gate(zero_state(1), _gate("rz", 0, params=(math.inf,)))
     circuit = Circuit(1, 0, (_gate("rz", 0, params=(math.inf,)),))
+    with pytest.raises(ArithmeticError, match="drifted to nan"):
+        statevector(circuit)
     with pytest.raises(ArithmeticError, match="drifted to nan"):
         run(circuit, 5, noise=NoiseConfig(enabled=True, seed=1))
 
@@ -241,17 +240,18 @@ def test_state_size_guard_refuses_before_allocating(monkeypatch):
 # --- noisy run against the per-shot trajectory loop it replaced ---------------
 
 def _trajectory(circuit, initial, noise, rng):
-    state = zero_state(circuit.num_qubits) if initial is None else np.asarray(initial, dtype=complex)
+    n = circuit.num_qubits
+    state = zero_state(n) if initial is None else np.asarray(initial, dtype=complex)
     paulis = ("x", "y", "z")
     for op in circuit.ops:
         if not isinstance(op, Gate):
             continue
-        state = apply_gate(state, op)
+        state = statevector(Circuit(n, 0, (op,)), state)
         p = noise.p1 if len(op.qubits) == 1 else noise.p2
         if rng.random() < p:
             for q in op.qubits:
                 kind = paulis[rng.integers(3)]
-                state = apply_gate(state, Gate(kind, (), (q,)))
+                state = statevector(Circuit(n, 0, (Gate(kind, (), (q,)),)), state)
     return state
 
 
