@@ -12,7 +12,6 @@ from .circuit import (
     Gate,
     Layer,
     LayeredCircuit,
-    LightConeRank,
     Measure,
     flatten,
     layerize,
@@ -57,7 +56,6 @@ __all__ = [
     "KeyEntry",
     "Layer",
     "LayeredCircuit",
-    "LightConeRank",
     "Measure",
     "NoiseConfig",
     "ObfuscationPlan",

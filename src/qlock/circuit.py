@@ -19,7 +19,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass
 
 # kind -> (number of qubits, number of parameters)
 GATE_SPECS: dict[str, tuple[int, int]] = {
@@ -268,46 +269,25 @@ def metrics(circuit: Circuit) -> tuple[int, int]:
     return (max(depth) if depth else 0, count)
 
 
-@dataclass(frozen=True)
-class LightConeRank:
-    """Forward light-cone scores for candidate obfuscation locations.
+def light_cone_rank(layered: LayeredCircuit, outputs: Collection[int]) -> tuple[tuple[int, ...], ...]:
+    """Forward light-cone scores: ``rank[b][q]`` counts the ``outputs``
+    reachable from wire ``q`` at the boundary before layer ``b`` (``b`` may
+    equal the layer count). Scores never increase along a wire.
 
-    ``boundary_reach[b][q]`` is the set of output qubits causally reachable
-    from wire ``q`` at the boundary just before layer ``b`` (``b`` may equal
-    the layer count, meaning the end of the circuit). Scores count reachable
-    outputs and are monotone non-increasing along a fixed wire.
+    One score serves every site at its own boundary: sweeping backward, each
+    gate of layer ``b`` sets all its qubits' reach to the union of their reach
+    at ``b + 1``, so the gate scores ``rank[b][q]`` for any of its qubits, and
+    a qubit the layer leaves free keeps its reach on both sides of it.
     """
-
-    boundary_reach: tuple[dict[int, frozenset[int]], ...] = field(repr=False)
-
-    def boundary_score(self, boundary: int, qubit: int) -> int:
-        return len(self.boundary_reach[boundary][qubit])
-
-    def slot_score(self, layer: int, qubit: int) -> int:
-        """Score of an empty slot executing in parallel with ``layer``."""
-        return len(self.boundary_reach[layer + 1][qubit])
-
-    def gate_score(self, layer: int, qubits: tuple[int, ...]) -> int:
-        reach: set[int] = set()
-        for q in qubits:
-            reach |= self.boundary_reach[layer + 1][q]
-        return len(reach)
-
-
-def light_cone_rank(circuit: Circuit) -> LightConeRank:
-    """Per-location output-reachability scores via backward sweep over layers."""
-    layered = layerize(circuit)
-    outputs = frozenset(circuit.measured_qubits())
-    reach: dict[int, frozenset[int]] = {
-        q: frozenset({q}) if q in outputs else frozenset()
-        for q in range(circuit.num_qubits)
-    }
-    boundaries: list[dict[int, frozenset[int]]] = [dict(reach)]
+    reach = [1 << q if q in outputs else 0 for q in range(layered.num_qubits)]  # output bitmasks
+    rank = [tuple(r.bit_count() for r in reach)]
     for layer in reversed(layered.layers):
         for g in layer.gates:
-            union = frozenset().union(*(reach[q] for q in g.qubits))
+            union = 0
+            for q in g.qubits:
+                union |= reach[q]
             for q in g.qubits:
                 reach[q] = union
-        boundaries.append(dict(reach))
-    boundaries.reverse()
-    return LightConeRank(boundary_reach=tuple(boundaries))
+        rank.append(tuple(r.bit_count() for r in reach))
+    rank.reverse()
+    return tuple(rank)

@@ -46,8 +46,15 @@ def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p2", type=float, default=0.01, help="multi-qubit error probability")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors as one line, ``qlock <cmd>: error: ...``; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qlock", description=__doc__)
+    parser = _ArgumentParser(prog="qlock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # a string default goes through ``type=int`` like a flag value, so a
     # malformed QLOCK_SEED is a usage error

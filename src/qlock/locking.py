@@ -195,15 +195,20 @@ def _pool(layered: LayeredCircuit, phase: bool) -> list[Site]:
     return _gate_sites(layered, phase) + slots
 
 
-def _check_strategy(strategy: str) -> None:
+def _layers_and_rank(circuit: Circuit, strategy: str):
+    """The layered circuit, and its light-cone table under ``lightcone``."""
     if strategy not in ("random", "lightcone"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    layered = layerize(circuit)
+    rank = light_cone_rank(layered, circuit.measured_qubits()) if strategy == "lightcone" else None
+    return layered, rank
 
 
 def _pick(candidates: list[Site], count: int, strategy: str, rng, rank, phase: bool) -> list[Site]:
     """``count`` of ``candidates``: a seeded uniform sample kept in candidate
-    order (``random``), or the highest light-cone scores (``lightcone``; ties
-    go to the earlier layer, then the lower qubit)."""
+    order (``random``), or the highest light-cone scores at each site's own
+    boundary (``lightcone``; ties go to the earlier layer, then the lower
+    qubit)."""
     label = "phase" if phase else "logic"
     if count < 0:
         raise PlanError(f"{label} site count must not be negative, got {count}")
@@ -216,16 +221,7 @@ def _pick(candidates: list[Site], count: int, strategy: str, rng, rank, phase: b
     if strategy == "random":
         idx = rng.choice(len(candidates), size=count, replace=False)
         return [candidates[i] for i in sorted(idx)]
-    slot_score = rank.boundary_score if phase else rank.slot_score
-
-    def order(s: Site):
-        if s.gate is not None:
-            score = rank.gate_score(s.layer, s.gate.qubits)
-        else:
-            score = slot_score(s.layer, s.qubit)
-        return -score, s.layer, s.qubit
-
-    return sorted(candidates, key=order)[:count]
+    return sorted(candidates, key=lambda s: (-rank[s.layer][s.qubit], s.layer, s.qubit))[:count]
 
 
 def select_sites(
@@ -239,9 +235,7 @@ def select_sites(
     eligible site: ``random`` samples uniformly without replacement,
     ``lightcone`` takes the top-scoring ones.
     """
-    _check_strategy(strategy)
-    layered = layerize(circuit)
-    rank = light_cone_rank(circuit)
+    layered, rank = _layers_and_rank(circuit, strategy)
     rng = derive_rng(seed, "select")
     logic = _pick(_pool(layered, False), n_logic, strategy, rng, rank, False)
     phase = _pick(_pool(layered, True), n_phase, strategy, rng, rank, True)
@@ -263,9 +257,7 @@ def dense_plan(
     each whole list to its cap by ranking (lightcone) or a seeded subsample
     (random).
     """
-    _check_strategy(strategy)
-    layered = layerize(circuit)
-    rank = light_cone_rank(circuit)
+    layered, rank = _layers_and_rank(circuit, strategy)
     rng = derive_rng(seed, "dense")
     logic = _gate_sites(layered, False)
     phase = _gate_sites(layered, True)

@@ -26,6 +26,10 @@ from dataclasses import dataclass
 from .circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure, Op
 
 
+# bits of one kind a program may declare (one label each); simulation stops at 26 qubits
+MAX_REGISTER_BITS = 2**20
+
+
 class QasmError(Exception):
     """Parse or validation failure, carrying source position when known."""
 
@@ -183,9 +187,13 @@ class _Parser:
         size = int(size_tok.text)
         if size < 1:
             raise QasmError("register size must be positive", size_tok.line, size_tok.col)
+        labels = self.labels[kind]
+        if len(labels) + size > MAX_REGISTER_BITS:
+            raise QasmError(
+                f"more than {MAX_REGISTER_BITS} {kind} bits declared", size_tok.line, size_tok.col
+            )
         self.expect("sym", "]")
         self.expect("sym", ";")
-        labels = self.labels[kind]
         self.registers[name] = (kind, size, len(labels))
         labels.extend(f"{name}[{i}]" for i in range(size))
 

@@ -40,8 +40,14 @@ def find_ancilla(circuit: Circuit) -> int | None:
     return None
 
 
-def _is_ancilla_control(gate: Gate, ancilla: int) -> bool:
-    return len(gate.qubits) > 1 and ancilla in gate.qubits
+def _on_ancilla(op, ancilla: int | None) -> bool:
+    """Whether ``op`` is a gate touching the key ancilla: a 1-qubit gate on it
+    or a section gate it controls (the ancilla as a target is refused)."""
+    if not isinstance(op, Gate) or ancilla is None or ancilla not in op.qubits:
+        return False
+    if op.qubits[0] != ancilla:
+        raise ValueError("key ancilla must be the control of its section gate")
+    return True
 
 
 def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int) -> Circuit:
@@ -59,14 +65,12 @@ def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int)
     section = 0
     removed_h = 0
     for op in locked.ops:
-        if isinstance(op, Gate) and ancilla in op.qubits:
+        if _on_ancilla(op, ancilla):
             if len(op.qubits) == 1:
                 if op.kind != "h":
                     raise ValueError(f"unexpected {op.kind} gate on the key ancilla")
                 removed_h += 1
                 continue
-            if op.qubits[0] != ancilla:
-                raise ValueError("key ancilla must be the control of its section gate")
             if section >= len(bits):
                 raise ValueError(
                     f"{section + 1} key sections but only {len(bits)} logic bits"
@@ -96,7 +100,10 @@ def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]
     for entry, kappa in assignments:
         if not 0 <= kappa <= 7:
             raise ValueError(f"kappa {kappa} outside 0..7")
-        targets[(entry.layer, entry.qubit)] = kappa
+        site = (entry.layer, entry.qubit)
+        if site in targets:
+            raise ValueError(f"phase key site {site} is listed twice")
+        targets[site] = kappa
     ops: list = []
     block = 0
     found: set[tuple[int, int]] = set()
@@ -128,58 +135,43 @@ def simplify(
     the ancilla stripped from their span.
     """
     bits = None if logic_bits is None else [int(b) for b in logic_bits]
+
+    def remap(qubits) -> tuple[int, ...]:  # qubits above the ancilla move down one
+        return tuple(q - (ancilla is not None and q > ancilla) for q in qubits)
+
     ops: list = []
     state = 0
     section = 0
     for op in circuit.ops:
-        if isinstance(op, Gate):
-            if ancilla is not None and ancilla in op.qubits:
-                if len(op.qubits) == 1:
-                    if op.kind == "x":
-                        state ^= 1
-                        continue
-                    raise ValueError(
-                        f"cannot simplify: ancilla evolution is not classical ({op.kind} present)"
-                    )
-                if op.qubits[0] != ancilla:
-                    raise ValueError("key ancilla must be the control of its section gate")
-                if bits is not None:
-                    if section >= len(bits) or bits[section] != state:
-                        raise ValueError("ancilla state disagrees with the supplied logic bits")
-                section += 1
-                if state == 1:
-                    ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
-                continue
-            if op.is_phase and normalize_phase_angle(phase_angle_of(op)) == 0:
-                continue
-            ops.append(op)
+        if _on_ancilla(op, ancilla):
+            if len(op.qubits) == 1:
+                if op.kind == "x":
+                    state ^= 1
+                    continue
+                raise ValueError(
+                    f"cannot simplify: ancilla evolution is not classical ({op.kind} present)"
+                )
+            if bits is not None and (section >= len(bits) or bits[section] != state):
+                raise ValueError("ancilla state disagrees with the supplied logic bits")
+            section += 1
+            if state == 1:
+                ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, remap(op.qubits[1:])))
+        elif isinstance(op, Gate):
+            if not (op.is_phase and normalize_phase_angle(phase_angle_of(op)) == 0):
+                ops.append(Gate(op.kind, op.params, remap(op.qubits)))
         elif isinstance(op, Barrier):
-            span = tuple(q for q in op.qubits if q != ancilla)
+            span = remap(q for q in op.qubits if q != ancilla)
             if span:
                 ops.append(Barrier(span))
         else:
             if op.qubit == ancilla:
                 raise ValueError("key ancilla must not be measured")
-            ops.append(op)
-    if ancilla is None:
-        return replace(circuit, ops=tuple(ops))
-
-    def remap(q: int) -> int:
-        return q if q < ancilla else q - 1
-
-    remapped: list = []
-    for op in ops:
-        if isinstance(op, Gate):
-            remapped.append(Gate(op.kind, op.params, tuple(remap(q) for q in op.qubits)))
-        elif isinstance(op, Barrier):
-            remapped.append(Barrier(tuple(remap(q) for q in op.qubits)))
-        else:
-            remapped.append(Measure(remap(op.qubit), op.clbit))
+            ops.append(Measure(remap((op.qubit,))[0], op.clbit))
     labels = tuple(l for i, l in enumerate(circuit.qubit_labels) if i != ancilla)
     return Circuit(
-        num_qubits=circuit.num_qubits - 1,
+        num_qubits=len(labels),
         num_clbits=circuit.num_clbits,
-        ops=tuple(remapped),
+        ops=tuple(ops),
         qubit_labels=labels,
         clbit_labels=circuit.clbit_labels,
     )

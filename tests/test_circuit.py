@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qlock.circuit import (
     Barrier,
@@ -126,34 +127,52 @@ def test_metrics_all_benchmarks(bench_circuits):
         assert metrics(circuit) == expected[name]
 
 
+def _rank(circuit):
+    return light_cone_rank(layerize(circuit), circuit.measured_qubits())
+
+
 def test_light_cone_single_gate_unmeasured_counts_all():
-    rank = light_cone_rank(Circuit(1, 0, (_gate("x", 0),)))
-    assert rank.gate_score(0, (0,)) == 1
+    rank = _rank(Circuit(1, 0, (_gate("x", 0),)))
+    assert rank[0][0] == 1
 
 
 def test_light_cone_through_cx():
     circuit = Circuit(2, 2, (_gate("cx", 0, 1), Measure(0, 0), Measure(1, 1)))
-    rank = light_cone_rank(circuit)
-    assert rank.boundary_score(0, 0) == 2  # before the cx, both outputs reachable
-    assert rank.gate_score(0, (0, 1)) == 2
-    assert rank.boundary_score(1, 0) == 1  # after the cx, each wire reaches itself
+    rank = _rank(circuit)
+    assert rank[0][0] == 2  # before the cx, both outputs reachable (the cx's own score)
+    assert rank[1][0] == 1  # after the cx, each wire reaches itself
 
 
 def test_light_cone_dead_wire_scores_zero():
     circuit = Circuit(
         3, 2, (_gate("x", 0), _gate("cx", 0, 1), Measure(0, 0), Measure(1, 1))
     )
-    rank = light_cone_rank(circuit)
-    assert rank.boundary_score(len(layerize(circuit).layers), 2) == 0
+    rank = _rank(circuit)
+    assert rank[len(layerize(circuit).layers)][2] == 0
 
 
 def test_light_cone_monotone_along_wire(bench_circuits):
     for circuit in bench_circuits.values():
-        rank = light_cone_rank(circuit)
-        boundaries = len(layerize(circuit).layers) + 1
+        rank = _rank(circuit)
+        assert len(rank) == len(layerize(circuit).layers) + 1
         for q in range(circuit.num_qubits):
-            scores = [rank.boundary_score(b, q) for b in range(boundaries)]
+            scores = [row[q] for row in rank]
             assert scores == sorted(scores, reverse=True)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_light_cone_one_score_per_boundary_and_qubit(seed):
+    """The invariant that lets one table score every site: a gate's qubits
+    share their score at the gate's boundary, and a qubit its layer leaves
+    free scores the same on both sides of that layer."""
+    circuit = random_circuit(np.random.default_rng(seed), max_qubits=5, max_gates=20)
+    layered = layerize(circuit)
+    rank = light_cone_rank(layered, circuit.measured_qubits())
+    for b, layer in enumerate(layered.layers):
+        for g in layer.gates:
+            assert len({rank[b][q] for q in g.qubits}) == 1
+        for q in set(range(circuit.num_qubits)) - layer.touched():
+            assert rank[b][q] == rank[b + 1][q]
 
 
 def test_flatten_materializes_barriers():

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from qlock import benchmarks, equivalent_up_to_global_phase, parse_circuit, simulator, unlocking
+from qlock import benchmarks, cli, equivalent_up_to_global_phase, locking, parse_circuit, simulator, unlocking
+from qlock import circuit as qlock_circuit
 from qlock.circuit import flatten, layerize, metrics
 from qlock.cli import main
 
@@ -119,6 +121,52 @@ def test_deobfuscate_malformed_schedule_exit_3(tmp_path, adder_path, capsys, sch
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: malformed key") and err.count("\n") == 1
+
+
+def _duplicate_phase_entry(key: dict) -> None:
+    phase = next(e for e in key["schedule"] if e["kind"] == "phase")
+    key["schedule"].append(dict(phase))
+    key["bits"] += "101"
+
+
+# hand edits of a locked file or its key that unlocking refuses
+_BROKEN_LOCKS = {
+    "ancilla_as_target": (
+        lambda text: re.sub(r"^(\w+) qk\[0\],(q\[\d+\])", r"\1 \2,qk[0]", text, count=1, flags=re.M),
+        None,
+        "must be the control",
+    ),
+    "section_gate_deleted": (
+        lambda text: re.sub(r"^\w+ qk\[0\],.*\n", "", text, count=1, flags=re.M),
+        None,
+        "key sections but",
+    ),
+    "hadamard_deleted": (lambda text: text.replace("h qk[0];\n", "", 1), None, "ancilla Hadamards"),
+    "ancilla_measured": (
+        lambda text: text + "measure qk[0] -> c[0];\n", None, "must not be measured"
+    ),
+    "ancilla_renamed": (lambda text: text.replace("qk", "qz"), None, "no key ancilla"),
+    "phase_entry_repeated": (None, _duplicate_phase_entry, "listed twice"),
+}
+
+
+@pytest.mark.parametrize("edit_locked, edit_key, message", _BROKEN_LOCKS.values(), ids=_BROKEN_LOCKS)
+def test_deobfuscate_broken_lock_exit_3(tmp_path, adder_path, capsys, edit_locked, edit_key, message):
+    locked, key = _obfuscate(tmp_path, adder_path)
+    if edit_locked is not None:
+        text = locked.read_text()
+        locked.write_text(edit_locked(text))
+        assert locked.read_text() != text
+    if edit_key is not None:
+        data = json.loads(key.read_text())
+        edit_key(data)
+        key.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "y.qasm").exists()
 
 
 def test_simulate_non_finite_parameter_exit_2(tmp_path, capsys):
@@ -380,12 +428,59 @@ def test_env_var_malformed_seed_is_usage_error(tmp_path, adder_path, monkeypatch
     with pytest.raises(SystemExit) as exc:
         main(["simulate", str(adder_path), "-o", str(tmp_path / "c.json"), "--shots", "8"])
     assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid int value: 'abc'" in err and err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
     # an explicit --seed does not read the variable
     assert main(
         ["simulate", str(adder_path), "-o", str(tmp_path / "c.json"), "--shots", "8", "--seed", "1"]
     ) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obfuscate", "IN", "-o", "l.qasm", "--key", "k.json", "--seed", "abc"],
+        ["obfuscate", "IN", "-o", "l.qasm", "--key", "k.json", "--strategy", "bogus"],
+        ["obfuscate", "IN", "--key", "k.json"],
+        ["bogus", "IN"],
+    ],
+    ids=["seed", "strategy", "missing_output", "subcommand"],
+)
+def test_usage_error_is_one_line(tmp_path, adder_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(adder_path) if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qlock") and ": error: " in err and err.count("\n") == 1
+
+
+def test_stats_huge_register_exits_2(tmp_path, capsys):
+    source = tmp_path / "huge.qasm"
+    source.write_text("OPENQASM 2.0;\nqreg q[99999999999];\n")
+    assert main(["stats", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, col 8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy, cones", [("random", 0), ("lightcone", 1)])
+def test_obfuscate_layerizes_twice(tmp_path, adder_path, monkeypatch, strategy, cones):
+    # once to plan, once to lock; only lightcone builds a light-cone table
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    wrappers = {fn.__name__: counted(fn) for fn in (layerize, qlock_circuit.light_cone_rank)}
+    for module in (qlock_circuit, locking, cli):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    _obfuscate(tmp_path, adder_path, "--strategy", strategy)
+    assert calls.count("layerize") == 2 and calls.count("light_cone_rank") == cones
 
 
 @pytest.mark.parametrize("strategy", ["random", "lightcone"])

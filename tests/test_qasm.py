@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qlock
-from qlock import Barrier, Circuit, Gate, Measure, benchmarks
+from qlock import Barrier, Circuit, Gate, Measure, benchmarks, qasm
 from qlock.qasm import QasmError, emit_circuit, parse_circuit
 
 from conftest import random_qasm_source
@@ -52,6 +52,22 @@ def test_undeclared_register():
 def test_index_out_of_range():
     with pytest.raises(QasmError, match="out of range"):
         parse_circuit("qreg q[2]; x q[2];")
+
+
+def test_huge_register_refused_at_its_size():
+    with pytest.raises(QasmError) as err:
+        parse_circuit("qreg q[99999999999];")
+    assert str(err.value) == "line 1, col 8: more than 1048576 quantum bits declared"
+
+
+def test_register_limit_counts_each_kind(monkeypatch):
+    monkeypatch.setattr(qasm, "MAX_REGISTER_BITS", 4)
+    circuit = parse_circuit("qreg a[3]; qreg b[1]; creg c[4];")
+    assert (circuit.num_qubits, circuit.num_clbits) == (4, 4)
+    with pytest.raises(QasmError, match="line 1, col 19: more than 4 quantum bits"):
+        parse_circuit("qreg a[3]; qreg b[2];")
+    with pytest.raises(QasmError, match="more than 4 classical bits"):
+        parse_circuit("qreg a[1]; creg c[3]; creg d[2];")
 
 
 @pytest.mark.parametrize("expr", ["1e400", "-1e400", "1e308*10", "1e400-1e400"])
