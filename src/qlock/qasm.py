@@ -9,6 +9,14 @@ Everything else (gate definitions, ``if``, ``reset``, opaque declarations,
 unknown mnemonics) is rejected with a line/column diagnostic: parsing is
 total on the subset and never drops statements silently.
 
+Source text becomes ``(kind, text, offset)`` tuples in one ``finditer``
+pass of one regex. Whitespace, newlines and ``//`` comments are skipped;
+a ``name[int]`` operand is matched whole but yields the same four tokens
+(``id``, ``[``, ``int``, ``]``) as when spelled ``name [ int ]``; the first
+character no token can start with is refused before any parsing. A token
+carries only its offset: an error turns it into a 1-based line and column,
+counting every character, ``\\r`` and ``\\t`` too, as one column.
+
 ``parse_circuit`` flattens registers into the circuit's global qubit and
 classical-bit indices and keeps each bit's ``name[i]`` label. ``emit_circuit``
 derives the declarations from those labels and produces a canonical
@@ -21,7 +29,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure, Op
 
@@ -45,47 +52,50 @@ class QasmError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<newline>\n)
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+  | (?P<operand>(?P<name>[A-Za-z_][A-Za-z0-9_]*)\[(?P<index>\d+)\])
   | (?P<real>(\d+\.\d*|\.\d+)([eE][-+]?\d+)?|\d+[eE][-+]?\d+)
   | (?P<int>\d+)
   | (?P<arrow>->)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<sym>==|[()\[\],;+\-*/{}<>=!])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+# ``int()`` refuses longer digit strings by default, and ``str()`` of such a value too
+_MAX_INT_DIGITS = 4300
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+
+_Token = tuple[str, str, int]  # (kind, text, offset into the source)
+
+
+def _where(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; ``\\r`` and ``\\t`` are one column each."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """``(kind, text, offset)`` tokens ending in ``eof``; a ``name[int]``
+    operand comes out as its four tokens."""
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {source[pos]!r}", line, col)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            tokens.append(_Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "operand":
+            name, index = m.group("name", "index")
+            pos, end = m.span()
+            at = pos + len(name)
+            tokens += (
+                ("id", name, pos), ("sym", "[", at), ("int", index, at + 1), ("sym", "]", end - 1)
+            )
+        elif kind == "bad":
+            raise QasmError(f"unexpected character {m.group()!r}", *_where(source, m.start()))
+        elif kind != "skip":
+            append((kind, m.group(), m.start()))
+    append(("eof", "", len(source)))
     return tokens
 
 
@@ -100,7 +110,9 @@ _UNSUPPORTED = {
 
 
 class _Parser:
+    # only ``sym`` tokens have the texts ``[ ] ( ) , ; + - * /``: the text identifies them
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         # name -> (kind, size, global index of the register's first bit)
@@ -118,29 +130,37 @@ class _Parser:
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise QasmError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {want!r}, found {tok[1]!r}", tok)
         return tok
 
+    def expect_int(self) -> tuple[_Token, int]:
+        """The next token, which must be an ``int``, and its value; judged by
+        length first, so a huge literal is neither converted nor printed."""
+        tok = self.expect("int")
+        if len(tok[1]) > _MAX_INT_DIGITS:
+            raise self.error(f"integer literal longer than {_MAX_INT_DIGITS} digits", tok)
+        return tok, int(tok[1])
+
     def error(self, message: str, tok: _Token | None = None) -> QasmError:
-        tok = tok or self.peek()
-        return QasmError(message, tok.line, tok.col)
+        """``message`` at the position of ``tok`` (default: the next token)."""
+        offset = (tok or self.peek())[2]
+        return QasmError(message, *_where(self.source, offset))
 
     def parse(self) -> Circuit:
-        if self.peek().kind == "id" and self.peek().text == "OPENQASM":
+        if self.peek()[:2] == ("id", "OPENQASM"):
             self.next()
             tok = self.next()
-            if tok.kind not in ("real", "int"):
+            if tok[0] not in ("real", "int"):
                 raise self.error("expected version number after OPENQASM", tok)
-            if tok.text != "2.0":
-                raise self.error(f"unsupported OPENQASM version {tok.text!r}", tok)
+            if tok[1] != "2.0":
+                raise self.error(f"unsupported OPENQASM version {tok[1]!r}", tok)
             self.expect("sym", ";")
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "id":
-                raise self.error(f"expected statement, found {tok.text!r}")
-            name = tok.text
+        while self.peek()[0] != "eof":
+            kind, name, _ = self.peek()
+            if kind != "id":
+                raise self.error(f"expected statement, found {name!r}")
             if name == "include":
                 self._parse_include()
             elif name in ("qreg", "creg"):
@@ -170,28 +190,25 @@ class _Parser:
     def _parse_include(self) -> None:
         tok = self.next()
         target = self.expect("string")
-        if target.text != '"qelib1.inc"':
-            raise QasmError(f"unsupported include {target.text}", tok.line, tok.col)
+        if target[1] != '"qelib1.inc"':
+            raise self.error(f"unsupported include {target[1]}", tok)
         self.expect("sym", ";")
 
     def _parse_reg_decl(self) -> None:
         """Registers flatten into global indices in declaration order, per kind."""
         kw = self.next()
-        kind = "quantum" if kw.text == "qreg" else "classical"
+        kind = "quantum" if kw[1] == "qreg" else "classical"
         name_tok = self.expect("id")
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.registers:
-            raise QasmError(f"register {name!r} redeclared", name_tok.line, name_tok.col)
+            raise self.error(f"register {name!r} redeclared", name_tok)
         self.expect("sym", "[")
-        size_tok = self.expect("int")
-        size = int(size_tok.text)
+        size_tok, size = self.expect_int()
         if size < 1:
-            raise QasmError("register size must be positive", size_tok.line, size_tok.col)
+            raise self.error("register size must be positive", size_tok)
         labels = self.labels[kind]
         if len(labels) + size > MAX_REGISTER_BITS:
-            raise QasmError(
-                f"more than {MAX_REGISTER_BITS} {kind} bits declared", size_tok.line, size_tok.col
-            )
+            raise self.error(f"more than {MAX_REGISTER_BITS} {kind} bits declared", size_tok)
         self.expect("sym", "]")
         self.expect("sym", ";")
         self.registers[name] = (kind, size, len(labels))
@@ -201,25 +218,17 @@ class _Parser:
         """Global indices named by an indexed (``q[i]``) or bare (``q``)
         register reference of the wanted kind, and whether it was bare."""
         name_tok = self.expect("id")
-        if name_tok.text not in self.registers:
-            raise QasmError(f"undeclared register {name_tok.text!r}", name_tok.line, name_tok.col)
-        kind, size, offset = self.registers[name_tok.text]
+        name = name_tok[1]
+        if name not in self.registers:
+            raise self.error(f"undeclared register {name!r}", name_tok)
+        kind, size, offset = self.registers[name]
         if kind != want:
-            raise QasmError(
-                f"register {name_tok.text!r} is {kind}, expected {want}",
-                name_tok.line,
-                name_tok.col,
-            )
-        if self.peek().kind == "sym" and self.peek().text == "[":
+            raise self.error(f"register {name!r} is {kind}, expected {want}", name_tok)
+        if self.peek()[1] == "[":
             self.next()
-            idx_tok = self.expect("int")
-            idx = int(idx_tok.text)
+            idx_tok, idx = self.expect_int()
             if idx >= size:
-                raise QasmError(
-                    f"index {idx} out of range for {name_tok.text!r}[{size}]",
-                    idx_tok.line,
-                    idx_tok.col,
-                )
+                raise self.error(f"index {idx} out of range for {name!r}[{size}]", idx_tok)
             self.expect("sym", "]")
             return range(offset + idx, offset + idx + 1), False
         return range(offset, offset + size), True
@@ -230,10 +239,10 @@ class _Parser:
         while True:
             qubits.extend(self._parse_operand("quantum")[0])
             tok = self.next()
-            if tok.kind == "sym" and tok.text == ";":
+            if tok[1] == ";":
                 break
-            if not (tok.kind == "sym" and tok.text == ","):
-                raise QasmError(f"expected ',' or ';', found {tok.text!r}", tok.line, tok.col)
+            if tok[1] != ",":
+                raise self.error(f"expected ',' or ';', found {tok[1]!r}", tok)
         self.ops.append(Barrier(tuple(qubits)))
 
     def _parse_measure(self) -> None:
@@ -243,62 +252,52 @@ class _Parser:
         clbits, _ = self._parse_operand("classical")
         self.expect("sym", ";")
         if len(qubits) != len(clbits):
-            raise QasmError("measure operand sizes differ", kw.line, kw.col)
+            raise self.error("measure operand sizes differ", kw)
         self.ops.extend(Measure(q, c) for q, c in zip(qubits, clbits))
 
     def _parse_gate(self) -> None:
         name_tok = self.next()
-        name = name_tok.text
+        name = name_tok[1]
         if name not in GATE_SPECS:
-            raise QasmError(f"unsupported gate {name!r}", name_tok.line, name_tok.col)
+            raise self.error(f"unsupported gate {name!r}", name_tok)
         nq, np_ = GATE_SPECS[name]
         params: tuple[float, ...] = ()
-        if self.peek().kind == "sym" and self.peek().text == "(":
+        if self.peek()[1] == "(":
             self.next()
             values = [self._parse_param()]
-            while self.peek().kind == "sym" and self.peek().text == ",":
+            while self.peek()[1] == ",":
                 self.next()
                 values.append(self._parse_param())
             self.expect("sym", ")")
             params = tuple(values)
         if len(params) != np_:
-            raise QasmError(
-                f"{name} expects {np_} parameter(s), got {len(params)}",
-                name_tok.line,
-                name_tok.col,
-            )
+            raise self.error(f"{name} expects {np_} parameter(s), got {len(params)}", name_tok)
         operands = [self._parse_operand("quantum")]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.next()
             operands.append(self._parse_operand("quantum"))
         self.expect("sym", ";")
         if len(operands) != nq:
-            raise QasmError(
-                f"{name} expects {nq} operand(s), got {len(operands)}",
-                name_tok.line,
-                name_tok.col,
-            )
+            raise self.error(f"{name} expects {nq} operand(s), got {len(operands)}", name_tok)
         # broadcast follows the syntax, not the size: ``cx a, b`` is refused
         # even when both registers hold one qubit
         if any(bare for _, bare in operands):
             if nq != 1:
-                raise QasmError(
-                    f"whole-register broadcast not supported for {nq}-qubit gate {name!r}",
-                    name_tok.line,
-                    name_tok.col,
+                raise self.error(
+                    f"whole-register broadcast not supported for {nq}-qubit gate {name!r}", name_tok
                 )
             self.ops.extend(Gate(name, params, (q,)) for q in operands[0][0])
             return
         qubits = tuple(bits[0] for bits, _ in operands)
         if len(set(qubits)) != len(qubits):
-            raise QasmError(f"{name} operands must be distinct", name_tok.line, name_tok.col)
+            raise self.error(f"{name} operands must be distinct", name_tok)
         self.ops.append(Gate(name, params, qubits))
 
     def _parse_param(self) -> float:
         tok = self.peek()
         value = self._parse_expr()
         if not math.isfinite(value):
-            raise QasmError(f"gate parameter is not finite ({value})", tok.line, tok.col)
+            raise self.error(f"gate parameter is not finite ({value})", tok)
         return value
 
     # angle expressions: expr := term (('+'|'-') term)*
@@ -306,20 +305,20 @@ class _Parser:
     #                    factor := '-' factor | number | pi | '(' expr ')'
     def _parse_expr(self) -> float:
         value = self._parse_term()
-        while self.peek().kind == "sym" and self.peek().text in "+-":
-            op = self.next().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             rhs = self._parse_term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def _parse_term(self) -> float:
         value = self._parse_factor()
-        while self.peek().kind == "sym" and self.peek().text in "*/":
+        while self.peek()[1] in ("*", "/"):
             op = self.next()
             rhs = self._parse_factor()
-            if op.text == "/":
+            if op[1] == "/":
                 if rhs == 0.0:
-                    raise QasmError("division by zero in angle expression", op.line, op.col)
+                    raise self.error("division by zero in angle expression", op)
                 value = value / rhs
             else:
                 value = value * rhs
@@ -327,17 +326,18 @@ class _Parser:
 
     def _parse_factor(self) -> float:
         tok = self.next()
-        if tok.kind == "sym" and tok.text == "-":
+        kind, text, _ = tok
+        if text == "-":
             return -self._parse_factor()
-        if tok.kind in ("real", "int"):
-            return float(tok.text)
-        if tok.kind == "id" and tok.text == "pi":
+        if kind in ("real", "int"):
+            return float(text)
+        if text == "pi":
             return math.pi
-        if tok.kind == "sym" and tok.text == "(":
+        if text == "(":
             value = self._parse_expr()
             self.expect("sym", ")")
             return value
-        raise QasmError(f"expected angle expression, found {tok.text!r}", tok.line, tok.col)
+        raise self.error(f"expected angle expression, found {text!r}", tok)
 
 
 def parse_circuit(source: str) -> Circuit:

@@ -14,7 +14,7 @@ ancilla stays classical no matter which bits are supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .circuit import Barrier, Circuit, Gate, Measure, phase_angle_of
 from .locking import (
@@ -50,9 +50,18 @@ def _on_ancilla(op, ancilla: int | None) -> bool:
     return True
 
 
-def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int) -> Circuit:
+def insert_key_toggles(
+    locked: Circuit,
+    logic_bits: Iterable[int],
+    ancilla: int,
+    sites: Sequence[tuple[int, int]] | None = None,
+) -> Circuit:
     """Strip the ancilla's Hadamards and toggle it with X gates so that it
     holds |bit_i> during key section i.
+
+    ``sites`` gives the ``(layer, qubit)`` of each logic key entry. Section i
+    must then sit in barrier-delimited block ``layer`` with ``qubit`` the
+    lowest qubit its gate acts on besides the ancilla.
 
     The number of inserted X gates is bit_0 plus the count of adjacent bit
     changes.
@@ -60,11 +69,17 @@ def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int)
     bits = [int(b) for b in logic_bits]
     if any(b not in (0, 1) for b in bits):
         raise ValueError("logic bits must be 0 or 1")
+    if sites is not None and len(sites) != len(bits):
+        raise ValueError(f"{len(sites)} logic key sites for {len(bits)} logic bits")
     ops: list = []
     prev = 0
     section = 0
     removed_h = 0
+    block = 0
+    found: list[tuple[int, int]] = []  # (block, qubit) of each key section
     for op in locked.ops:
+        if isinstance(op, Barrier):
+            block += 1
         if _on_ancilla(op, ancilla):
             if len(op.qubits) == 1:
                 if op.kind != "h":
@@ -75,6 +90,7 @@ def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int)
                 raise ValueError(
                     f"{section + 1} key sections but only {len(bits)} logic bits"
                 )
+            found.append((block, min(op.qubits[1:])))
             bit = bits[section]
             if bit != prev:
                 ops.append(Gate("x", (), (ancilla,)))
@@ -87,6 +103,11 @@ def insert_key_toggles(locked: Circuit, logic_bits: Iterable[int], ancilla: int)
         raise ValueError(f"{section} key sections but {len(bits)} logic bits")
     if removed_h != section:
         raise ValueError(f"{removed_h} ancilla Hadamards for {section} key sections")
+    for i, (want, here) in enumerate(zip(sites or (), found)):
+        if want != here:
+            raise ValueError(
+                f"logic key entry {i} names (layer, qubit) {want} but its key section is at {here}"
+            )
     return replace(locked, ops=tuple(ops))
 
 
@@ -197,7 +218,7 @@ def unlock(
         raise ValueError("key has logic bits but the circuit has no key ancilla register")
     current = locked
     if logic_bits:
-        current = insert_key_toggles(current, logic_bits, ancilla)
+        current = insert_key_toggles(current, logic_bits, ancilla, applied.logic_sites())
     current = apply_phase_key(current, applied.phase_assignments())
     if not keep_ancilla:
         current = simplify(current, logic_bits if logic_bits else None, ancilla)

@@ -123,6 +123,11 @@ def test_deobfuscate_malformed_schedule_exit_3(tmp_path, adder_path, capsys, sch
     assert err.startswith("error: malformed key") and err.count("\n") == 1
 
 
+def _move_first_logic_entry(key: dict) -> None:
+    logic = next(e for e in key["schedule"] if e["kind"] == "logic")
+    logic.update(layer=999, qubit=77)
+
+
 def _duplicate_phase_entry(key: dict) -> None:
     phase = next(e for e in key["schedule"] if e["kind"] == "phase")
     key["schedule"].append(dict(phase))
@@ -147,6 +152,7 @@ _BROKEN_LOCKS = {
     ),
     "ancilla_renamed": (lambda text: text.replace("qk", "qz"), None, "no key ancilla"),
     "phase_entry_repeated": (None, _duplicate_phase_entry, "listed twice"),
+    "logic_entry_moved": (None, _move_first_logic_entry, "logic key entry 0 names (layer, qubit) (999, 77)"),
 }
 
 
@@ -461,6 +467,19 @@ def test_stats_huge_register_exits_2(tmp_path, capsys):
     assert main(["stats", str(source)]) == 2
     err = capsys.readouterr().err
     assert "line 2, col 8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["qreg q[" + "1" * 5000 + "];", "qreg q[2];\nx q[" + "1" * 5000 + "];"],
+    ids=["size", "index"],
+)
+def test_stats_huge_integer_literal_exits_2(tmp_path, capsys, statement):
+    source = tmp_path / "huge.qasm"
+    source.write_text(f"OPENQASM 2.0;\n{statement}\n")
+    assert main(["stats", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and "longer than 4300 digits" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("strategy, cones", [("random", 0), ("lightcone", 1)])

@@ -1,14 +1,17 @@
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qlock
 from qlock import Barrier, Circuit, Gate, Measure, benchmarks, qasm
+from qlock.locking import dense_plan, obfuscate
 from qlock.qasm import QasmError, emit_circuit, parse_circuit
 
-from conftest import random_qasm_source
+from conftest import random_circuit, random_qasm_source
 
 
 def test_minimal_program():
@@ -220,6 +223,135 @@ def test_parser_errors(source, message):
     with pytest.raises(QasmError) as err:
         parse_circuit(source)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "source,col",
+    [("qreg q[" + "1" * 5000 + "];", 8), ("qreg q[2]; x q[" + "1" * 5000 + "];", 16)],
+    ids=["size", "index"],
+)
+def test_huge_integer_literal_refused_by_length(source, col):
+    with pytest.raises(QasmError) as err:
+        parse_circuit(source)
+    assert str(err.value) == f"line 1, col {col}: integer literal longer than 4300 digits"
+
+
+# --- tokenizer oracle: one dataclass and one ``re.match`` per token, with the
+# position counted along the way; the tokenizer must give the same stream
+
+_ORACLE_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<newline>\n)
+  | (?P<real>(\d+\.\d*|\.\d+)([eE][-+]?\d+)?|\d+[eE][-+]?\d+)
+  | (?P<int>\d+)
+  | (?P<arrow>->)
+  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<sym>==|[()\[\],;+\-*/{}<>=!])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _oracle_tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        m = _ORACLE_RE.match(source, pos)
+        if m is None:
+            raise QasmError(f"unexpected character {source[pos]!r}", line, col)
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(text)
+        else:
+            tokens.append(_Token(kind, text, line, col))
+            col += len(text)
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+def _assert_tokens_match_oracle(source: str) -> None:
+    try:
+        want = [(t.kind, t.text, t.line, t.col) for t in _oracle_tokenize(source)]
+    except QasmError as exc:
+        with pytest.raises(QasmError) as err:
+            qasm._tokenize(source)
+        assert (str(err.value), err.value.line, err.value.col) == (str(exc), exc.line, exc.col)
+        return
+    got = [(kind, text, *qasm._where(source, offset)) for kind, text, offset in qasm._tokenize(source)]
+    assert got == want
+
+
+def _locked_text(circuit: Circuit, seed: int) -> str:
+    return emit_circuit(obfuscate(circuit, dense_plan(circuit, seed=seed), seed=seed).locked_circuit)
+
+
+_EDGE_SOURCES = [
+    "",
+    "qreg q[1];\r\n\tx q [ 0 ] ; // tail\r\nx q[0];",
+    "rz(1.5e-3*.5/2.+3E+2) q[0]; measure q -> c; if(c==1)",
+    "x q[\u0663]; x q[0]\u00e9",
+    'include "qelib1.inc',
+    "q[0]\nq [0]\nq[ 0]\nq[0 ]\nq[00]\nq[0.5]\nq[1e2]\n_a1[2]x[3]",
+    "// only a comment",
+    "x q[0];\n\n  \t@",
+]
+
+
+def test_tokenizer_matches_oracle_on_programs():
+    sources = _EDGE_SOURCES + [benchmarks.load(name) for name in benchmarks.NAMES]
+    rng = np.random.default_rng(1009)  # criterion 9's programs
+    sources += [random_qasm_source(rng) for _ in range(500)]
+    sources += [_locked_text(parse_circuit(benchmarks.load(name)), 3) for name in benchmarks.NAMES]
+    rng = np.random.default_rng(8)
+    sources += [
+        _locked_text(random_circuit(rng, max_qubits=6, max_gates=60), seed) for seed in range(10)
+    ]
+    for source in sources:
+        _assert_tokens_match_oracle(source)
+
+
+_FRAGMENTS = [
+    "qreg q[2];", "creg c[2];", "x q[0];", "cx q[0],q[1];", "rz(-pi/4) q[1];", "u3(1.5e-3,.5,2.) q[0];",
+    "measure q[0] -> c[0];", "barrier q;", "q[", "1]", "\r", "\t", "\n", " ", "//", "q [ 0 ]",
+    "é", "\u0663", '"', "==", ";", ",",
+]
+_EDIT = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(0, 4000),
+    st.sampled_from(_FRAGMENTS),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(benchmarks.NAMES), st.lists(_EDIT, max_size=8))
+def test_tokenizer_matches_oracle_under_mutation(name, edits):
+    source = benchmarks.load(name)
+    for op, at, fragment, width in edits:
+        at %= len(source) + 1
+        if op == "insert":
+            source = source[:at] + fragment + source[at:]
+        elif op == "delete":
+            source = source[:at] + source[at + width :]
+        else:
+            source = source[:at] + fragment + source[at + width :]
+    _assert_tokens_match_oracle(source)
 
 
 def test_public_names_resolve():
