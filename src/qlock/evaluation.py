@@ -166,7 +166,7 @@ def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str
             ancilla = find_ancilla(locked)
             bits = key.logic_bits()
             if bits:
-                resolved = insert_key_toggles(resolved, bits, ancilla, key.logic_sites())
+                resolved = insert_key_toggles(resolved, key, ancilla)
                 resolved = simplify(resolved, bits, ancilla)
             out[mode] = resolved
         else:

@@ -126,10 +126,6 @@ class Key:
             pos += entry.span
         return tuple(out)
 
-    def logic_sites(self) -> tuple[tuple[int, int], ...]:
-        """(layer, qubit) of each logic entry, in key order."""
-        return tuple((e.layer, e.qubit) for e in self.schedule if e.kind == "logic")
-
     def phase_assignments(self) -> tuple[tuple[KeyEntry, int], ...]:
         """(entry, kappa decoded from this key's bits, most-significant first)."""
         out, pos = [], 0

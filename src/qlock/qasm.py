@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure, Op
 
@@ -64,9 +65,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-# ``int()`` refuses longer digit strings by default, and ``str()`` of such a value too
-_MAX_INT_DIGITS = 4300
 
 
 _Token = tuple[str, str, int]  # (kind, text, offset into the source)
@@ -137,10 +135,12 @@ class _Parser:
 
     def expect_int(self) -> tuple[_Token, int]:
         """The next token, which must be an ``int``, and its value; judged by
-        length first, so a huge literal is neither converted nor printed."""
+        length first against this process's limit on ``int()`` of a digit
+        string (0: none), so a huge literal is neither converted nor printed."""
         tok = self.expect("int")
-        if len(tok[1]) > _MAX_INT_DIGITS:
-            raise self.error(f"integer literal longer than {_MAX_INT_DIGITS} digits", tok)
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7: no limit
+        if limit and len(tok[1]) > limit:
+            raise self.error(f"integer literal longer than {limit} digits", tok)
         return tok, int(tok[1])
 
     def error(self, message: str, tok: _Token | None = None) -> QasmError:

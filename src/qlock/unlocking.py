@@ -14,7 +14,7 @@ ancilla stays classical no matter which bits are supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .circuit import Barrier, Circuit, Gate, Measure, phase_angle_of
 from .locking import (
@@ -50,27 +50,17 @@ def _on_ancilla(op, ancilla: int | None) -> bool:
     return True
 
 
-def insert_key_toggles(
-    locked: Circuit,
-    logic_bits: Iterable[int],
-    ancilla: int,
-    sites: Sequence[tuple[int, int]] | None = None,
-) -> Circuit:
+def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
     """Strip the ancilla's Hadamards and toggle it with X gates so that it
-    holds |bit_i> during key section i.
+    holds |bit_i> during key section i, bit_i being the key's i-th logic bit.
 
-    ``sites`` gives the ``(layer, qubit)`` of each logic key entry. Section i
-    must then sit in barrier-delimited block ``layer`` with ``qubit`` the
-    lowest qubit its gate acts on besides the ancilla.
+    Section i must sit in the barrier-delimited block and on the lowest
+    non-ancilla qubit that the key's i-th logic entry names.
 
     The number of inserted X gates is bit_0 plus the count of adjacent bit
     changes.
     """
-    bits = [int(b) for b in logic_bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("logic bits must be 0 or 1")
-    if sites is not None and len(sites) != len(bits):
-        raise ValueError(f"{len(sites)} logic key sites for {len(bits)} logic bits")
+    bits = key.logic_bits()
     ops: list = []
     prev = 0
     section = 0
@@ -103,7 +93,8 @@ def insert_key_toggles(
         raise ValueError(f"{section} key sections but {len(bits)} logic bits")
     if removed_h != section:
         raise ValueError(f"{removed_h} ancilla Hadamards for {section} key sections")
-    for i, (want, here) in enumerate(zip(sites or (), found)):
+    sites = [(e.layer, e.qubit) for e in key.schedule if e.kind == "logic"]
+    for i, (want, here) in enumerate(zip(sites, found)):
         if want != here:
             raise ValueError(
                 f"logic key entry {i} names (layer, qubit) {want} but its key section is at {here}"
@@ -218,7 +209,7 @@ def unlock(
         raise ValueError("key has logic bits but the circuit has no key ancilla register")
     current = locked
     if logic_bits:
-        current = insert_key_toggles(current, logic_bits, ancilla, applied.logic_sites())
+        current = insert_key_toggles(current, applied, ancilla)
     current = apply_phase_key(current, applied.phase_assignments())
     if not keep_ancilla:
         current = simplify(current, logic_bits if logic_bits else None, ancilla)

@@ -15,7 +15,7 @@ from qlock import benchmarks
 from qlock.circuit import Circuit, Gate, flatten, layerize
 from qlock.cli import main
 from qlock.evaluation import EvalConfig, evaluate, tvd, unitaries_equivalent
-from qlock.locking import dense_plan, obfuscate, select_sites
+from qlock.locking import Key, KeyEntry, dense_plan, obfuscate, select_sites
 from qlock.qasm import emit_circuit, parse_circuit
 from qlock.rng import derive_rng
 from qlock.simulator import Distribution, NoiseConfig, unitary_of
@@ -176,7 +176,8 @@ def test_criterion_6_toggle_count():
             ops.append(Gate("h", (), (1,)))
             ops.append(Gate("cx", (), (1, 0)))
         locked = Circuit(2, 0, tuple(ops), qubit_labels=("q[0]", "qk[0]"))
-        toggled = insert_key_toggles(locked, bits, 1)
+        key = Key("".join(map(str, bits)), (KeyEntry("logic", 0, 0, 1),) * n)
+        toggled = insert_key_toggles(locked, key, 1)
         inserted = sum(
             1 for op in toggled.ops if isinstance(op, Gate) and op.kind == "x" and op.qubits == (1,)
         )

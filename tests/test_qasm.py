@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,18 @@ def test_huge_integer_literal_refused_by_length(source, col):
     with pytest.raises(QasmError) as err:
         parse_circuit(source)
     assert str(err.value) == f"line 1, col {col}: integer literal longer than 4300 digits"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
+def test_huge_integer_literal_follows_the_process_limit():
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(QasmError) as err:
+            parse_circuit("qreg q[2]; x q[" + "1" * 1000 + "];")
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert str(err.value) == "line 1, col 16: integer literal longer than 640 digits"
 
 
 # --- tokenizer oracle: one dataclass and one ``re.match`` per token, with the

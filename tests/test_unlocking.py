@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from qlock import equivalent_up_to_global_phase, parse_circuit
 from qlock.circuit import Circuit, Gate, flatten, layerize, phase_angle_of
-from qlock.locking import ObfuscationPlan, dense_plan, obfuscate, select_sites
+from qlock.locking import Key, KeyEntry, ObfuscationPlan, dense_plan, obfuscate, select_sites
 from qlock.simulator import run, unitary_of
 from qlock.unlocking import apply_phase_key, find_ancilla, insert_key_toggles, simplify, unlock
 
@@ -24,8 +24,13 @@ def _sections(n_bits: int) -> Circuit:
     return Circuit(2, 0, tuple(ops), qubit_labels=("q[0]", "qk[0]"))
 
 
+def _logic_key(bits) -> Key:
+    """One logic entry per bit, each at block 0 and qubit 0, where ``_sections`` puts them."""
+    return Key("".join(map(str, bits)), tuple(KeyEntry("logic", 0, 0, 1) for _ in bits))
+
+
 def _toggle_count(bits) -> int:
-    toggled = insert_key_toggles(_sections(len(bits)), bits, 1)
+    toggled = insert_key_toggles(_sections(len(bits)), _logic_key(bits), 1)
     return sum(
         1 for op in toggled.ops if isinstance(op, Gate) and op.kind == "x" and op.qubits == (1,)
     )
@@ -57,19 +62,25 @@ def test_toggle_count_law(bits):
 
 
 def test_toggles_remove_every_hadamard():
-    toggled = insert_key_toggles(_sections(4), [1, 0, 1, 1], 1)
+    toggled = insert_key_toggles(_sections(4), _logic_key([1, 0, 1, 1]), 1)
     assert not any(isinstance(op, Gate) and op.kind == "h" for op in toggled.ops)
 
 
 def test_toggles_bit_count_mismatch():
     with pytest.raises(ValueError, match="logic bits"):
-        insert_key_toggles(_sections(3), [1, 0], 1)
+        insert_key_toggles(_sections(3), _logic_key([1, 0]), 1)
+
+
+def test_toggles_reject_entry_off_its_section():
+    moved = Key("10", (KeyEntry("logic", 0, 0, 1), KeyEntry("logic", 1, 0, 1)))
+    with pytest.raises(ValueError, match=r"logic key entry 1 names \(layer, qubit\) \(1, 0\)"):
+        insert_key_toggles(_sections(2), moved, 1)
 
 
 def test_toggles_reject_non_hadamard_ancilla_gate():
     circuit = Circuit(2, 0, (_gate("t", 1), _gate("cx", 1, 0)), qubit_labels=("q[0]", "qk[0]"))
     with pytest.raises(ValueError, match="unexpected t gate"):
-        insert_key_toggles(circuit, [1], 1)
+        insert_key_toggles(circuit, _logic_key([1]), 1)
 
 
 # --- phase key ---------------------------------------------------------------
