@@ -27,8 +27,15 @@ EXIT_INPUT = 2
 EXIT_SEMANTIC = 3
 
 
+class InputError(Exception):
+    """An input file that is not text qlock can read (exit 2)."""
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
 
 
 def _write_text(path: str, content: str) -> None:
@@ -285,10 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except qasm.QasmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (qasm.QasmError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:

@@ -12,10 +12,24 @@ total on the subset and never drops statements silently.
 Source text becomes ``(kind, text, offset)`` tuples in one ``finditer``
 pass of one regex. Whitespace, newlines and ``//`` comments are skipped;
 a ``name[int]`` operand is matched whole but yields the same four tokens
-(``id``, ``[``, ``int``, ``]``) as when spelled ``name [ int ]``; the first
-character no token can start with is refused before any parsing. A token
-carries only its offset: an error turns it into a 1-based line and column,
-counting every character, ``\\r`` and ``\\t`` too, as one column.
+(``id``, ``[``, ``int``, ``]``) as when spelled ``name [ int ]``; digits are
+ASCII only; the first character no token can start with is refused before
+any parsing. A token carries only its offset: an error turns it into a
+1-based line and column, counting every character, ``\\r`` and ``\\t`` too,
+as one column.
+
+A gate or barrier statement in the layout ``emit_circuit`` writes (name,
+optional ``(params)`` of plain numeric literals each with an optional ``-``,
+one space, ``name[int]`` operands joined by ``,``, then ``;``) is matched
+whole as one ``statement`` token, which the parser turns straight into a
+``Gate`` or ``Barrier`` after the checks the token path makes. Where a check
+fails, or the token stands where no statement starts (after a ``measure``
+missing its ``;``, say), it is split into the tokens the other alternatives
+give for its text, and the token grammar parses it or raises its usual error
+at its usual position. So there is one grammar: the statement path accepts
+only what the token path accepts, with bit-identical parameters. Headers,
+declarations, ``measure``, ``pi`` expressions and any other spacing take the
+token path.
 
 ``parse_circuit`` flattens registers into the circuit's global qubit and
 classical-bit indices and keeps each bit's ``name[i]`` label. ``emit_circuit``
@@ -51,20 +65,32 @@ class QasmError(Exception):
 
 # --- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
+# one alternative per token kind; ``bad`` catches the first character no
+# token can start with
+_PLAIN = r"""
     (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
-  | (?P<operand>(?P<name>[A-Za-z_][A-Za-z0-9_]*)\[(?P<index>\d+)\])
-  | (?P<real>(\d+\.\d*|\.\d+)([eE][-+]?\d+)?|\d+[eE][-+]?\d+)
-  | (?P<int>\d+)
+  | (?P<operand>(?P<name>[A-Za-z_][A-Za-z0-9_]*)\[(?P<index>[0-9]+)\])
+  | (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)
+  | (?P<int>[0-9]+)
   | (?P<arrow>->)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<sym>==|[()\[\],;+\-*/{}<>=!])
   | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+"""
+
+# a whole gate or barrier statement in the layout ``emit_circuit`` writes:
+# name, optional ``(params)`` of signed numeric literals, one space,
+# ``name[int]`` operands joined by ``,``, then ``;``
+_NUMBER = r"-?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[0-9]+(?:[eE][-+]?[0-9]+)?)"
+_OPERAND = r"[A-Za-z_][A-Za-z0-9_]*\[[0-9]+\]"
+_STATEMENT = rf"""
+    (?P<statement>(?:{"|".join([*GATE_SPECS, "barrier"])})
+        (?:\({_NUMBER}(?:,{_NUMBER})*\))?[ ]{_OPERAND}(?:,{_OPERAND})*;)
+"""
+
+_PLAIN_RE = re.compile(_PLAIN, re.VERBOSE)
+_TOKEN_RE = re.compile(_STATEMENT + "|" + _PLAIN, re.VERBOSE)
 
 
 _Token = tuple[str, str, int]  # (kind, text, offset into the source)
@@ -75,12 +101,12 @@ def _where(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[_Token]:
-    """``(kind, text, offset)`` tokens ending in ``eof``; a ``name[int]``
-    operand comes out as its four tokens."""
+def _scan(pattern: re.Pattern, source: str, pos: int, endpos: int) -> list[_Token]:
+    """``(kind, text, offset)`` tokens of ``source[pos:endpos]``; a
+    ``name[int]`` operand comes out as its four tokens."""
     tokens: list[_Token] = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(source):
+    for m in pattern.finditer(source, pos, endpos):
         kind = m.lastgroup
         if kind == "operand":
             name, index = m.group("name", "index")
@@ -93,8 +119,20 @@ def _tokenize(source: str) -> list[_Token]:
             raise QasmError(f"unexpected character {m.group()!r}", *_where(source, m.start()))
         elif kind != "skip":
             append((kind, m.group(), m.start()))
-    append(("eof", "", len(source)))
     return tokens
+
+
+def _tokenize(source: str) -> list[_Token]:
+    """Tokens ending in ``eof``, where each canonical gate or barrier
+    statement is one ``statement`` token."""
+    tokens = _scan(_TOKEN_RE, source, 0, len(source))
+    tokens.append(("eof", "", len(source)))
+    return tokens
+
+
+def _split(source: str, tok: _Token) -> list[_Token]:
+    """The tokens the other alternatives give for a ``statement`` token."""
+    return _scan(_PLAIN_RE, source, tok[2], tok[2] + len(tok[1]))
 
 
 # --- parser ------------------------------------------------------------------
@@ -117,6 +155,9 @@ class _Parser:
         self.registers: dict[str, tuple[str, int, int]] = {}
         self.labels: dict[str, list[str]] = {"quantum": [], "classical": []}
         self.ops: list[Op] = []
+        # this process's limit on ``int()`` of a digit string (0: none; absent before 3.10.7)
+        self.max_digits = getattr(sys, "get_int_max_str_digits", int)()
+        self.operand_lists: dict[str, tuple[int, ...]] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,10 +176,10 @@ class _Parser:
 
     def expect_int(self) -> tuple[_Token, int]:
         """The next token, which must be an ``int``, and its value; judged by
-        length first against this process's limit on ``int()`` of a digit
-        string (0: none), so a huge literal is neither converted nor printed."""
+        length first against ``max_digits``, so a huge literal is neither
+        converted nor printed."""
         tok = self.expect("int")
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7: no limit
+        limit = self.max_digits
         if limit and len(tok[1]) > limit:
             raise self.error(f"integer literal longer than {limit} digits", tok)
         return tok, int(tok[1])
@@ -149,7 +190,9 @@ class _Parser:
         return QasmError(message, *_where(self.source, offset))
 
     def parse(self) -> Circuit:
+        tokens = self.tokens
         if self.peek()[:2] == ("id", "OPENQASM"):
+            self._split_statement()
             self.next()
             tok = self.next()
             if tok[0] not in ("real", "int"):
@@ -157,7 +200,18 @@ class _Parser:
             if tok[1] != "2.0":
                 raise self.error(f"unsupported OPENQASM version {tok[1]!r}", tok)
             self.expect("sym", ";")
-        while self.peek()[0] != "eof":
+        while True:
+            tok = tokens[self.pos]
+            if tok[0] == "statement":
+                op = self._statement(tok[1])
+                if op is not None:
+                    self.ops.append(op)
+                    self.pos += 1
+                    continue
+            elif tok[0] == "eof":
+                break
+            # the token path, on the statement token split if its checks failed
+            self._split_statement()
             kind, name, _ = self.peek()
             if kind != "id":
                 raise self.error(f"expected statement, found {name!r}")
@@ -186,6 +240,64 @@ class _Parser:
             )
         except ValueError as exc:
             raise QasmError(str(exc)) from exc
+
+    def _split_statement(self) -> None:
+        """Hand the statement at ``pos`` to the token path: split a
+        ``statement`` token there, or one inside it (before its first ``;``),
+        where no statement can start and the token grammar must judge it."""
+        tokens = self.tokens
+        i = self.pos
+        while True:
+            kind, text, _ = tok = tokens[i]
+            if kind == "statement":
+                tokens[i : i + 1] = _split(self.source, tok)
+                return
+            if text == ";" or kind == "eof":
+                return
+            i += 1
+
+    def _statement(self, text: str) -> Op | None:
+        """The gate or barrier a ``statement`` token spells, or None where a
+        check of the token path would fail: an undeclared or classical
+        register, an index too long or out of range, a parameter or operand
+        count that does not fit the gate, repeated gate operands, a
+        non-finite parameter."""
+        head, _, operands = text.partition(" ")
+        name, _, params = head.partition("(")
+        qubits = self.operand_lists.get(operands)
+        if qubits is None:
+            qubits = self._operand_list(operands)
+            if qubits is None:
+                return None
+        if name == "barrier":
+            return None if params else Barrier(qubits)
+        nq, np_ = GATE_SPECS[name]
+        # ``float("-x")`` is ``-float("x")``, bit for bit, as the token path computes it
+        values = tuple(map(float, params[:-1].split(","))) if params else ()
+        if len(values) != np_ or len(qubits) != nq or len(set(qubits)) != nq:
+            return None
+        if not all(map(math.isfinite, values)):
+            return None
+        return Gate(name, values, qubits)
+
+    def _operand_list(self, text: str) -> tuple[int, ...] | None:
+        """Global qubits of a ``statement`` token's ``name[int],...;`` tail,
+        or None. Kept by text: registers are never redeclared, so the same
+        text names the same qubits for the rest of the parse."""
+        registers, limit = self.registers, self.max_digits
+        qubits = []
+        for operand in text[:-1].split(","):
+            register, _, index = operand.partition("[")
+            digits = index[:-1]
+            reg = registers.get(register)
+            if reg is None or reg[0] != "quantum" or (limit and len(digits) > limit):
+                return None
+            idx = int(digits)
+            if idx >= reg[1]:
+                return None
+            qubits.append(reg[2] + idx)
+        self.operand_lists[text] = result = tuple(qubits)
+        return result
 
     def _parse_include(self) -> None:
         tok = self.next()

@@ -482,6 +482,21 @@ def test_stats_huge_integer_literal_exits_2(tmp_path, capsys, statement):
     assert err.startswith("error: line ") and "longer than 4300 digits" in err and err.count("\n") == 1
 
 
+def test_stats_non_utf8_input_exits_2(tmp_path, capsys):
+    source = tmp_path / "bad.qasm"
+    source.write_bytes(b"OPENQASM 2.0;\r\nqreg q[1];\r\n\xffx q[0];\r\n")
+    assert main(["stats", str(source)]) == 2
+    assert capsys.readouterr().err == f"error: {source}: not UTF-8 text (byte offset 27)\n"
+
+
+def test_deobfuscate_non_utf8_key_exits_2(tmp_path, adder_path, capsys):
+    locked, key = _obfuscate(tmp_path, adder_path)
+    key.write_bytes(key.read_bytes()[:10] + b"\xc3(" + key.read_bytes()[10:])
+    capsys.readouterr()
+    assert main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")]) == 2
+    assert capsys.readouterr().err == f"error: {key}: not UTF-8 text (byte offset 10)\n"
+
+
 @pytest.mark.parametrize("strategy, cones", [("random", 0), ("lightcone", 1)])
 def test_obfuscate_layerizes_twice(tmp_path, adder_path, monkeypatch, strategy, cones):
     # once to plan, once to lock; only lightcone builds a light-cone table

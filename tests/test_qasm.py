@@ -218,6 +218,11 @@ def test_multi_register_flattening():
         ("OPENQASM 3.0; qreg q[1];", "line 1, col 10: unsupported OPENQASM version '3.0'"),
         ("qreg q[1]; creg c[1]; x c[0];", "line 1, col 25: register 'c' is classical, expected quantum"),
         ("qreg q[1]; creg c[1]; x c;", "line 1, col 25: register 'c' is classical, expected quantum"),
+        ("qreg q[\u0663]; rz(\u0663) q[\u0662];", "line 1, col 8: unexpected character '\u0663'"),
+        (
+            "qreg q[2]; creg c[2]; measure q[0] -> c[0]\nx q[1];",
+            "line 2, col 1: expected ';', found 'x'",
+        ),
     ],
 )
 def test_parser_errors(source, message):
@@ -250,15 +255,16 @@ def test_huge_integer_literal_follows_the_process_limit():
 
 
 # --- tokenizer oracle: one dataclass and one ``re.match`` per token, with the
-# position counted along the way; the tokenizer must give the same stream
+# position counted along the way; the tokenizer must give the same stream once
+# each ``statement`` token is split by the module's own split
 
 _ORACLE_RE = re.compile(
     r"""
     (?P<ws>[ \t\r]+)
   | (?P<comment>//[^\n]*)
   | (?P<newline>\n)
-  | (?P<real>(\d+\.\d*|\.\d+)([eE][-+]?\d+)?|\d+[eE][-+]?\d+)
-  | (?P<int>\d+)
+  | (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)
+  | (?P<int>[0-9]+)
   | (?P<arrow>->)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
@@ -306,8 +312,12 @@ def _assert_tokens_match_oracle(source: str) -> None:
             qasm._tokenize(source)
         assert (str(err.value), err.value.line, err.value.col) == (str(exc), exc.line, exc.col)
         return
-    got = [(kind, text, *qasm._where(source, offset)) for kind, text, offset in qasm._tokenize(source)]
-    assert got == want
+    tokens = [
+        split
+        for tok in qasm._tokenize(source)
+        for split in (qasm._split(source, tok) if tok[0] == "statement" else [tok])
+    ]
+    assert [(kind, text, *qasm._where(source, offset)) for kind, text, offset in tokens] == want
 
 
 def _locked_text(circuit: Circuit, seed: int) -> str:
@@ -318,44 +328,33 @@ _EDGE_SOURCES = [
     "",
     "qreg q[1];\r\n\tx q [ 0 ] ; // tail\r\nx q[0];",
     "rz(1.5e-3*.5/2.+3E+2) q[0]; measure q -> c; if(c==1)",
-    "x q[\u0663]; x q[0]\u00e9",
+    "qreg q[\u0663]; rz(\u0663) q[\u0662];",
     'include "qelib1.inc',
     "q[0]\nq [0]\nq[ 0]\nq[0 ]\nq[00]\nq[0.5]\nq[1e2]\n_a1[2]x[3]",
     "// only a comment",
     "x q[0];\n\n  \t@",
 ]
 
+_BUNDLED = [benchmarks.load(name) for name in benchmarks.NAMES]
+_LOCKED_BUNDLED = [_locked_text(parse_circuit(source), 3) for source in _BUNDLED]
 
-def test_tokenizer_matches_oracle_on_programs():
-    sources = _EDGE_SOURCES + [benchmarks.load(name) for name in benchmarks.NAMES]
+
+def _programs() -> list[str]:
+    """The bundled circuits, criterion 9's programs and locked forms."""
     rng = np.random.default_rng(1009)  # criterion 9's programs
-    sources += [random_qasm_source(rng) for _ in range(500)]
-    sources += [_locked_text(parse_circuit(benchmarks.load(name)), 3) for name in benchmarks.NAMES]
+    sources = _BUNDLED + [random_qasm_source(rng) for _ in range(500)] + _LOCKED_BUNDLED
     rng = np.random.default_rng(8)
-    sources += [
+    return sources + [
         _locked_text(random_circuit(rng, max_qubits=6, max_gates=60), seed) for seed in range(10)
     ]
-    for source in sources:
+
+
+def test_tokenizer_matches_oracle_on_programs():
+    for source in _EDGE_SOURCES + _programs():
         _assert_tokens_match_oracle(source)
 
 
-_FRAGMENTS = [
-    "qreg q[2];", "creg c[2];", "x q[0];", "cx q[0],q[1];", "rz(-pi/4) q[1];", "u3(1.5e-3,.5,2.) q[0];",
-    "measure q[0] -> c[0];", "barrier q;", "q[", "1]", "\r", "\t", "\n", " ", "//", "q [ 0 ]",
-    "é", "\u0663", '"', "==", ";", ",",
-]
-_EDIT = st.tuples(
-    st.sampled_from(["insert", "delete", "replace"]),
-    st.integers(0, 4000),
-    st.sampled_from(_FRAGMENTS),
-    st.integers(1, 3),
-)
-
-
-@settings(max_examples=300)
-@given(st.sampled_from(benchmarks.NAMES), st.lists(_EDIT, max_size=8))
-def test_tokenizer_matches_oracle_under_mutation(name, edits):
-    source = benchmarks.load(name)
+def _mutate(source: str, edits) -> str:
     for op, at, fragment, width in edits:
         at %= len(source) + 1
         if op == "insert":
@@ -364,7 +363,99 @@ def test_tokenizer_matches_oracle_under_mutation(name, edits):
             source = source[:at] + source[at + width :]
         else:
             source = source[:at] + fragment + source[at + width :]
-    _assert_tokens_match_oracle(source)
+    return source
+
+
+def _edits(fragments: list[str]):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.integers(0, 4000),
+            st.sampled_from(fragments),
+            st.integers(1, 3),
+        ),
+        max_size=8,
+    )
+
+
+_FRAGMENTS = [
+    "qreg q[2];", "creg c[2];", "x q[0];", "cx q[0],q[1];", "rz(-pi/4) q[1];", "u3(1.5e-3,.5,2.) q[0];",
+    "measure q[0] -> c[0];", "barrier q;", "q[", "1]", "\r", "\t", "\n", " ", "//", "q [ 0 ]",
+    "é", "\u0663", '"', "==", ";", ",",
+]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_BUNDLED), _edits(_FRAGMENTS))
+def test_tokenizer_matches_oracle_under_mutation(source, edits):
+    _assert_tokens_match_oracle(_mutate(source, edits))
+
+
+# --- parser differential: the same parser with no ``statement`` alternative
+# (token grammar only) is the oracle; the circuit, parameters bit for bit
+# through ``repr``, or the error message must be the same
+
+def _parse_outcome(source: str) -> str:
+    try:
+        return repr(parse_circuit(source))
+    except QasmError as exc:
+        return f"QasmError: {exc}"
+
+
+def _assert_parse_matches_token_path(source: str) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qasm, "_TOKEN_RE", qasm._PLAIN_RE)
+        want = _parse_outcome(source)
+    assert _parse_outcome(source) == want
+
+
+# statements whose checks fail, and statement tokens where no statement starts
+_STATEMENT_EDGES = [
+    "qreg q[2]; rz(-0.5) q[0]; rz(-0) q[1]; u3(1.5e-3,-.5,2.) q[1]; cx q[1],q[0]; barrier q[0],q[1];",
+    "qreg q[2]; rz(1e400) q[0];",
+    "qreg q[2]; u3(0,-1e309,0) q[0];",
+    "qreg q[2]; rz(0.5,1) q[0];",
+    "qreg q[2]; u3(1) q[0];",
+    "qreg q[2]; h(1) q[0];",
+    "qreg q[2]; barrier(1) q[0];",
+    "qreg q[2]; barrier q[1],q[1];",
+    "qreg q[2]; cx q[0],q[0];",
+    "qreg q[3]; ccx q[0],q[1];",
+    "qreg q[2]; x q[0],q[1];",
+    "qreg q[2]; x q[2];",
+    "qreg q[2]; x q[007];",
+    "qreg q[2]; x r[0];",
+    "x q[0]; qreg q[1];",
+    "qreg q[2]; creg c[1]; x c[0];",
+    "qreg q[2]; x q[" + "1" * 5000 + "];",
+    "qreg q[2]; creg c[2]; measure q[0] -> c[0]\nx q[1];",
+    "OPENQASM 2.0 x q[0];",
+    "qreg q[2]; include x q[0];",
+    "qreg q[2]; cx q[0], x q[1];",
+    "qreg x[2]; qreg q[2]; cx q[0], x q[1];",
+    "qreg q[2]; rz(2*x q[0];",
+    "qreg q[2]; creg c[2]; measure q[0] -> c[0]; x q[0];",
+]
+
+
+def test_parse_matches_token_path_on_programs():
+    for source in _STATEMENT_EDGES + _EDGE_SOURCES + _programs():
+        _assert_parse_matches_token_path(source)
+    for source in _LOCKED_BUNDLED:
+        assert any(tok[0] == "statement" for tok in qasm._tokenize(source))
+
+
+_PARSE_FRAGMENTS = [
+    "rz(-0.5) q[0];", "rz(--1)", "rz(+1)", "cx q[0],q[0];", "q[99]", "reset q[0];", "qreg q[2];",
+    "x q[0]", "h q[1];", "barrier q[0],q[1];", "u3(1e400,0,0) q[0];", "(", ")", "-", ",", ";", "1",
+    "\r\n", "\t", "//", " ",
+]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_BUNDLED + _LOCKED_BUNDLED), _edits(_PARSE_FRAGMENTS))
+def test_parse_matches_token_path_under_mutation(source, edits):
+    _assert_parse_matches_token_path(_mutate(source, edits))
 
 
 def test_public_names_resolve():
