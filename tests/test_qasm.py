@@ -328,6 +328,8 @@ _EDGE_SOURCES = [
     "",
     "qreg q[1];\r\n\tx q [ 0 ] ; // tail\r\nx q[0];",
     "rz(1.5e-3*.5/2.+3E+2) q[0]; measure q -> c; if(c==1)",
+    "x q[\u0663]; x q[0]\u00e9",
+    "qreg q[2]; rz(0) q[0]; x q[0]\u00e9",
     "qreg q[\u0663]; rz(\u0663) q[\u0662];",
     'include "qelib1.inc',
     "q[0]\nq [0]\nq[ 0]\nq[0 ]\nq[00]\nq[0.5]\nq[1e2]\n_a1[2]x[3]",
