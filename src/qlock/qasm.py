@@ -11,12 +11,10 @@ total on the subset and never drops statements silently.
 
 Source text becomes ``(kind, text, offset)`` tuples in one ``finditer``
 pass of one regex. Whitespace, newlines and ``//`` comments are skipped;
-a ``name[int]`` operand is matched whole but yields the same four tokens
-(``id``, ``[``, ``int``, ``]``) as when spelled ``name [ int ]``; digits are
-ASCII only; the first character no token can start with is refused before
-any parsing. A token carries only its offset: an error turns it into a
-1-based line and column, counting every character, ``\\r`` and ``\\t`` too,
-as one column.
+digits are ASCII only; the first character no token can start with is
+refused before any parsing. A token carries only its offset: an error turns
+it into a 1-based line and column, counting every character, ``\\r`` and
+``\\t`` too, as one column.
 
 A gate or barrier statement in the layout ``emit_circuit`` writes (name,
 optional ``(params)`` of plain numeric literals each with an optional ``-``,
@@ -69,7 +67,6 @@ class QasmError(Exception):
 # token can start with
 _PLAIN = r"""
     (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
-  | (?P<operand>(?P<name>[A-Za-z_][A-Za-z0-9_]*)\[(?P<index>[0-9]+)\])
   | (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)
   | (?P<int>[0-9]+)
   | (?P<arrow>->)
@@ -102,22 +99,14 @@ def _where(source: str, offset: int) -> tuple[int, int]:
 
 
 def _scan(pattern: re.Pattern, source: str, pos: int, endpos: int) -> list[_Token]:
-    """``(kind, text, offset)`` tokens of ``source[pos:endpos]``; a
-    ``name[int]`` operand comes out as its four tokens."""
+    """``(kind, text, offset)`` tokens of ``source[pos:endpos]``."""
     tokens: list[_Token] = []
     append = tokens.append
     for m in pattern.finditer(source, pos, endpos):
         kind = m.lastgroup
-        if kind == "operand":
-            name, index = m.group("name", "index")
-            pos, end = m.span()
-            at = pos + len(name)
-            tokens += (
-                ("id", name, pos), ("sym", "[", at), ("int", index, at + 1), ("sym", "]", end - 1)
-            )
-        elif kind == "bad":
+        if kind == "bad":
             raise QasmError(f"unexpected character {m.group()!r}", *_where(source, m.start()))
-        elif kind != "skip":
+        if kind != "skip":
             append((kind, m.group(), m.start()))
     return tokens
 
