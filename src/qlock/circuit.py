@@ -121,16 +121,23 @@ class Circuit:
             raise ValueError("qubit label count does not match qubit count")
         if len(self.clbit_labels) != self.num_clbits:
             raise ValueError("classical label count does not match bit count")
+        n = self.num_qubits
+        in_range: set[tuple[int, ...]] = set()  # qubit tuples already checked
         measured: set[int] = set()
         for op in self.ops:
-            if isinstance(op, Gate):
+            if measured and isinstance(op, Gate):
+                # range, then measurement, qubit by qubit: the first error wins
                 for q in op.qubits:
-                    self._check_qubit(q)
+                    if not 0 <= q < n:
+                        self._check_qubit(q)
                     if q in measured:
                         raise ValueError(f"gate {op.kind} on qubit {q} after measurement")
-            elif isinstance(op, Barrier):
-                for q in op.qubits:
-                    self._check_qubit(q)
+            elif isinstance(op, (Gate, Barrier)):
+                if op.qubits not in in_range:
+                    for q in op.qubits:
+                        if not 0 <= q < n:
+                            self._check_qubit(q)
+                    in_range.add(op.qubits)
             elif isinstance(op, Measure):
                 self._check_qubit(op.qubit)
                 if not 0 <= op.clbit < self.num_clbits:

@@ -7,9 +7,18 @@ first (qubit 0 rightmost). Distributions serialize as
 
 Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
 into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
-optionally carrying a trailing batch axis of independent states. Each gate is
-one matmul between two ``transpose`` views whose axis permutations are
-resolved once per (qubits, qubit count, rank), followed by a norm check: one
+optionally carrying a trailing batch axis of independent states. ``_evolve``
+allocates two state-sized buffers per call and none per gate: each gate
+copies the state into ``gather`` with its own axes in front (a ``transpose``
+whose permutation is resolved once per (qubits, qubit count, rank)), and one
+``np.matmul(..., out=)`` writes ``result``, which is left in that axis order;
+the state is then ``result`` seen through the inverse ``transpose``, and only
+the next gather, or the end of the run, copies it into natural order. Each
+matmul operand holds the same values, in the same rows and columns, as
+``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the same sum of the
+same k products, and results are bit-identical to moving axes there and back
+per gate (the oracle tests in ``tests/test_simulator.py`` hold them to it).
+The norm check after every gate reads the contiguous ``result``: one
 ``np.vdot`` for a statevector, ``np.linalg.norm`` per column for a batch.
 Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits are refused before anything is
 allocated.
@@ -205,30 +214,42 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
     ``tensor`` is shaped ``(2,) * n``, or ``(2,) * n + (columns,)`` for a batch
     of states; the result comes back flat, ``(2**n,)`` or ``(2**n, columns)``.
     ``errors`` maps a program index to the ``(column, qubit, pauli)`` insertions
-    that follow that gate, each in its own column only.
+    that follow that gate, each in its own column only; a gate that carries
+    insertions copies the state into natural order first. ``tensor`` itself
+    is never written. The batch axis is never moved, so ``gather`` and
+    ``result`` keep ``tensor``'s shape whatever the gate's axis order.
     """
     shape = tensor.shape
     batched = len(shape) > n
-    flat = tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
+    gather = np.empty(shape, dtype=complex)
+    result = np.empty(shape, dtype=complex)
+    rows = (-1, shape[-1]) if batched else (-1,)
     errors = errors or {}
     for index, (mat, qubits) in enumerate(program):
-        flat = _apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
-        for column, q, pauli in errors.get(index, ()):
-            state = flat[:, column].reshape((2,) * n)
-            flat[:, column] = _apply_matrix(state, pauli, (q,), n).reshape(-1)
+        order, inverse = _permutations(qubits, n, len(shape))
+        k = mat.shape[0]
+        np.copyto(gather, tensor.transpose(order))
+        np.matmul(mat, gather.reshape(k, -1), out=result.reshape(k, -1))
+        tensor = result.transpose(inverse)
+        checked = result.reshape(rows)
+        if index in errors:
+            checked = tensor.reshape(2**n, -1)  # natural order
+            for column, q, pauli in errors[index]:
+                state = checked[:, column].reshape((2,) * n)
+                checked[:, column] = _apply_matrix(state, pauli, (q,), n).reshape(-1)
+            tensor = checked.reshape(shape)
         # the checks are written so that a NaN norm counts as drift
         if batched:
-            norms = np.linalg.norm(flat, axis=0)
+            norms = np.linalg.norm(checked, axis=0)
             drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
             if drifted.any():
                 raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
         else:
             # plain statevectors keep the flat norm: a batch axis of one is slower
-            norm = math.sqrt(np.vdot(flat, flat).real)
+            norm = math.sqrt(np.vdot(checked, checked).real)
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
-        tensor = flat.reshape(shape)
-    return flat
+    return tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
 
 
 def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:

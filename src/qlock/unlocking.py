@@ -170,7 +170,8 @@ def simplify(
                 ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, remap(op.qubits[1:])))
         elif isinstance(op, Gate):
             if not (op.is_phase and normalize_phase_angle(phase_angle_of(op)) == 0):
-                ops.append(Gate(op.kind, op.params, remap(op.qubits)))
+                qubits = remap(op.qubits)
+                ops.append(op if qubits == op.qubits else Gate(op.kind, op.params, qubits))
         elif isinstance(op, Barrier):
             span = remap(q for q in op.qubits if q != ancilla)
             if span:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlock.circuit import (
     Barrier,
@@ -196,6 +196,66 @@ def test_circuit_validation():
         Circuit(1, 0, (_gate("x", 1),))
     with pytest.raises(ValueError, match="after measurement"):
         Circuit(1, 1, (Measure(0, 0), _gate("x", 0)))
+
+
+def _old_op_checks(circuit):
+    """The op loop of ``Circuit.__post_init__`` before it skipped checked qubit tuples."""
+    measured = set()
+    for op in circuit.ops:
+        if isinstance(op, Gate):
+            for q in op.qubits:
+                circuit._check_qubit(q)
+                if q in measured:
+                    raise ValueError(f"gate {op.kind} on qubit {q} after measurement")
+        elif isinstance(op, Barrier):
+            for q in op.qubits:
+                circuit._check_qubit(q)
+        elif isinstance(op, Measure):
+            circuit._check_qubit(op.qubit)
+            if not 0 <= op.clbit < circuit.num_clbits:
+                raise ValueError(f"classical bit {op.clbit} out of range")
+            measured.add(op.qubit)
+        else:
+            raise TypeError(f"unknown op {op!r}")
+
+
+def _outcome(check):
+    try:
+        check()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_QUBITS = st.integers(-1, 3)
+
+
+@st.composite
+def _ops(draw):
+    """Ops on qubits -1..3 of a 3-qubit, 2-bit circuit: some out of range, some after a measure."""
+    kind = draw(st.sampled_from(["x", "cx", "ccx", "barrier", "measure", "other"]))
+    if kind == "measure":
+        return Measure(draw(_QUBITS), draw(st.integers(0, 2)))
+    if kind == "other":
+        return "h q[0];"
+    qubits = draw(st.lists(_QUBITS, min_size=1, max_size=3, unique=True))
+    if kind == "barrier":
+        return Barrier(tuple(qubits))
+    kind = ("x", "cx", "ccx")[len(qubits) - 1]
+    return Gate(kind, (), tuple(qubits))
+
+
+@settings(max_examples=300)
+@given(st.lists(_ops(), max_size=12))
+# a measured qubit before an out-of-range one; a checked tuple after a measure
+@example([Measure(0, 0), _gate("cx", 0, 3)])
+@example([_gate("cx", 0, 1), Measure(1, 0), _gate("cx", 0, 1)])
+def test_circuit_op_checks_match_old_loop(ops):
+    got = _outcome(lambda: Circuit(3, 2, tuple(ops)))
+    # a valid empty circuit runs the old loop over ``ops``
+    shell = Circuit(3, 2, ())
+    object.__setattr__(shell, "ops", tuple(ops))
+    assert got == _outcome(lambda: _old_op_checks(shell))
 
 
 def test_measured_qubits_default_all():

@@ -348,6 +348,26 @@ def test_key_round_trip_randomized(bench_circuits):
             assert import_key(export_key(record.key)) == record.key
 
 
+def test_export_key_bytes_match_json_dumps():
+    rng = np.random.default_rng(31)
+    for size in [0, 0, 1, 2, 7, 40, 300]:
+        schedule = tuple(
+            KeyEntry(kind, int(rng.integers(10 ** rng.integers(1, 7))), int(rng.integers(10**4)), span)
+            for kind, span in (("logic", 1) if rng.random() < 0.5 else ("phase", 3) for _ in range(size))
+        )
+        bits = "".join(rng.choice(["0", "1"], sum(e.span for e in schedule)))
+        key = Key(bits=bits, schedule=schedule)
+        payload = {
+            "bits": key.bits,
+            "schedule": [
+                {"kind": e.kind, "layer": e.layer, "qubit": e.qubit, "span": e.span}
+                for e in key.schedule
+            ],
+        }
+        assert export_key(key) == json.dumps(payload, indent=2) + "\n"
+    assert export_key(Key(bits="", schedule=())) == '{\n  "bits": "",\n  "schedule": []\n}\n'
+
+
 def test_import_rejects_span_mismatch():
     text = json.dumps(
         {"bits": "10", "schedule": [{"kind": "logic", "layer": 0, "qubit": 0, "span": 1}]}

@@ -355,7 +355,9 @@ def _oracle_evolve(tensor, program, n, errors=None):
 
 
 def _simulate(circuit, noise, shots):
-    return statevector(circuit), unitary_of(circuit), run(circuit, shots, noise=noise, seed=2)
+    # unitaries stop at 10 qubits; wider circuits compare states and counts
+    unitary = unitary_of(circuit) if circuit.num_qubits <= simulator._UNITARY_QUBIT_LIMIT else None
+    return statevector(circuit), unitary, run(circuit, shots, noise=noise, seed=2)
 
 
 def _assert_matches_oracle(circuit, monkeypatch, noise, shots=30):
@@ -365,7 +367,7 @@ def _assert_matches_oracle(circuit, monkeypatch, noise, shots=30):
         patched.setattr(simulator, "_evolve", _oracle_evolve)
         want_state, want_unitary, want_counts = _simulate(circuit, noise, shots)
     assert np.array_equal(state, want_state)
-    assert np.array_equal(unitary, want_unitary)
+    assert np.array_equal(unitary, want_unitary)  # None == None beyond 10 qubits
     assert counts == want_counts
 
 
@@ -380,6 +382,57 @@ def test_kernel_bit_identical_on_descending_non_adjacent_qubits(monkeypatch):
         _gate("ccx", 0, 4, 2), _gate("ch", 4, 1), _gate("cy", 2, 0), _gate("rz", 3, params=(0.7,)),
     )
     _assert_matches_oracle(Circuit(5, 0, gates), monkeypatch, _NOISE_SETTINGS[1])
+
+
+def _wide_circuit(n, seed):
+    """Every qubit in superposition, then gates on the first, last and
+    non-adjacent qubits in several operand orders, ``ccx`` included, then
+    random gates."""
+    rng = np.random.default_rng(seed)
+    last, mid = n - 1, n // 2
+    gates = [_gate("h", q) for q in range(n)] + [
+        _gate("u3", 0, params=(0.3, 1.1, 2.9)), _gate("u3", last, params=(2.2, 0.4, 1.7)),
+        _gate("cx", 0, last), _gate("cy", last, 0), _gate("ch", mid, 1), _gate("cz", 2, last - 1),
+        _gate("ccx", 0, last, mid), _gate("ccx", last, mid, 0), _gate("ccx", 1, last - 2, 3),
+        _gate("rz", mid, params=(0.7,)), _gate("t", last), _gate("sdg", 0),
+    ]
+    kinds = sorted(GATE_SPECS)
+    for _ in range(24):
+        kind = kinds[rng.integers(len(kinds))]
+        nq, n_params = GATE_SPECS[kind]
+        qubits = tuple(int(q) for q in rng.choice(n, nq, replace=False))
+        gates.append(_gate(kind, *qubits, params=tuple(rng.uniform(-7.0, 7.0, n_params))))
+    return Circuit(n, 0, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [11, 15])
+def test_kernel_bit_identical_on_wide_states(n, monkeypatch):
+    # p = 0.3 puts error insertions in most columns of the noisy batches,
+    # which hold 2**18 >> n columns each
+    noise = NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=4)
+    _assert_matches_oracle(_wide_circuit(n, seed=n), monkeypatch, noise, shots=12)
+
+
+def test_evolve_leaves_its_input_unchanged():
+    n = 5
+    circuit = _wide_circuit(n, seed=3)
+    program = simulator._program(circuit)
+    errors = {0: [(0, 1, simulator._PAULI_LIST[1])], 5: [(2, 4, simulator._PAULI_LIST[0])]}
+    rng = np.random.default_rng(8)
+    for shape in [(2,) * n, (2,) * n + (3,)]:
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tensor /= np.linalg.norm(tensor.reshape(2**n, -1), axis=0)
+        before = tensor.copy()
+        simulator._evolve(tensor, program, n, errors if len(shape) > n else None)
+        assert np.array_equal(tensor, before)
+
+
+def test_statevector_results_do_not_share_memory():
+    circuit = _wide_circuit(7, seed=2)
+    first, second = statevector(circuit), statevector(circuit)
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+    initial = statevector(circuit)
+    assert not np.shares_memory(statevector(circuit, initial), initial)
 
 
 _ANGLES = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
