@@ -199,7 +199,7 @@ def test_circuit_validation():
 
 
 def _old_op_checks(circuit):
-    """The op loop of ``Circuit.__post_init__`` before it skipped checked qubit tuples."""
+    """The op loop of ``Circuit.__post_init__`` that called ``_check_qubit`` on every qubit."""
     measured = set()
     for op in circuit.ops:
         if isinstance(op, Gate):
@@ -247,7 +247,7 @@ def _ops(draw):
 
 @settings(max_examples=300)
 @given(st.lists(_ops(), max_size=12))
-# a measured qubit before an out-of-range one; a checked tuple after a measure
+# a measured qubit before an out-of-range one; a gate repeated after a measure
 @example([Measure(0, 0), _gate("cx", 0, 3)])
 @example([_gate("cx", 0, 1), Measure(1, 0), _gate("cx", 0, 1)])
 def test_circuit_op_checks_match_old_loop(ops):
