@@ -122,16 +122,20 @@ class Circuit:
         if len(self.clbit_labels) != self.num_clbits:
             raise ValueError("classical label count does not match bit count")
         n = self.num_qubits
+        in_range: set[tuple[int, ...]] = set()  # qubit tuples already checked
         measured: set[int] = set()
         for op in self.ops:
             if isinstance(op, (Gate, Barrier)):
                 is_gate = isinstance(op, Gate)
+                if op.qubits in in_range and not (is_gate and measured):
+                    continue
                 # range, then measurement, qubit by qubit: the first error wins
                 for q in op.qubits:
                     if not 0 <= q < n:
                         self._check_qubit(q)
                     if is_gate and q in measured:
                         raise ValueError(f"gate {op.kind} on qubit {q} after measurement")
+                in_range.add(op.qubits)
             elif isinstance(op, Measure):
                 self._check_qubit(op.qubit)
                 if not 0 <= op.clbit < self.num_clbits:

@@ -199,7 +199,7 @@ def test_circuit_validation():
 
 
 def _old_op_checks(circuit):
-    """The op loop of ``Circuit.__post_init__`` that called ``_check_qubit`` on every qubit."""
+    """The op loop of ``Circuit.__post_init__`` before it skipped checked qubit tuples."""
     measured = set()
     for op in circuit.ops:
         if isinstance(op, Gate):
@@ -227,15 +227,17 @@ def _outcome(check):
     return None
 
 
-_QUBITS = st.integers(-1, 3)
+# mostly valid, so that most lists reach a late op before their first error
+_QUBITS = st.sampled_from([0, 1, 2] * 4 + [-1, 3])
+_KINDS = st.sampled_from(["x", "cx", "ccx", "barrier", "measure"] * 4 + ["other"])
 
 
 @st.composite
 def _ops(draw):
     """Ops on qubits -1..3 of a 3-qubit, 2-bit circuit: some out of range, some after a measure."""
-    kind = draw(st.sampled_from(["x", "cx", "ccx", "barrier", "measure", "other"]))
+    kind = draw(_KINDS)
     if kind == "measure":
-        return Measure(draw(_QUBITS), draw(st.integers(0, 2)))
+        return Measure(draw(_QUBITS), draw(st.sampled_from([0, 1] * 4 + [2])))
     if kind == "other":
         return "h q[0];"
     qubits = draw(st.lists(_QUBITS, min_size=1, max_size=3, unique=True))
@@ -247,9 +249,12 @@ def _ops(draw):
 
 @settings(max_examples=300)
 @given(st.lists(_ops(), max_size=12))
-# a measured qubit before an out-of-range one; a gate repeated after a measure
+# a measured qubit before an out-of-range one; a checked tuple after a measure;
+# a barrier on a measured qubit, which is allowed; an out-of-range gate after valid ones
 @example([Measure(0, 0), _gate("cx", 0, 3)])
 @example([_gate("cx", 0, 1), Measure(1, 0), _gate("cx", 0, 1)])
+@example([Measure(0, 0), Barrier((0, 1)), _gate("x", 1)])
+@example([_gate("x", 0), _gate("x", 0), Gate("x", (), (3,))])
 def test_circuit_op_checks_match_old_loop(ops):
     got = _outcome(lambda: Circuit(3, 2, tuple(ops)))
     # a valid empty circuit runs the old loop over ``ops``
