@@ -447,7 +447,7 @@ def import_key(text: str) -> Key:
         data = json.loads(text)
         bits = data["bits"]
         raw = data["schedule"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed key file: {exc}") from exc
     if not isinstance(bits, str):
         raise ValueError("malformed key file: bits must be a string")

@@ -3,7 +3,8 @@
 The subset covers register declarations, the closed gate alphabet of the
 circuit IR, barriers, measurements, comments, and ``include "qelib1.inc";``
 (accepted and discarded). Angle expressions allow numeric literals, ``pi``,
-unary minus, parentheses, and the binary operators ``+ - * /``.
+unary minus, parentheses (at most ``MAX_ANGLE_NESTING`` deep), and the binary
+operators ``+ - * /``.
 
 Everything else (gate definitions, ``if``, ``reset``, opaque declarations,
 unknown mnemonics) is rejected with a line/column diagnostic: parsing is
@@ -48,6 +49,9 @@ from .circuit import GATE_SPECS, Barrier, Circuit, Gate, Measure, Op
 
 # bits of one kind a program may declare (one label each); simulation stops at 26 qubits
 MAX_REGISTER_BITS = 2**20
+# parentheses an angle expression may nest: each level takes three parser frames,
+# so this stays well under Python's default recursion limit of 1000
+MAX_ANGLE_NESTING = 100
 
 
 class QasmError(Exception):
@@ -147,6 +151,7 @@ class _Parser:
         # this process's limit on ``int()`` of a digit string (0: none; absent before 3.10.7)
         self.max_digits = getattr(sys, "get_int_max_str_digits", int)()
         self.operand_lists: dict[str, tuple[int, ...]] = {}
+        self.nesting = 0  # open parentheses of the angle expression being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -403,7 +408,7 @@ class _Parser:
 
     # angle expressions: expr := term (('+'|'-') term)*
     #                    term := factor (('*'|'/') factor)*
-    #                    factor := '-' factor | number | pi | '(' expr ')'
+    #                    factor := '-'* (number | pi | '(' expr ')')
     def _parse_expr(self) -> float:
         value = self._parse_term()
         while self.peek()[1] in ("+", "-"):
@@ -427,18 +432,27 @@ class _Parser:
 
     def _parse_factor(self) -> float:
         tok = self.next()
+        negations = 0  # a run of unary minuses is read in a loop; negation is exact
+        while tok[1] == "-":
+            negations += 1
+            tok = self.next()
         kind, text, _ = tok
-        if text == "-":
-            return -self._parse_factor()
         if kind in ("real", "int"):
-            return float(text)
-        if text == "pi":
-            return math.pi
-        if text == "(":
+            value = float(text)
+        elif text == "pi":
+            value = math.pi
+        elif text == "(":
+            if self.nesting == MAX_ANGLE_NESTING:
+                raise self.error(
+                    f"angle expression nested deeper than {MAX_ANGLE_NESTING} parentheses", tok
+                )
+            self.nesting += 1
             value = self._parse_expr()
+            self.nesting -= 1
             self.expect("sym", ")")
-            return value
-        raise self.error(f"expected angle expression, found {text!r}", tok)
+        else:
+            raise self.error(f"expected angle expression, found {text!r}", tok)
+        return -value if negations % 2 else value
 
 
 def parse_circuit(source: str) -> Circuit:

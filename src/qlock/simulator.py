@@ -18,10 +18,12 @@ matmul operand holds the same values, in the same rows and columns, as
 ``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the same sum of the
 same k products, and results are bit-identical to moving axes there and back
 per gate (the oracle tests in ``tests/test_simulator.py`` hold them to it).
+A noisy batch's Pauli insertions are written into ``result`` in place, the
+same way, right after their gate's matmul.
 The norm check after every gate reads the contiguous ``result``: one
 ``np.vdot`` for a statevector, ``np.linalg.norm`` per column for a batch.
-Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits are refused before anything is
-allocated.
+Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
+``_NOISY_SHOT_LIMIT`` shots, are refused before anything is allocated.
 
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
@@ -50,6 +52,9 @@ from .rng import derive_rng
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
 _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
+# a noisy run keeps per-shot state (uniforms, outcomes, the pattern lists, the tolist()
+# result), measured at ~74 bytes a shot: at up to 128 bytes, 2**23 shots stay within 1 GiB
+_NOISY_SHOT_LIMIT = 2**23
 _BATCH_AMPLITUDES = 2**18  # amplitudes one batch of noisy trajectories may hold
 
 
@@ -90,13 +95,6 @@ class Distribution:
 # --- gate matrices -------------------------------------------------------------
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_PAULI_LIST = (_PAULI["x"], _PAULI["y"], _PAULI["z"])
 
 
 def _phase(angle: float) -> np.ndarray:
@@ -128,25 +126,20 @@ def _controlled(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fixed_matrix(kind: str) -> np.ndarray:
-    if kind in _PAULI:
-        return _PAULI[kind]
-    if kind == "h":
-        return _H
-    if kind == "s":
-        return _phase(math.pi / 2)
-    if kind == "sdg":
-        return _phase(-math.pi / 2)
-    if kind == "t":
-        return _phase(math.pi / 4)
-    if kind == "tdg":
-        return _phase(-math.pi / 4)
-    if kind in ("cx", "cy", "cz", "ch"):
-        return _controlled(_fixed_matrix(kind[1:]))
-    if kind == "ccx":
-        return _controlled(_controlled(_PAULI["x"]))
-    raise KeyError(kind)
+# the matrix of every gate kind without parameters
+_FIXED = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "s": _phase(math.pi / 2),
+    "sdg": _phase(-math.pi / 2),
+    "t": _phase(math.pi / 4),
+    "tdg": _phase(-math.pi / 4),
+}
+_FIXED.update({f"c{kind}": _controlled(_FIXED[kind]) for kind in ("x", "y", "z", "h")})
+_FIXED["ccx"] = _controlled(_FIXED["cx"])
+_PAULI_LIST = (_FIXED["x"], _FIXED["y"], _FIXED["z"])
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -157,7 +150,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _phase(gate.params[0])
     if gate.kind == "u3":
         return _u3(*gate.params)
-    return _fixed_matrix(gate.kind)
+    return _FIXED[gate.kind]
 
 
 # --- statevector evolution -----------------------------------------------------
@@ -174,20 +167,6 @@ def _permutations(qubits: tuple[int, ...], n: int, ndim: int) -> tuple[tuple[int
     axes = tuple(n - 1 - q for q in qubits)
     order = axes + tuple(i for i in range(ndim) if i not in axes)
     return order, tuple(sorted(range(ndim), key=order.__getitem__))
-
-
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int):
-    """Apply ``mat`` to the given qubits of a state (or stacked-state) tensor.
-
-    ``tensor`` has n leading axes of size 2 (axis i holds qubit n-1-i, keeping
-    qubit 0 least significant) plus optional trailing axes. The axis
-    permutations are resolved once per ``(qubits, n, ndim)`` and applied as
-    ``transpose`` views.
-    """
-    order, inverse = _permutations(qubits, n, tensor.ndim)
-    moved = tensor.transpose(order)
-    out = mat @ moved.reshape(mat.shape[0], -1)
-    return out.reshape(moved.shape).transpose(inverse)
 
 
 Program = list[tuple[np.ndarray, tuple[int, ...]]]
@@ -214,10 +193,10 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
     ``tensor`` is shaped ``(2,) * n``, or ``(2,) * n + (columns,)`` for a batch
     of states; the result comes back flat, ``(2**n,)`` or ``(2**n, columns)``.
     ``errors`` maps a program index to the ``(column, qubit, pauli)`` insertions
-    that follow that gate, each in its own column only; a gate that carries
-    insertions copies the state into natural order first. ``tensor`` itself
-    is never written. The batch axis is never moved, so ``gather`` and
-    ``result`` keep ``tensor``'s shape whatever the gate's axis order.
+    that follow that gate, each in its own column only and written into
+    ``result`` in place, through a view with the qubit's axis in front.
+    ``tensor`` itself is never written. The batch axis is never moved, so
+    ``gather`` and ``result`` keep ``tensor``'s shape whatever the gate's axis order.
     """
     shape = tensor.shape
     batched = len(shape) > n
@@ -231,13 +210,10 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
         np.copyto(gather, tensor.transpose(order))
         np.matmul(mat, gather.reshape(k, -1), out=result.reshape(k, -1))
         tensor = result.transpose(inverse)
+        for column, q, pauli in errors.get(index, ()):
+            wire = tensor[..., column].transpose(_permutations((q,), n, n)[0])
+            wire[...] = (pauli @ wire.reshape(2, -1)).reshape(wire.shape)
         checked = result.reshape(rows)
-        if index in errors:
-            checked = tensor.reshape(2**n, -1)  # natural order
-            for column, q, pauli in errors[index]:
-                state = checked[:, column].reshape((2,) * n)
-                checked[:, column] = _apply_matrix(state, pauli, (q,), n).reshape(-1)
-            tensor = checked.reshape(shape)
         # the checks are written so that a NaN norm counts as drift
         if batched:
             norms = np.linalg.norm(checked, axis=0)
@@ -347,6 +323,8 @@ def run(
     """
     if shots < 1:
         raise ValueError("shots must be positive")
+    if noise is not None and noise.enabled and shots > _NOISY_SHOT_LIMIT:
+        raise ValueError(f"{shots} shots too many for a noisy run (at most {_NOISY_SHOT_LIMIT})")
     measured = circuit.measured_qubits()
     b = len(measured)
     counts: dict[str, int] = {}

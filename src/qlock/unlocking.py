@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .circuit import Barrier, Circuit, Gate, Measure, phase_angle_of
+from .circuit import Barrier, Circuit, Gate, phase_angle_of
 from .locking import (
     ANCILLA_REGISTER,
     KAPPA_STEP,
@@ -141,16 +141,15 @@ def simplify(
 ) -> Circuit:
     """Resolve key sections against the ancilla's classical state and drop it.
 
-    Requires every remaining single-qubit ancilla gate to be an X (a surviving
-    Hadamard means the circuit was not toggled first, and simplification is
-    refused). Zero-angle phase gates are removed; barriers are retained with
-    the ancilla stripped from their span.
+    The ancilla must be the last qubit, where ``obfuscate`` puts it, so no
+    other qubit moves. Requires every remaining single-qubit ancilla gate to be
+    an X (a surviving Hadamard means the circuit was not toggled first, and
+    simplification is refused). Zero-angle phase gates are removed; barriers
+    are retained with the ancilla stripped from their span.
     """
+    if ancilla not in (None, circuit.num_qubits - 1):
+        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
     bits = None if logic_bits is None else [int(b) for b in logic_bits]
-
-    def remap(qubits) -> tuple[int, ...]:  # qubits above the ancilla move down one
-        return tuple(q - (ancilla is not None and q > ancilla) for q in qubits)
-
     ops: list = []
     state = 0
     section = 0
@@ -167,20 +166,19 @@ def simplify(
                 raise ValueError("ancilla state disagrees with the supplied logic bits")
             section += 1
             if state == 1:
-                ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, remap(op.qubits[1:])))
+                ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
         elif isinstance(op, Gate):
             if not (op.is_phase and normalize_phase_angle(phase_angle_of(op)) == 0):
-                qubits = remap(op.qubits)
-                ops.append(op if qubits == op.qubits else Gate(op.kind, op.params, qubits))
+                ops.append(op)
         elif isinstance(op, Barrier):
-            span = remap(q for q in op.qubits if q != ancilla)
+            span = tuple(q for q in op.qubits if q != ancilla)
             if span:
                 ops.append(Barrier(span))
         else:
             if op.qubit == ancilla:
                 raise ValueError("key ancilla must not be measured")
-            ops.append(Measure(remap((op.qubit,))[0], op.clbit))
-    labels = tuple(l for i, l in enumerate(circuit.qubit_labels) if i != ancilla)
+            ops.append(op)
+    labels = circuit.qubit_labels[:ancilla]  # all of them without an ancilla
     return Circuit(
         num_qubits=len(labels),
         num_clbits=circuit.num_clbits,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -123,6 +124,16 @@ def test_deobfuscate_malformed_schedule_exit_3(tmp_path, adder_path, capsys, sch
     assert err.startswith("error: malformed key") and err.count("\n") == 1
 
 
+def test_deobfuscate_deeply_nested_key_exit_3(tmp_path, adder_path, capsys):
+    locked, _ = _obfuscate(tmp_path, adder_path)
+    key = tmp_path / "deep_key.json"
+    key.write_text("[" * 100_000 + "]" * 100_000)  # json.dumps of this would recurse too
+    code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed key file: ") and err.count("\n") == 1
+
+
 def _move_first_logic_entry(key: dict) -> None:
     logic = next(e for e in key["schedule"] if e["kind"] == "logic")
     logic.update(layer=999, qubit=77)
@@ -193,6 +204,21 @@ def test_simulate_too_many_qubits_exit_3_without_allocating(tmp_path, capsys, mo
     assert code == 3
     err = capsys.readouterr().err
     assert "too large to simulate" in err and err.count("\n") == 1
+
+
+def test_simulate_noisy_shots_over_bound_exit_3_without_allocating(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "c.qasm"
+    source.write_text("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];")
+    out = tmp_path / "c.json"
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "np", NoNumpy())
+        shots = str(simulator._NOISY_SHOT_LIMIT + 1)
+        assert main(["simulate", str(source), "-o", str(out), "--noise", "--shots", shots]) == 3
+    err = capsys.readouterr().err
+    assert "too many for a noisy run" in err and err.count("\n") == 1
+    # a noiseless run samples one multinomial, whatever the count
+    assert main(["simulate", str(source), "-o", str(out), "--shots", str(10**13)]) == 0
+    assert json.loads(out.read_text())["shots"] == 10**13
 
 
 def test_simulate_bell_support(tmp_path):
@@ -480,6 +506,33 @@ def test_stats_huge_integer_literal_exits_2(tmp_path, capsys, statement):
     assert main(["stats", str(source)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line ") and "longer than 4300 digits" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "angle, col",
+    [("(" * 10_000 + "1" + ")" * 10_000, 115), ("-(" * 10_000 + "1" + ")" * 10_000, 216)],
+    ids=["parentheses", "negated"],
+)
+def test_stats_deep_angle_nesting_exits_2(tmp_path, capsys, angle, col):
+    # the error stands at the 101st "("
+    source = tmp_path / "deep.qasm"
+    source.write_text(f"qreg q[1]; rz({angle}) q[0];")
+    assert main(["stats", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 1, col {col}: angle expression nested deeper than 100 parentheses\n"
+
+
+def test_nested_angle_expressions_keep_their_values():
+    text, value = "0.5", 0.5
+    for _ in range(50):
+        text, value = f"-({text}*3-pi)/2", -(value * 3 - math.pi) / 2
+    for angle, want in [
+        (text, value),
+        ("(" * 100 + "1.5" + ")" * 100, 1.5),
+        ("-" * 10_000 + "1.5", 1.5),
+        ("-" * 10_001 + "1.5", -1.5),
+    ]:
+        assert parse_circuit(f"qreg q[1]; rz({angle}) q[0];").ops[0].params == (want,)
 
 
 def test_stats_non_utf8_input_exits_2(tmp_path, capsys):

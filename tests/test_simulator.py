@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,27 @@ def test_evolve_leaves_its_input_unchanged():
         before = tensor.copy()
         simulator._evolve(tensor, program, n, errors if len(shape) > n else None)
         assert np.array_equal(tensor, before)
+
+
+def test_noisy_evolve_allocates_no_state_per_gate():
+    # gather, result and the natural-order copy returned at the end: 3x the batch;
+    # an insertion allocates only its own column's operand and product
+    n, columns = 12, 4
+    program = simulator._program(_wide_circuit(n, seed=5))
+    errors = {
+        index: [(index % columns, qubits[0], simulator._PAULI_LIST[index % 3])]
+        for index, (_, qubits) in enumerate(program)
+    }
+    tensor = np.zeros((2,) * n + (columns,), dtype=complex)
+    tensor[(0,) * n] = 1.0
+    simulator._evolve(tensor, program, n, errors)  # fills the permutation cache
+    tracemalloc.start()
+    try:
+        simulator._evolve(tensor, program, n, errors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * tensor.nbytes
 
 
 def test_statevector_results_do_not_share_memory():

@@ -148,6 +148,12 @@ def test_simplify_refuses_live_hadamard():
         simplify(circuit, [1], 1)
 
 
+def test_simplify_refuses_an_ancilla_that_is_not_the_last_qubit():
+    circuit = Circuit(2, 0, (_gate("x", 0), _gate("cx", 0, 1)), qubit_labels=("qk[0]", "q[0]"))
+    with pytest.raises(ValueError, match="key ancilla is qubit 0, not the last qubit"):
+        simplify(circuit, [1], 0)
+
+
 def test_simplify_keeps_barriers_without_ancilla():
     from qlock.circuit import Barrier
 
