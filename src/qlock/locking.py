@@ -23,7 +23,8 @@ picker, and ``obfuscate`` refuses a plan with a site outside them.
 The locked circuit materializes layer boundaries as barriers. Key-schedule
 coordinates address the locked circuit: ``layer`` is the barrier-delimited
 block index and ``qubit`` pins the gate inside it, which survives a round
-trip through QASM text.
+trip through QASM text. The key lists the logic entries, then the phase
+entries, each in the order its blocks are written.
 """
 
 from __future__ import annotations
@@ -328,95 +329,78 @@ def obfuscate(
         raise ValueError(f"dummy_gates must be 'cx' or 'random', got {dummy_gates!r}")
     rng = derive_rng(seed, "obfuscate")
     n = circuit.num_qubits
-    has_logic = bool(plan.logic_sites)
-    ancilla = n if has_logic else None
-    nq = n + (1 if has_logic else 0)
-    all_qubits = tuple(range(nq))
+    ancilla = n if plan.logic_sites else None
+    all_qubits = tuple(range(n if ancilla is None else n + 1))
 
     logic_by_layer: dict[int, list[Site]] = {}
     for site in plan.logic_sites:
         logic_by_layer.setdefault(site.layer, []).append(site)
     phase_slots_by_boundary: dict[int, list[Site]] = {}
-    phase_gates_by_layer: dict[int, dict[Gate, Site]] = {}
+    # keyed per layer: an equal gate can recur, unkeyed, in another layer
+    keyed_by_layer: dict[int, set[Gate]] = {}
     for site in plan.phase_sites:
         if site.gate is None:
             phase_slots_by_boundary.setdefault(site.layer, []).append(site)
         else:
-            phase_gates_by_layer.setdefault(site.layer, {})[site.gate] = site
+            keyed_by_layer.setdefault(site.layer, set()).add(site.gate)
 
-    ops: list = []
-    block = -1
-    logic_bits: list[str] = []
-    logic_entries: list[KeyEntry] = []
-    phase_bits: list[str] = []
-    phase_entries: list[KeyEntry] = []
-
-    def open_block() -> int:
-        nonlocal block
-        if ops:
-            ops.append(Barrier(all_qubits))
-        block += 1
-        return block
-
+    # one op list per barrier-delimited block, so a block's index is its position
+    blocks: list[list] = []
+    entries: list[tuple[KeyEntry, str]] = []
     for b in range(len(layered.layers) + 1):
         slots = phase_slots_by_boundary.get(b)
         if slots:
-            here = open_block()
-            for site in slots:
-                ops.append(Gate("rz", (_random_angle(rng),), (site.qubit,)))
-                phase_bits.append("000")
-                phase_entries.append(KeyEntry("phase", here, site.qubit, 3))
+            here = len(blocks)
+            blocks.append([Gate("rz", (_random_angle(rng),), (s.qubit,)) for s in slots])
+            entries += [(KeyEntry("phase", here, s.qubit, 3), "000") for s in slots]
         if b == len(layered.layers):
             break
-        layer = layered.layers[b]
-        here = open_block()
+        here = len(blocks)
+        block: list = []
         section_sites = logic_by_layer.get(b, ())
         section_gates = {s.gate for s in section_sites if s.gate is not None}
-        keyed_phase = phase_gates_by_layer.get(b, {})
+        keyed_phase = keyed_by_layer.get(b, ())
         converted: list[tuple[int, int]] = []  # (qubit, kappa), key bits go qubit-minor
-        for g in layer.gates:
+        for g in layered.layers[b].gates:
             if g in section_gates:
                 continue  # re-emitted inside its key section below
             if g in keyed_phase:
                 kappa = normalize_phase_angle(phase_angle_of(g))
                 assert kappa is not None
-                ops.append(Gate("rz", (_random_angle(rng),), g.qubits))
+                block.append(Gate("rz", (_random_angle(rng),), g.qubits))
                 converted.append((g.qubits[0], kappa))
             else:
-                ops.append(g)
+                block.append(g)
         for qubit, kappa in sorted(converted):
-            phase_bits.append(format(kappa, "03b"))
-            phase_entries.append(KeyEntry("phase", here, qubit, 3))
+            entries.append((KeyEntry("phase", here, qubit, 3), format(kappa, "03b")))
         for site in section_sites:
-            ops.append(Gate("h", (), (ancilla,)))
+            block.append(Gate("h", (), (ancilla,)))
             if site.gate is not None:
-                ops.append(_controlled_gate(site.gate, ancilla))
-                logic_bits.append("1")
+                block.append(_controlled_gate(site.gate, ancilla))
             else:
                 kind = (
                     "cx" if dummy_gates == "cx" else DUMMY_KINDS[int(rng.integers(len(DUMMY_KINDS)))]
                 )
-                ops.append(Gate(kind, (), (ancilla, site.qubit)))
-                logic_bits.append("0")
-            logic_entries.append(KeyEntry("logic", here, site.qubit, 1))
-
+                block.append(Gate(kind, (), (ancilla, site.qubit)))
+            entries.append((KeyEntry("logic", here, site.qubit, 1), "1" if site.gate else "0"))
+        blocks.append(block)
     if layered.measurements:
-        if ops:
-            ops.append(Barrier(all_qubits))
-        ops.extend(layered.measurements)
+        blocks.append(list(layered.measurements))
 
-    labels = circuit.qubit_labels + ((f"{ANCILLA_REGISTER}[0]",) if has_logic else ())
+    ops: list = []
+    for block in blocks:
+        ops += [Barrier(all_qubits), *block] if ops else block
+    labels = circuit.qubit_labels + (() if ancilla is None else (f"{ANCILLA_REGISTER}[0]",))
     locked = Circuit(
-        num_qubits=nq,
+        num_qubits=len(all_qubits),
         num_clbits=circuit.num_clbits,
         ops=tuple(ops),
         qubit_labels=labels,
         clbit_labels=circuit.clbit_labels,
     )
-    key = Key(
-        bits="".join(logic_bits) + "".join(phase_bits),
-        schedule=tuple(logic_entries) + tuple(phase_entries),
-    )
+    # logic entries first, then phase entries; a stable sort keeps block order in each
+    entries.sort(key=lambda pair: pair[0].kind != "logic")
+    key = Key(bits="".join(bits for _, bits in entries), schedule=tuple(e for e, _ in entries))
     return ObfuscationRecord(
         locked_circuit=locked,
         key=key,

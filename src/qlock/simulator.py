@@ -21,7 +21,8 @@ per gate (the oracle tests in ``tests/test_simulator.py`` hold them to it).
 A noisy batch's Pauli insertions are written into ``result`` in place, the
 same way, right after their gate's matmul.
 The norm check after every gate reads the contiguous ``result``: one
-``np.vdot`` for a statevector, ``np.linalg.norm`` per column for a batch.
+``np.vdot`` for a statevector; for a batch, each column's sum of squared
+magnitudes, computed in ``gather``, which is free until the next gate's copy.
 Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
 ``_NOISY_SHOT_LIMIT`` shots, are refused before anything is allocated.
 
@@ -34,7 +35,9 @@ depend on the state, so each shot's error pattern and sampling uniform are
 drawn first; each distinct pattern (most shots share the error-free one) is
 then simulated once, as one column of a batch, and every shot samples from
 its pattern's state. Streams, draws and counts are those of simulating each
-shot on its own.
+shot on its own. Both kinds of run end the same way: a vector over basis
+indices (noiseless probabilities, or noisy shot counts) is summed over the
+unmeasured qubits, and each remaining index prints as its outcome string.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from .rng import derive_rng
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
 _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
-# a noisy run keeps per-shot state (uniforms, outcomes, the pattern lists, the tolist()
-# result), measured at ~74 bytes a shot: at up to 128 bytes, 2**23 shots stay within 1 GiB
+# a noisy run keeps per-shot state (uniforms, the pattern lists, their index arrays),
+# measured at ~64 bytes a shot: at up to 128 bytes, 2**23 shots stay within 1 GiB
 _NOISY_SHOT_LIMIT = 2**23
 _BATCH_AMPLITUDES = 2**18  # amplitudes one batch of noisy trajectories may hold
 
@@ -197,6 +200,7 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
     ``result`` in place, through a view with the qubit's axis in front.
     ``tensor`` itself is never written. The batch axis is never moved, so
     ``gather`` and ``result`` keep ``tensor``'s shape whatever the gate's axis order.
+    A batch's norm check computes its squared magnitudes in ``gather``.
     """
     shape = tensor.shape
     batched = len(shape) > n
@@ -216,7 +220,11 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
         checked = result.reshape(rows)
         # the checks are written so that a NaN norm counts as drift
         if batched:
-            norms = np.linalg.norm(checked, axis=0)
+            # a column norm's operations, in gather: no state-sized temporary per gate
+            sq = gather.reshape(rows)
+            np.conjugate(checked, out=sq)
+            np.multiply(sq, checked, out=sq)
+            norms = np.sqrt(sq.real.sum(axis=0))
             drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
             if drifted.any():
                 raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
@@ -258,8 +266,8 @@ def _draw_errors(program: Program, rates: list[float], rng) -> tuple:
 
 def _sample_noisy(
     circuit: Circuit, shots: int, initial, noise: NoiseConfig, seed: int
-) -> list[int]:
-    """Basis index of each shot under depolarizing noise.
+) -> np.ndarray:
+    """Shots per basis index under depolarizing noise.
 
     Every shot draws its error pattern and its sampling uniform from its own
     stream first; each distinct pattern is then simulated once, as one column
@@ -275,7 +283,7 @@ def _sample_noisy(
         rng = derive_rng(seed, "traj", noise.seed, shot)
         patterns.setdefault(_draw_errors(program, rates, rng), []).append(shot)
         uniforms[shot] = rng.random()
-    outcomes = np.empty(shots, dtype=np.int64)
+    counts = np.zeros(2**n, dtype=np.int64)
     distinct = list(patterns.items())
     width = max(1, _BATCH_AMPLITUDES >> n)
     for start in range(0, len(distinct), width):
@@ -290,23 +298,18 @@ def _sample_noisy(
             probs = np.abs(flat[:, column]) ** 2
             cumulative = np.cumsum(probs / probs.sum())
             picked = np.searchsorted(cumulative, uniforms[members], side="right")
-            outcomes[members] = np.minimum(picked, probs.size - 1)
-    return outcomes.tolist()
+            counts += np.bincount(np.minimum(picked, probs.size - 1), minlength=counts.size)
+    return counts
 
 
-def _outcome_key(index: int, measured: tuple[int, ...]) -> str:
-    return "".join(str((index >> q) & 1) for q in sorted(measured, reverse=True))
-
-
-def _marginal_probs(state: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
-    """Probabilities over measured qubits (ascending order = bit significance)."""
-    probs = np.abs(state) ** 2
-    tensor = probs.reshape((2,) * n)
+def _marginal(weights: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
+    """Sum a per-basis-index vector over the unmeasured qubits; the axes left run from
+    the highest measured qubit down, so each flat index prints as its outcome string."""
+    tensor = weights.reshape((2,) * n)
     drop = tuple(n - 1 - q for q in range(n) if q not in measured)
     if drop:
         tensor = tensor.sum(axis=drop)
-    flat = tensor.reshape(-1)
-    return flat / flat.sum()
+    return tensor.reshape(-1)
 
 
 def run(
@@ -326,22 +329,15 @@ def run(
     if noise is not None and noise.enabled and shots > _NOISY_SHOT_LIMIT:
         raise ValueError(f"{shots} shots too many for a noisy run (at most {_NOISY_SHOT_LIMIT})")
     measured = circuit.measured_qubits()
-    b = len(measured)
-    counts: dict[str, int] = {}
+    n = circuit.num_qubits
     if noise is None or not noise.enabled:
         state = statevector(circuit, initial)
-        # marginal axes run from the highest measured qubit down, so the flat
-        # index prints directly as the little-endian outcome string
-        probs = _marginal_probs(state, measured, circuit.num_qubits)
-        rng = derive_rng(seed, "sample")
-        sampled = rng.multinomial(shots, probs)
-        for flat_index, count in enumerate(sampled):
-            if count:
-                counts[format(flat_index, f"0{b}b")] = int(count)
+        probs = _marginal(np.abs(state) ** 2, measured, n)
+        sampled = derive_rng(seed, "sample").multinomial(shots, probs / probs.sum())
     else:
-        for index in _sample_noisy(circuit, shots, initial, noise, seed):
-            key = _outcome_key(index, measured)
-            counts[key] = counts.get(key, 0) + 1
+        sampled = _marginal(_sample_noisy(circuit, shots, initial, noise, seed), measured, n)
+    b = len(measured)
+    counts = {format(i, f"0{b}b"): int(count) for i, count in enumerate(sampled) if count}
     return Distribution(counts=counts, shots=shots, bits=b)
 
 

@@ -5,12 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qlock import parse_circuit
-from qlock.circuit import Barrier, Gate
+from qlock import locking, parse_circuit
+from qlock.circuit import Barrier, Circuit, Gate, Measure, layerize, metrics, phase_angle_of
 from qlock.locking import (
+    ANCILLA_REGISTER,
+    DUMMY_KINDS,
     Key,
     KeyEntry,
     ObfuscationPlan,
+    ObfuscationRecord,
     PlanError,
     Site,
     dense_plan,
@@ -20,7 +23,10 @@ from qlock.locking import (
     obfuscate,
     select_sites,
 )
+from qlock.rng import derive_rng
 from qlock.unlocking import find_ancilla
+
+from conftest import random_circuit
 
 
 def _gate(kind, *qubits, params=()):
@@ -324,6 +330,165 @@ def test_dummy_gates_random_option():
         (dummy,) = _section_gates(record.locked_circuit)
         kinds.add(dummy.kind)
     assert kinds > {"cx"}  # draws beyond the default controlled-x
+
+
+# --- differential: obfuscate against its block-by-block writer ---------------
+
+
+def _oracle_obfuscate(circuit, plan, seed=0, dummy_gates="cx"):
+    """``obfuscate`` as written before it kept one block list and one key list:
+    a barrier written as each block opens, four parallel key lists. Kept
+    as the oracle the rewrite is held to."""
+    layered = layerize(circuit)
+    locking._validate_plan(layered, plan)
+    if dummy_gates not in ("cx", "random"):
+        raise ValueError(f"dummy_gates must be 'cx' or 'random', got {dummy_gates!r}")
+    rng = derive_rng(seed, "obfuscate")
+    n = circuit.num_qubits
+    has_logic = bool(plan.logic_sites)
+    ancilla = n if has_logic else None
+    nq = n + (1 if has_logic else 0)
+    all_qubits = tuple(range(nq))
+
+    logic_by_layer = {}
+    for site in plan.logic_sites:
+        logic_by_layer.setdefault(site.layer, []).append(site)
+    phase_slots_by_boundary = {}
+    phase_gates_by_layer = {}
+    for site in plan.phase_sites:
+        if site.gate is None:
+            phase_slots_by_boundary.setdefault(site.layer, []).append(site)
+        else:
+            phase_gates_by_layer.setdefault(site.layer, {})[site.gate] = site
+
+    ops = []
+    block = -1
+    logic_bits, logic_entries, phase_bits, phase_entries = [], [], [], []
+
+    def open_block():
+        nonlocal block
+        if ops:
+            ops.append(Barrier(all_qubits))
+        block += 1
+        return block
+
+    for b in range(len(layered.layers) + 1):
+        slots = phase_slots_by_boundary.get(b)
+        if slots:
+            here = open_block()
+            for site in slots:
+                ops.append(Gate("rz", (locking._random_angle(rng),), (site.qubit,)))
+                phase_bits.append("000")
+                phase_entries.append(KeyEntry("phase", here, site.qubit, 3))
+        if b == len(layered.layers):
+            break
+        layer = layered.layers[b]
+        here = open_block()
+        section_sites = logic_by_layer.get(b, ())
+        section_gates = {s.gate for s in section_sites if s.gate is not None}
+        keyed_phase = phase_gates_by_layer.get(b, {})
+        converted = []
+        for g in layer.gates:
+            if g in section_gates:
+                continue
+            if g in keyed_phase:
+                kappa = normalize_phase_angle(phase_angle_of(g))
+                assert kappa is not None
+                ops.append(Gate("rz", (locking._random_angle(rng),), g.qubits))
+                converted.append((g.qubits[0], kappa))
+            else:
+                ops.append(g)
+        for qubit, kappa in sorted(converted):
+            phase_bits.append(format(kappa, "03b"))
+            phase_entries.append(KeyEntry("phase", here, qubit, 3))
+        for site in section_sites:
+            ops.append(Gate("h", (), (ancilla,)))
+            if site.gate is not None:
+                ops.append(locking._controlled_gate(site.gate, ancilla))
+                logic_bits.append("1")
+            else:
+                kind = (
+                    "cx" if dummy_gates == "cx" else DUMMY_KINDS[int(rng.integers(len(DUMMY_KINDS)))]
+                )
+                ops.append(Gate(kind, (), (ancilla, site.qubit)))
+                logic_bits.append("0")
+            logic_entries.append(KeyEntry("logic", here, site.qubit, 1))
+
+    if layered.measurements:
+        if ops:
+            ops.append(Barrier(all_qubits))
+        ops.extend(layered.measurements)
+
+    labels = circuit.qubit_labels + ((f"{ANCILLA_REGISTER}[0]",) if has_logic else ())
+    locked = Circuit(
+        num_qubits=nq,
+        num_clbits=circuit.num_clbits,
+        ops=tuple(ops),
+        qubit_labels=labels,
+        clbit_labels=circuit.clbit_labels,
+    )
+    key = Key(
+        bits="".join(logic_bits) + "".join(phase_bits),
+        schedule=tuple(logic_entries) + tuple(phase_entries),
+    )
+    return ObfuscationRecord(locked, key, metrics(circuit), metrics(locked))
+
+
+# a few equal gates, so that one phase gate recurs in several layers
+_RECURRING = (
+    _gate("t", 0), _gate("s", 1), _gate("p", 0, params=(math.pi / 2,)), _gate("h", 0),
+    _gate("x", 1), _gate("cx", 0, 1), _gate("rz", 1, params=(math.pi / 4,)),
+)
+
+
+def _recurring_circuit(rng):
+    picks = rng.integers(len(_RECURRING), size=int(rng.integers(4, 16)))
+    ops = [_RECURRING[int(i)] for i in picks]
+    if int(rng.integers(2)):
+        ops.insert(int(rng.integers(len(ops) + 1)), Barrier((0, 1)))
+    if int(rng.integers(2)):
+        ops += [Measure(0, 0), Measure(1, 1)]
+    return Circuit(2, 2, tuple(ops))
+
+
+def _plans(circuit, rng):
+    """Plans from both planners: every strategy, counts from 0 up, caps or none."""
+    layered = layerize(circuit)
+    n_logic, n_phase = len(locking._pool(layered, False)), len(locking._pool(layered, True))
+    for strategy in ("random", "lightcone"):
+        seed = int(rng.integers(2**32))
+        yield select_sites(circuit, 0, 0, strategy, seed)
+        yield select_sites(circuit, int(rng.integers(n_logic + 1)), 0, strategy, seed)
+        yield select_sites(circuit, 0, int(rng.integers(n_phase + 1)), strategy, seed)
+        yield select_sites(
+            circuit, int(rng.integers(n_logic + 1)), int(rng.integers(n_phase + 1)), strategy, seed
+        )
+        yield dense_plan(circuit, strategy, seed)
+        yield dense_plan(circuit, strategy, seed, int(rng.integers(4)), int(rng.integers(4)))
+
+
+def _keys_one_of_equal_phase_gates(circuit, plan):
+    """True when an equal phase gate recurs in two layers and only one is keyed."""
+    keyed = {(s.layer, s.gate) for s in plan.phase_sites if s.gate is not None}
+    layers = layerize(circuit).layers
+    unkeyed = {(j, g) for j, layer in enumerate(layers) for g in layer.gates} - keyed
+    return any(g == other for _, g in keyed for _, other in unkeyed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_obfuscate_matches_block_by_block_oracle(seed):
+    rng = np.random.default_rng(seed)
+    circuits = [random_circuit(rng, max_gates=14), _recurring_circuit(rng), _recurring_circuit(rng)]
+    cases = recurring = 0
+    for circuit in circuits:
+        for plan in _plans(circuit, rng):
+            recurring += _keys_one_of_equal_phase_gates(circuit, plan)
+            for dummy_gates in ("cx", "random"):
+                obf_seed = int(rng.integers(2**32))
+                record = obfuscate(circuit, plan, obf_seed, dummy_gates)
+                assert record == _oracle_obfuscate(circuit, plan, obf_seed, dummy_gates)
+                cases += 1
+    assert cases == 72 and recurring > 0
 
 
 # --- key files ---------------------------------------------------------------

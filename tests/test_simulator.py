@@ -449,6 +449,25 @@ def test_noisy_evolve_allocates_no_state_per_gate():
     assert peak <= 3.25 * tensor.nbytes
 
 
+def test_batch_norm_check_allocates_no_state_per_gate():
+    # every gate acts on qubit 11, axis 0, so the result comes back in natural
+    # order without a copy: gather and result, 2x the batch; a state-sized
+    # temporary per norm check would make it 3x
+    n, columns = 12, 4
+    kinds = ("h", "x", "y", "z", "s", "t") * 2
+    program = simulator._program(Circuit(n, 0, tuple(_gate(kind, 11) for kind in kinds)))
+    tensor = np.zeros((2,) * n + (columns,), dtype=complex)
+    tensor[(0,) * n] = 1.0
+    simulator._evolve(tensor, program, n)  # fills the permutation cache
+    tracemalloc.start()
+    try:
+        simulator._evolve(tensor, program, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * tensor.nbytes
+
+
 def test_statevector_results_do_not_share_memory():
     circuit = _wide_circuit(7, seed=2)
     first, second = statevector(circuit), statevector(circuit)
