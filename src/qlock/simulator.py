@@ -29,14 +29,18 @@ Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
 or ``p2`` (multi-qubit gates), a Pauli drawn uniformly from {X, Y, Z} is
-applied to each of the gate's qubits. Trajectory streams are derived per shot
-from the run seed, so serial and parallel execution agree. The draws never
+applied to each of the gate's qubits. Each shot keeps its own stream, derived
+from the run seed, so serial and parallel execution agree. The keys of all
+shots' streams come from one vectorized pass (``rng.philox_keys``, chunked),
+and one reused generator reads each stream from its key. The draws never
 depend on the state, so each shot's error pattern and sampling uniform are
-drawn first; each distinct pattern (most shots share the error-free one) is
-then simulated once, as one column of a batch, and every shot samples from
-its pattern's state. Streams, draws and counts are those of simulating each
-shot on its own. Both kinds of run end the same way: a vector over basis
-indices (noiseless probabilities, or noisy shot counts) is summed over the
+drawn first: an error-free shot is read from one block draw of its uniforms,
+and a shot that errs is replayed from its key, one draw at a time. Each
+distinct pattern (most shots share the error-free one) is then simulated
+once, as one column of a batch, and every shot samples from its pattern's
+state. Streams, draws and counts are those of simulating each shot on its
+own. Both kinds of run end the same way: a vector over basis indices
+(noiseless probabilities, or noisy shot counts) is summed over the
 unmeasured qubits, and each remaining index prints as its outcome string.
 """
 
@@ -50,15 +54,17 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .rng import derive_rng
+from .rng import derive_rng, philox_keys
 
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
 _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
-# a noisy run keeps per-shot state (uniforms, the pattern lists, their index arrays),
-# measured at ~64 bytes a shot: at up to 128 bytes, 2**23 shots stay within 1 GiB
+# a noisy run keeps per-shot state (uniforms, pattern ids, the shots grouped by pattern,
+# one pattern's gathered uniforms and picks), measured with tracemalloc at ~40 bytes
+# a shot over 2**20 shots: at up to 128 bytes, 2**23 shots stay within 1 GiB
 _NOISY_SHOT_LIMIT = 2**23
 _BATCH_AMPLITUDES = 2**18  # amplitudes one batch of noisy trajectories may hold
+_BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
 
 
 @dataclass(frozen=True)
@@ -270,33 +276,73 @@ def _sample_noisy(
     """Shots per basis index under depolarizing noise.
 
     Every shot draws its error pattern and its sampling uniform from its own
-    stream first; each distinct pattern is then simulated once, as one column
-    of a batch, and sampled for every shot that drew it.
+    stream, ``derive_rng(seed, "traj", noise.seed, shot)``, first; each
+    distinct pattern is then simulated once, as one column of a batch, and
+    sampled for every shot that drew it. One generator reads every stream: it
+    is set to each shot's key from ``philox_keys`` and draws the shot's
+    ``len(rates) + 1`` uniforms as one block. If no gate's uniform falls below
+    its rate, the shot drew no error and the last uniform is its sampling
+    uniform; otherwise the shot is drawn again through ``_draw_errors``, since
+    an error's ``integers(3)`` draws sit between the uniforms. Shots are drawn
+    in chunks of at most ``_BLOCK_DRAWS`` uniforms (one shot at least).
     """
     program = _program(circuit)
     n = circuit.num_qubits
     state = _initial_state(n, initial)
     rates = [noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program]
-    patterns: dict[tuple, list[int]] = {}
+    thresholds = np.array(rates)
+    bitgen = np.random.Philox(0)  # a fixed seed: every shot's key replaces it
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0 and an empty buffer: where every stream starts
+
+    def stream(key: np.ndarray) -> np.random.Generator:
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        return rng
+
+    patterns: dict[tuple, int] = {}  # pattern -> id, in first-shot order
+    ids = np.empty(shots, dtype=np.int32)  # each shot's pattern id
     uniforms = np.empty(shots)
-    for shot in range(shots):
-        rng = derive_rng(seed, "traj", noise.seed, shot)
-        patterns.setdefault(_draw_errors(program, rates, rng), []).append(shot)
-        uniforms[shot] = rng.random()
+    per_chunk = max(1, _BLOCK_DRAWS // (len(rates) + 1))
+    block = np.empty((min(per_chunk, shots), len(rates) + 1))
+    for first in range(0, shots, per_chunk):
+        keys = philox_keys(seed, "traj", noise.seed, count=min(per_chunk, shots - first), start=first)
+        draws = block[: len(keys)]
+        for key, row in zip(keys, draws):
+            stream(key).random(out=row)
+        chunk_ids = ids[first : first + len(keys)]
+        chunk_uniforms = uniforms[first : first + len(keys)]
+        chunk_uniforms[:] = draws[:, -1]
+        erring = (draws[:, :-1] < thresholds).any(axis=1)
+        claims = erring.copy()
+        claims[erring.argmin()] = True  # the chunk's first error-free shot, if any
+        for offset in np.flatnonzero(claims):
+            pattern = ()
+            if erring[offset]:
+                replay = stream(keys[offset])
+                pattern = _draw_errors(program, rates, replay)
+                chunk_uniforms[offset] = replay.random()
+            chunk_ids[offset] = patterns.setdefault(pattern, len(patterns))
+        if () in patterns:
+            chunk_ids[~erring] = patterns[()]
+    # pattern i's shots are order[bounds[i]:bounds[i + 1]]
+    order = np.argsort(ids)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ids))))
     counts = np.zeros(2**n, dtype=np.int64)
-    distinct = list(patterns.items())
+    distinct = list(patterns)
     width = max(1, _BATCH_AMPLITUDES >> n)
     for start in range(0, len(distinct), width):
         chunk = distinct[start : start + width]
         errors: dict[int, list] = {}
-        for column, (pattern, _) in enumerate(chunk):
+        for column, pattern in enumerate(chunk):
             for index, q, pauli in pattern:
                 errors.setdefault(index, []).append((column, q, _PAULI_LIST[pauli]))
         batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1)
         flat = _evolve(batch.reshape((2,) * n + (len(chunk),)), program, n, errors)
-        for column, (_, members) in enumerate(chunk):
+        for column in range(len(chunk)):
             probs = np.abs(flat[:, column]) ** 2
             cumulative = np.cumsum(probs / probs.sum())
+            members = order[bounds[start + column] : bounds[start + column + 1]]
             picked = np.searchsorted(cumulative, uniforms[members], side="right")
             counts += np.bincount(np.minimum(picked, probs.size - 1), minlength=counts.size)
     return counts

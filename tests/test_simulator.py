@@ -287,11 +287,33 @@ def noisy_cases():
 
 _NOISE_SETTINGS = [NoiseConfig(enabled=True, seed=3), NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=3)]
 
+# (noise, run seed or None for each case's index, _BLOCK_DRAWS or None to keep it)
+_PER_SHOT_CASES = {
+    "default": (_NOISE_SETTINGS[0], None, None),
+    "p0.3": (_NOISE_SETTINGS[1], None, None),
+    "no-errors": (NoiseConfig(enabled=True, p1=0.0, p2=0.0, seed=3), None, None),
+    "all-replayed": (NoiseConfig(enabled=True, p1=1.0, p2=1.0, seed=3), None, None),
+    "two-word-noise-seed": (NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=2**32 + 3), None, None),
+    "max-run-seed": (_NOISE_SETTINGS[1], 2**64 - 1, None),
+    "chunked-draws": (_NOISE_SETTINGS[1], None, 40),
+}
 
-@pytest.mark.parametrize("noise", _NOISE_SETTINGS, ids=["default", "p0.3"])
-def test_noisy_run_matches_per_shot_trajectories(noisy_cases, noise):
-    for seed, circuit in enumerate(noisy_cases):
+
+@pytest.mark.parametrize("noise, run_seed, block_draws", _PER_SHOT_CASES.values(), ids=_PER_SHOT_CASES)
+def test_noisy_run_matches_per_shot_trajectories(noisy_cases, monkeypatch, noise, run_seed, block_draws):
+    chunks = []
+    if block_draws is not None:
+        keys = simulator.philox_keys
+        monkeypatch.setattr(simulator, "_BLOCK_DRAWS", block_draws)
+        monkeypatch.setattr(
+            simulator, "philox_keys", lambda *a, **kw: chunks.append(kw["count"]) or keys(*a, **kw)
+        )
+    for index, circuit in enumerate(noisy_cases):
+        seed = index if run_seed is None else run_seed
+        chunks.clear()
         assert run(circuit, 30, noise=noise, seed=seed) == _per_shot_run(circuit, 30, noise, seed)
+        if block_draws is not None:  # 30 shots span several chunks, the last one short
+            assert len(chunks) > 1 and sum(chunks) == 30
 
 
 def test_noisy_run_initial_state_matches_per_shot_trajectories():
