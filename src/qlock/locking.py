@@ -11,12 +11,13 @@ key bit.
 Phase locking rewrites each selected phase gate as ``rz`` with a fresh uniform
 angle, recording the true angle as kappa = angle / (pi/4) in three key bits;
 empty phase slots gain a dummy ``rz`` with kappa 0. Dummy phase gates occupy
-their own phase blocks at layer boundaries, so circuits without any phase
-gates still accept phase keys.
+their own phase blocks at the boundary before a layer, so circuits without any
+phase gates still accept phase keys.
 
 Where a site may go is stated once. A logic site is a gate with a controlled
 form, or a qubit that a non-phase layer leaves free; a phase site is a phase
-gate whose angle lies on the pi/4 grid, or any qubit at a layer boundary.
+gate whose angle lies on the pi/4 grid, or any qubit at the boundary before a
+layer.
 ``select_sites`` and ``dense_plan`` choose among those candidates through one
 picker, and ``obfuscate`` refuses a plan with a site outside them.
 
@@ -69,8 +70,8 @@ class Site(NamedTuple):
     """One obfuscation location in the layered circuit.
 
     ``gate`` is the existing gate at the site, or None for an empty slot. For
-    phase slots, ``layer`` names the boundary the dummy block is inserted at
-    (0 = before the first layer, the layer count = after the last).
+    phase slots, ``layer`` names the boundary the dummy block is inserted at:
+    boundary ``i`` sits just before layer ``i``, and none follows the last.
     """
 
     layer: int
@@ -177,11 +178,13 @@ def _gate_sites(layered: LayeredCircuit, phase: bool) -> list[Site]:
 
 def _free_qubits(layered: LayeredCircuit, index: int, phase: bool) -> Sequence[int]:
     """The qubits an empty slot may take: every qubit of phase boundary
-    ``index`` (0 to the layer count), or the qubits non-phase layer ``index``
-    leaves untouched. Nothing for any other index."""
+    ``index``, the one just before layer ``index``, or the qubits non-phase
+    layer ``index`` leaves untouched. Nothing for any other index. No phase
+    boundary follows the last layer: a dummy rotation there would be diagonal
+    right before measurement, and no key value could change an outcome."""
     layers = layered.layers
     if phase:
-        return range(layered.num_qubits) if 0 <= index <= len(layers) else ()
+        return range(layered.num_qubits) if 0 <= index < len(layers) else ()
     if not 0 <= index < len(layers) or layers[index].kind != "nonphase":
         return ()
     touched = layers[index].touched()
@@ -191,8 +194,8 @@ def _free_qubits(layered: LayeredCircuit, index: int, phase: bool) -> Sequence[i
 def _pool(layered: LayeredCircuit, phase: bool) -> list[Site]:
     """Every site of one kind: the lockable gates, then the slots by layer
     (logic) or boundary (phase)."""
-    ends = len(layered.layers) + (1 if phase else 0)
-    slots = [Site(i, q) for i in range(ends) for q in _free_qubits(layered, i, phase)]
+    layers = range(len(layered.layers))
+    slots = [Site(i, q) for i in layers for q in _free_qubits(layered, i, phase)]
     return _gate_sites(layered, phase) + slots
 
 
@@ -266,8 +269,6 @@ def dense_plan(
         slots = [Site(i, q) for q in _free_qubits(layered, i, False)]
         if slots:
             logic += _pick(slots, 1, strategy, rng, rank, False)
-        # the slot sits before its layer: a dummy rotation after the final
-        # layer would be diagonal right before measurement and do nothing
         slots = [Site(i, q) for q in _free_qubits(layered, i, True)]
         phase += _pick(slots, 1, strategy, rng, rank, True)
 
@@ -347,21 +348,19 @@ def obfuscate(
     # one op list per barrier-delimited block, so a block's index is its position
     blocks: list[list] = []
     entries: list[tuple[KeyEntry, str]] = []
-    for b in range(len(layered.layers) + 1):
+    for b, layer in enumerate(layered.layers):
         slots = phase_slots_by_boundary.get(b)
         if slots:
             here = len(blocks)
             blocks.append([Gate("rz", (_random_angle(rng),), (s.qubit,)) for s in slots])
             entries += [(KeyEntry("phase", here, s.qubit, 3), "000") for s in slots]
-        if b == len(layered.layers):
-            break
         here = len(blocks)
         block: list = []
         section_sites = logic_by_layer.get(b, ())
         section_gates = {s.gate for s in section_sites if s.gate is not None}
         keyed_phase = keyed_by_layer.get(b, ())
         converted: list[tuple[int, int]] = []  # (qubit, kappa), key bits go qubit-minor
-        for g in layered.layers[b].gates:
+        for g in layer.gates:
             if g in section_gates:
                 continue  # re-emitted inside its key section below
             if g in keyed_phase:

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import IMPLICIT_PHASE_ANGLE, Circuit, Gate
 from .rng import derive_rng, philox_keys
 
 _NORM_TOL = 1e-10
@@ -141,11 +141,8 @@ _FIXED = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "s": _phase(math.pi / 2),
-    "sdg": _phase(-math.pi / 2),
-    "t": _phase(math.pi / 4),
-    "tdg": _phase(-math.pi / 4),
 }
+_FIXED.update({kind: _phase(angle) for kind, angle in IMPLICIT_PHASE_ANGLE.items()})
 _FIXED.update({f"c{kind}": _controlled(_FIXED[kind]) for kind in ("x", "y", "z", "h")})
 _FIXED["ccx"] = _controlled(_FIXED["cx"])
 _PAULI_LIST = (_FIXED["x"], _FIXED["y"], _FIXED["z"])
@@ -284,7 +281,10 @@ def _sample_noisy(
     its rate, the shot drew no error and the last uniform is its sampling
     uniform; otherwise the shot is drawn again through ``_draw_errors``, since
     an error's ``integers(3)`` draws sit between the uniforms. Shots are drawn
-    in chunks of at most ``_BLOCK_DRAWS`` uniforms (one shot at least).
+    in chunks of at most ``_BLOCK_DRAWS`` uniforms (one shot at least). The
+    error-free pattern is always pattern 0 (simulated even if no shot drew
+    it), so only shots that err are visited one by one; pattern order does
+    not matter, since ``_evolve`` evolves each batch column on its own.
     """
     program = _program(circuit)
     n = circuit.num_qubits
@@ -300,8 +300,8 @@ def _sample_noisy(
         bitgen.state = fresh
         return rng
 
-    patterns: dict[tuple, int] = {}  # pattern -> id, in first-shot order
-    ids = np.empty(shots, dtype=np.int32)  # each shot's pattern id
+    patterns: dict[tuple, int] = {(): 0}  # pattern -> id; the error-free one is 0
+    ids = np.zeros(shots, dtype=np.int32)  # each shot's pattern id
     uniforms = np.empty(shots)
     per_chunk = max(1, _BLOCK_DRAWS // (len(rates) + 1))
     block = np.empty((min(per_chunk, shots), len(rates) + 1))
@@ -310,21 +310,12 @@ def _sample_noisy(
         draws = block[: len(keys)]
         for key, row in zip(keys, draws):
             stream(key).random(out=row)
-        chunk_ids = ids[first : first + len(keys)]
-        chunk_uniforms = uniforms[first : first + len(keys)]
-        chunk_uniforms[:] = draws[:, -1]
-        erring = (draws[:, :-1] < thresholds).any(axis=1)
-        claims = erring.copy()
-        claims[erring.argmin()] = True  # the chunk's first error-free shot, if any
-        for offset in np.flatnonzero(claims):
-            pattern = ()
-            if erring[offset]:
-                replay = stream(keys[offset])
-                pattern = _draw_errors(program, rates, replay)
-                chunk_uniforms[offset] = replay.random()
-            chunk_ids[offset] = patterns.setdefault(pattern, len(patterns))
-        if () in patterns:
-            chunk_ids[~erring] = patterns[()]
+        uniforms[first : first + len(keys)] = draws[:, -1]
+        for offset in np.flatnonzero((draws[:, :-1] < thresholds).any(axis=1)):
+            replay = stream(keys[offset])
+            pattern = _draw_errors(program, rates, replay)
+            ids[first + offset] = patterns.setdefault(pattern, len(patterns))
+            uniforms[first + offset] = replay.random()
     # pattern i's shots are order[bounds[i]:bounds[i + 1]]
     order = np.argsort(ids)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(ids))))

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlock import benchmarks, cli, equivalent_up_to_global_phase, locking, parse_circuit, simulator, unlocking
 from qlock import circuit as qlock_circuit
@@ -105,23 +108,42 @@ def test_deobfuscate_key_length_mismatch_exit_3(tmp_path, adder_path):
     assert code == 3
 
 
+_BAD_ENTRY = "error: malformed key schedule entry: "
+
+
 @pytest.mark.parametrize(
-    "schedule",
+    "bits, schedule, message",
     [
-        5,
-        [{"kind": "logic", "layer": True, "qubit": 0, "span": 1}],
-        [{"kind": "logic", "layer": 0, "qubit": True, "span": 1}],
-        [{"kind": "logic", "layer": 0, "qubit": 0, "span": True}],
+        pytest.param("1", 5, "error: malformed key file: schedule must be a list", id="5"),
+        pytest.param(
+            "1", [{"kind": "logic", "layer": True, "qubit": 0, "span": 1}], _BAD_ENTRY, id="schedule1"
+        ),
+        pytest.param(
+            "1", [{"kind": "logic", "layer": 0, "qubit": True, "span": 1}], _BAD_ENTRY, id="schedule2"
+        ),
+        pytest.param(
+            "1", [{"kind": "logic", "layer": 0, "qubit": 0, "span": True}], _BAD_ENTRY, id="schedule3"
+        ),
+        pytest.param(
+            "1", [{"kind": "both", "layer": 0, "qubit": 0, "span": 1}],
+            "error: bad key entry kind 'both'", id="unknown-kind",
+        ),
+        pytest.param(
+            "11", [{"kind": "phase", "layer": 0, "qubit": 0, "span": 2}],
+            "error: phase entry must span 3 bits", id="phase-span-2",
+        ),
+        pytest.param(5, [], "error: malformed key file: bits must be a string", id="bits-not-string"),
+        pytest.param("1", [{"kind": "logic", "layer": 0, "span": 1}], _BAD_ENTRY, id="entry-without-qubit"),
     ],
 )
-def test_deobfuscate_malformed_schedule_exit_3(tmp_path, adder_path, capsys, schedule):
+def test_deobfuscate_malformed_schedule_exit_3(tmp_path, adder_path, capsys, bits, schedule, message):
     locked, _ = _obfuscate(tmp_path, adder_path)
     key = tmp_path / "bad_key.json"
-    key.write_text(json.dumps({"bits": "1", "schedule": schedule}))
+    key.write_text(json.dumps({"bits": bits, "schedule": schedule}))
     code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed key") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_deobfuscate_deeply_nested_key_exit_3(tmp_path, adder_path, capsys):
@@ -184,6 +206,106 @@ def test_deobfuscate_broken_lock_exit_3(tmp_path, adder_path, capsys, edit_locke
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "y.qasm").exists()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        pytest.param("OPENQASM;", "line 1, col 9: expected version number after OPENQASM", id="no-version"),
+        pytest.param("qreg q[0];", "register size must be positive", id="empty-register"),
+        pytest.param("qreg q[1]; rz(1/0) q[0];", "division by zero in angle expression", id="zero-division"),
+    ],
+)
+def test_stats_malformed_qasm_exit_2(tmp_path, capsys, source, message):
+    path = tmp_path / "bad.qasm"
+    path.write_text(source)
+    assert main(["stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_obfuscate_gateless_circuit_has_no_phase_site(tmp_path, capsys):
+    # no layer means no boundary before one: no phase slot to lock
+    path = tmp_path / "empty.qasm"
+    path.write_text("qreg q[2];")
+    out = [str(path), "-o", str(tmp_path / "x.qasm"), "--key", str(tmp_path / "k.json")]
+    assert main(["obfuscate", *out, "--phase-sites", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: requested 1 phase sites but only 0 are available\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_lock(tmp_path_factory):
+    """The adder's locked QASM lines and parsed key, and a directory to write edits in."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    adder = directory / "adder.qasm"
+    adder.write_text(benchmarks.load("adder_n4"))
+    locked, key = directory / "locked.qasm", directory / "key.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["obfuscate", str(adder), "-o", str(locked), "--key", str(key), "--seed", "5"]) == 0
+    return directory, locked.read_text().splitlines(), json.loads(key.read_text())
+
+
+_WRONG_VALUES = (None, "x", 1.5, -1, True, [], {"kind": "logic"}, 2**70)
+_GATE_NAMES = ("h", "x", "t", "cx", "ccx", "rz", "u3", "barrier", "measure", "bogus")
+
+
+def _fuzz_key(data, key: dict) -> None:
+    entries = key["schedule"]
+    edit = data.draw(st.sampled_from(("drop", "retype", "duplicate", "shuffle", "bits")))
+    if edit in ("drop", "retype"):
+        index = data.draw(st.integers(-1, len(entries) - 1))
+        target = key if index < 0 else entries[index]
+        field = data.draw(st.sampled_from(sorted(target)))
+        if edit == "drop":
+            del target[field]
+        else:
+            target[field] = data.draw(st.sampled_from(_WRONG_VALUES))
+    elif edit == "duplicate":
+        index = data.draw(st.integers(0, len(entries) - 1))
+        entries.insert(data.draw(st.integers(0, len(entries))), dict(entries[index]))
+        key["bits"] += data.draw(st.sampled_from(("", "1", "101")))
+    elif edit == "shuffle":
+        key["schedule"] = data.draw(st.permutations(entries))
+    else:
+        key["bits"] = data.draw(st.text("01", max_size=len(key["bits"]) + 4) | st.sampled_from(_WRONG_VALUES))
+
+
+def _fuzz_qasm(data, lines: list[str]) -> list[str]:
+    lines = list(lines)
+    edit = data.draw(st.sampled_from(("delete", "duplicate", "rename", "retarget", "none")))
+    index = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "delete":
+        del lines[index]
+    elif edit == "duplicate":
+        lines.insert(index, lines[index])
+    elif edit == "rename":
+        lines[index] = re.sub(r"^\w+", data.draw(st.sampled_from(_GATE_NAMES)), lines[index])
+    elif edit == "retarget":
+        found = [i for i, line in enumerate(lines) if "qk[0]" in line]
+        index = found[index % len(found)]
+        lines[index] = lines[index].replace("qk[0]", data.draw(st.sampled_from(("q[0]", "q[3]", "q[4]"))), 1)
+    return lines
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
+    # hand-edited locked files and keys end in exit 0, 2 or 3 with at most one
+    # stderr line, never in a traceback
+    directory, lines, key = fuzz_lock
+    key = json.loads(json.dumps(key))
+    if data.draw(st.booleans()):
+        _fuzz_key(data, key)
+    locked, key_path = directory / "edited.qasm", directory / "edited.json"
+    locked.write_text("\n".join(_fuzz_qasm(data, lines)) + "\n")
+    key_path.write_text(json.dumps(key))
+    for extra in ([], ["--no-simplify"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["deobfuscate", str(locked), str(key_path), "-o", str(directory / "out.qasm"), *extra])
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1
 
 
 def test_simulate_non_finite_parameter_exit_2(tmp_path, capsys):
@@ -338,9 +460,11 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
 
 # sha256 of every file a command writes. The noisy report was fixed before
 # noisy runs were batched, the simulate counts before the kernel dropped
-# np.moveaxis, the three select/uncapped obfuscate outputs before the site
-# rules and picker were merged, the others before evaluate and wrong_key_sweep
-# shared one loop and dense_plan's caps went through the shared site picker.
+# np.moveaxis, the select-lightcone and uncapped dense obfuscate outputs before
+# the site rules and picker were merged, the select-random one when the phase
+# boundary after the last layer stopped being a candidate, the others before
+# evaluate and wrong_key_sweep shared one loop and dense_plan's caps went
+# through the shared site picker.
 _GOLDEN = [
     pytest.param(
         ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
@@ -377,8 +501,8 @@ _GOLDEN = [
         ["obfuscate", "{adder}", "-o", "{out}/locked.qasm", "--key", "{out}/key.json", "--seed", "5",
          "--strategy", "random", "--logic-sites", "3", "--phase-sites", "4"],
         {
-            "key.json": "dcb4f8695c3ad4f7e52a146e4c7be8e47df1fd4439ca8f5263add0bbc64e931d",
-            "locked.qasm": "db66228695dab5110d4b0f6098a40cc0786bab69f37e9d01398cb7f5481eb085",
+            "key.json": "5da1485b9a77aff22d34db62c30deb056de4410c1be153e026a7b7a4b5286a68",
+            "locked.qasm": "55ff5aef7af4388064e4d433c1315534043e804466802c01a7755a5b821264c7",
         },
         id="obfuscate-select-random",
     ),

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qlock import locking, parse_circuit
+from qlock import benchmarks, locking, parse_circuit
 from qlock.circuit import Barrier, Circuit, Gate, Measure, layerize, metrics, phase_angle_of
 from qlock.locking import (
     ANCILLA_REGISTER,
@@ -136,7 +136,7 @@ def test_plan_slot_must_be_free():
 
 
 # layers: 0 non-phase {x q0}, 1 phase {t q1, rz(0.3) q2}, 2 non-phase {ccx},
-# 3 non-phase {h q0}; phase boundaries run 0..4
+# 3 non-phase {h q0}; phase boundaries run 0..3, each just before its layer
 _PLAN_CIRCUIT = "qreg q[3]; x q[0]; t q[1]; rz(0.3) q[2]; ccx q[0],q[1],q[2]; h q[0];"
 _X, _T, _RZ = _gate("x", 0), _gate("t", 1), _gate("rz", 2, params=(0.3,))
 
@@ -148,6 +148,7 @@ _X, _T, _RZ = _gate("x", 0), _gate("t", 1), _gate("rz", 2, params=(0.3,))
         pytest.param((Site(1, 0),), (), id="logic-slot-in-phase-layer"),
         pytest.param((Site(4, 1),), (), id="logic-layer-past-end"),
         pytest.param((Site(-1, 1),), (), id="logic-layer-negative"),
+        pytest.param((), (Site(4, 0),), id="phase-boundary-after-last-layer"),
         pytest.param((), (Site(5, 0),), id="phase-boundary-past-end"),
         pytest.param((), (Site(-1, 0),), id="phase-boundary-negative"),
         pytest.param((Site(0, 3),), (), id="logic-qubit-out-of-range"),
@@ -160,7 +161,7 @@ _X, _T, _RZ = _gate("x", 0), _gate("t", 1), _gate("rz", 2, params=(0.3,))
         pytest.param((), (Site(1, 2, _RZ),), id="off-grid-phase-gate"),
         pytest.param((Site(0, 1), Site(0, 1)), (), id="duplicate-logic-slot"),
         pytest.param((Site(0, 0, _X), Site(0, 0, _X)), (), id="duplicate-logic-gate"),
-        pytest.param((), (Site(4, 2), Site(4, 2)), id="duplicate-phase-slot"),
+        pytest.param((), (Site(3, 2), Site(3, 2)), id="duplicate-phase-slot"),
         pytest.param((), (Site(1, 1, _T), Site(1, 1, _T)), id="duplicate-phase-gate"),
     ],
 )
@@ -168,6 +169,22 @@ def test_plan_rejects_ineligible_site(logic, phase):
     circuit = parse_circuit(_PLAN_CIRCUIT)
     with pytest.raises(PlanError):
         obfuscate(circuit, ObfuscationPlan(logic, phase))
+
+
+def test_select_sites_offers_no_phase_slot_after_the_last_layer():
+    # a dummy rz there would sit right before measurement, where no key value
+    # could change an outcome (obfuscate refuses it: phase-boundary-after-last-layer)
+    after_last = entries = 0
+    for name in benchmarks.NAMES:
+        circuit = parse_circuit(benchmarks.load(name))
+        depth = len(layerize(circuit).layers)
+        for strategy in ("random", "lightcone"):
+            for seed in range(20):
+                for k in (4, 8):
+                    plan = select_sites(circuit, 0, k, strategy, seed)
+                    after_last += sum(s.layer == depth for s in plan.phase_sites)
+                    entries += len(plan.phase_sites)
+    assert (after_last, entries) == (0, 1920)  # 74 of 1,920 when that slot was offered
 
 
 def test_plan_gate_site_sits_on_lowest_qubit():

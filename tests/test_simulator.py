@@ -343,6 +343,44 @@ def test_noisy_run_chunked_batches_match(noisy_cases, monkeypatch):
         assert got == _per_shot_run(circuit, 30, noise, seed)
 
 
+def _batch_errors(patterns):
+    """A batch's insertions as ``_sample_noisy`` builds them: pattern i in column i."""
+    errors = {}
+    for column, pattern in enumerate(patterns):
+        for index, q, pauli in pattern:
+            errors.setdefault(index, []).append((column, q, simulator._PAULI_LIST[pauli]))
+    return errors
+
+
+def _evolve_batch(circuit, patterns):
+    n = circuit.num_qubits
+    batch = np.repeat(zero_state(n).reshape(-1, 1), len(patterns), axis=1)
+    tensor = batch.reshape((2,) * n + (len(patterns),))
+    return simulator._evolve(tensor, simulator._program(circuit), n, _batch_errors(patterns))
+
+
+def test_batch_columns_do_not_depend_on_their_position(noisy_cases):
+    # _sample_noisy puts its error patterns in batch columns in no particular
+    # order, so each column must come out the same wherever it sits
+    noise = _NOISE_SETTINGS[1]
+    for circuit in noisy_cases[1::2]:  # every circuit behind a Haar input layer
+        program = simulator._program(circuit)
+        rates = [noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program]
+        drawn = (
+            simulator._draw_errors(program, rates, derive_rng(0, "traj", noise.seed, shot))
+            for shot in range(12)
+        )
+        patterns = [()] + sorted(set(drawn) - {()})
+        assert len(patterns) > 2
+        batch = _evolve_batch(circuit, patterns)
+        permuted = np.random.default_rng(len(patterns)).permutation(len(patterns))
+        shuffled = _evolve_batch(circuit, [patterns[i] for i in permuted])
+        for column, pattern in enumerate(patterns):
+            assert np.array_equal(batch[:, column], _evolve_batch(circuit, [pattern])[:, 0])
+        for column, source in enumerate(permuted):
+            assert np.array_equal(shuffled[:, column], batch[:, source])
+
+
 # --- the kernel against the moveaxis + linalg.norm loop it replaced ----------
 
 def _oracle_apply_matrix(tensor, mat, qubits, n):
