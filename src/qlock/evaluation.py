@@ -259,7 +259,7 @@ def wrong_key_sweep(
     """The wrong-key sweep of ``evaluate(..., wrong_keys=n_keys)`` alone; None
     for no keys. The CLI calls ``evaluate``. This function is kept because the
     benchmark's tracer (``perfbench/tracer.py``) wraps it by name; ROADMAP
-    item 3 records its removal once the benchmark may change.
+    item 4 records its removal once the benchmark may change.
     """
     return evaluate(original, record, replace(config, modes=()), n_keys).wrong_key_sweep
 

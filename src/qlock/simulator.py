@@ -29,39 +29,40 @@ Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
 or ``p2`` (multi-qubit gates), a Pauli drawn uniformly from {X, Y, Z} is
-applied to each of the gate's qubits. Each shot keeps its own stream, derived
-from the run seed, so serial and parallel execution agree. The keys of all
-shots' streams come from one vectorized pass (``rng.philox_keys``, chunked),
-and one reused generator reads each stream from its key. The draws never
-depend on the state, so each shot's error pattern and sampling uniform are
-drawn first: an error-free shot is read from one block draw of its uniforms,
-and a shot that errs is replayed from its key, one draw at a time. Each
+applied to each of the gate's qubits. The draws never depend on the state,
+so a run draws every shot's error pattern first: one stream per run fills a
+(shots, gates) block of uniforms, one per gate of each shot, and a uniform
+below its gate's rate both marks the error and picks its Paulis. Each
 distinct pattern (most shots share the error-free one) is then simulated
-once, as one column of a batch, and every shot samples from its pattern's
-state. Streams, draws and counts are those of simulating each shot on its
-own. Both kinds of run end the same way: a vector over basis indices
-(noiseless probabilities, or noisy shot counts) is summed over the
-unmeasured qubits, and each remaining index prints as its outcome string.
+once, as one column of a batch. Every run ends the same way: each group of
+shots (a noiseless run's one state, or a noisy run's patterns, the
+error-free one first) has its probabilities summed over the unmeasured
+qubits and draws its shots with one multinomial from the run's sampling
+stream, and each remaining index prints as its outcome string. A noisy run
+that draws no error therefore gives the noiseless counts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .circuit import IMPLICIT_PHASE_ANGLE, Circuit, Gate
-from .rng import derive_rng, philox_keys
+from .rng import derive_rng
 
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
 _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
-# a noisy run keeps per-shot state (uniforms, pattern ids, the shots grouped by pattern,
-# one pattern's gathered uniforms and picks), measured with tracemalloc at ~40 bytes
-# a shot over 2**20 shots: at up to 128 bytes, 2**23 shots stay within 1 GiB
+# a noisy run keeps no per-shot arrays, only one chunk of draws and a shot count per
+# distinct error pattern. tracemalloc peaks of a 1-gate run over 2**20 shots: 2.3 bytes
+# a shot at p1 = 0.001, 12 at p1 = 0.5, so repeated patterns keep 2**23 shots within
+# 128 MB; where nearly every shot draws its own pattern (20 gates at p = 0.3) each
+# pattern costs ~1.2 KB, which this limit does not bound below 10 GB
 _NOISY_SHOT_LIMIT = 2**23
 _BATCH_AMPLITUDES = 2**18  # amplitudes one batch of noisy trajectories may hold
 _BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
@@ -253,90 +254,69 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     return _evolve(_initial_state(n, initial).reshape((2,) * n), program, n)
 
 
-def _draw_errors(program: Program, rates: list[float], rng) -> tuple:
-    """One shot's error pattern: (program index, qubit, Pauli index) triples.
+def _error_patterns(program: Program, noise: NoiseConfig, draws: np.ndarray) -> Iterator[tuple]:
+    """The error patterns of the shots in ``draws`` that err, one row of gate uniforms per shot.
 
-    The draws depend on the error rates only, never on the state: one uniform
-    per gate (keeping paired runs on common random numbers), then one
-    ``integers(3)`` per qubit of a gate that errs.
+    Gate ``g`` errs when its uniform ``u`` falls below its rate; ``u / rate``
+    is then itself uniform, so the Paulis on the gate's ``k`` qubits are the
+    base-3 digits of the pick ``int(u / rate * 3**k)``, its first listed qubit
+    taking the least significant one (0, 1, 2: X, Y, Z). The pick stays below
+    ``3**k``: ``u < rate`` keeps the rounded quotient at most ``1 - 2**-53``,
+    and that times a number that is no power of two rounds below it. A pattern
+    is the shot's (gate, pick) pairs in gate order.
     """
-    pattern = []
-    for index, p in enumerate(rates):
-        if rng.random() < p:
-            pattern.extend((index, q, int(rng.integers(3))) for q in program[index][1])
-    return tuple(pattern)
+    rates = np.array([noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program])
+    sizes = np.array([3 ** len(qubits) for _, qubits in program])
+    rows, gates = np.nonzero(draws < rates)
+    picks = (draws[rows, gates] / rates[gates] * sizes[gates]).astype(np.int64)
+    bounds = np.flatnonzero(np.diff(rows, prepend=-1)).tolist() + [len(rows)]
+    gates, picks = gates.tolist(), picks.tolist()
+    return (tuple(zip(gates[a:b], picks[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
+def _insertions(program: Program, patterns: list[tuple]) -> dict[int, list]:
+    """``_evolve``'s ``errors`` for a batch holding pattern ``i`` in column ``i``."""
+    errors: dict[int, list] = {}
+    for column, pattern in enumerate(patterns):
+        for index, pick in pattern:
+            for q in program[index][1]:
+                pick, pauli = divmod(pick, 3)
+                errors.setdefault(index, []).append((column, q, _PAULI_LIST[pauli]))
+    return errors
 
 
 def _sample_noisy(
     circuit: Circuit, shots: int, initial, noise: NoiseConfig, seed: int
-) -> np.ndarray:
-    """Shots per basis index under depolarizing noise.
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(probabilities over basis indices, shots) for each error pattern a noisy run draws.
 
-    Every shot draws its error pattern and its sampling uniform from its own
-    stream, ``derive_rng(seed, "traj", noise.seed, shot)``, first; each
-    distinct pattern is then simulated once, as one column of a batch, and
-    sampled for every shot that drew it. One generator reads every stream: it
-    is set to each shot's key from ``philox_keys`` and draws the shot's
-    ``len(rates) + 1`` uniforms as one block. If no gate's uniform falls below
-    its rate, the shot drew no error and the last uniform is its sampling
-    uniform; otherwise the shot is drawn again through ``_draw_errors``, since
-    an error's ``integers(3)`` draws sit between the uniforms. Shots are drawn
-    in chunks of at most ``_BLOCK_DRAWS`` uniforms (one shot at least). The
-    error-free pattern is always pattern 0 (simulated even if no shot drew
-    it), so only shots that err are visited one by one; pattern order does
-    not matter, since ``_evolve`` evolves each batch column on its own.
+    One stream, ``derive_rng(seed, "traj", noise.seed)``, fills a ``(shots,
+    gates)`` block of uniforms row by row, in chunks of at most
+    ``_BLOCK_DRAWS`` uniforms (one shot at least), so chunking never changes a
+    draw; ``_error_patterns`` reads each shot's row. Each distinct pattern, the
+    error-free one first (simulated even if every shot errs) and the rest in
+    first-occurrence order, is simulated once, as one column of a batch, and
+    ``run`` draws its shots with one multinomial, as it draws a noiseless run's.
     """
     program = _program(circuit)
     n = circuit.num_qubits
     state = _initial_state(n, initial)
-    rates = [noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program]
-    thresholds = np.array(rates)
-    bitgen = np.random.Philox(0)  # a fixed seed: every shot's key replaces it
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0 and an empty buffer: where every stream starts
-
-    def stream(key: np.ndarray) -> np.random.Generator:
-        fresh["state"]["key"] = key
-        bitgen.state = fresh
-        return rng
-
-    patterns: dict[tuple, int] = {(): 0}  # pattern -> id; the error-free one is 0
-    ids = np.zeros(shots, dtype=np.int32)  # each shot's pattern id
-    uniforms = np.empty(shots)
-    per_chunk = max(1, _BLOCK_DRAWS // (len(rates) + 1))
-    block = np.empty((min(per_chunk, shots), len(rates) + 1))
+    rng = derive_rng(seed, "traj", noise.seed)
+    patterns = {(): 0}  # pattern -> shots that drew it; the error-free count is set last
+    per_chunk = max(1, _BLOCK_DRAWS // max(1, len(program)))
+    block = np.empty((min(per_chunk, shots), len(program)))
     for first in range(0, shots, per_chunk):
-        keys = philox_keys(seed, "traj", noise.seed, count=min(per_chunk, shots - first), start=first)
-        draws = block[: len(keys)]
-        for key, row in zip(keys, draws):
-            stream(key).random(out=row)
-        uniforms[first : first + len(keys)] = draws[:, -1]
-        for offset in np.flatnonzero((draws[:, :-1] < thresholds).any(axis=1)):
-            replay = stream(keys[offset])
-            pattern = _draw_errors(program, rates, replay)
-            ids[first + offset] = patterns.setdefault(pattern, len(patterns))
-            uniforms[first + offset] = replay.random()
-    # pattern i's shots are order[bounds[i]:bounds[i + 1]]
-    order = np.argsort(ids)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(ids))))
-    counts = np.zeros(2**n, dtype=np.int64)
+        for pattern in _error_patterns(program, noise, rng.random(out=block[: shots - first])):
+            patterns[pattern] = patterns.get(pattern, 0) + 1
+    patterns[()] = shots - sum(patterns.values())
     distinct = list(patterns)
     width = max(1, _BATCH_AMPLITUDES >> n)
     for start in range(0, len(distinct), width):
         chunk = distinct[start : start + width]
-        errors: dict[int, list] = {}
-        for column, pattern in enumerate(chunk):
-            for index, q, pauli in pattern:
-                errors.setdefault(index, []).append((column, q, _PAULI_LIST[pauli]))
         batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1)
-        flat = _evolve(batch.reshape((2,) * n + (len(chunk),)), program, n, errors)
-        for column in range(len(chunk)):
-            probs = np.abs(flat[:, column]) ** 2
-            cumulative = np.cumsum(probs / probs.sum())
-            members = order[bounds[start + column] : bounds[start + column + 1]]
-            picked = np.searchsorted(cumulative, uniforms[members], side="right")
-            counts += np.bincount(np.minimum(picked, probs.size - 1), minlength=counts.size)
-    return counts
+        flat = _evolve(batch.reshape((2,) * n + (len(chunk),)), program, n, _insertions(program, chunk))
+        for column, pattern in enumerate(chunk):
+            yield np.abs(flat[:, column]) ** 2, patterns[pattern]
 
 
 def _marginal(weights: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
@@ -369,10 +349,14 @@ def run(
     n = circuit.num_qubits
     if noise is None or not noise.enabled:
         state = statevector(circuit, initial)
-        probs = _marginal(np.abs(state) ** 2, measured, n)
-        sampled = derive_rng(seed, "sample").multinomial(shots, probs / probs.sum())
+        groups = [(np.abs(state) ** 2, shots)]
     else:
-        sampled = _marginal(_sample_noisy(circuit, shots, initial, noise, seed), measured, n)
+        groups = _sample_noisy(circuit, shots, initial, noise, seed)
+    rng = derive_rng(seed, "sample")
+    sampled = 0
+    for weights, count in groups:
+        probs = _marginal(weights, measured, n)
+        sampled = sampled + rng.multinomial(count, probs / probs.sum())
     b = len(measured)
     counts = {format(i, f"0{b}b"): int(count) for i, count in enumerate(sampled) if count}
     return Distribution(counts=counts, shots=shots, bits=b)

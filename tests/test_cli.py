@@ -292,7 +292,7 @@ def _fuzz_qasm(data, lines: list[str]) -> list[str]:
 @given(data=st.data())
 def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
     # hand-edited locked files and keys end in exit 0, 2 or 3 with at most one
-    # stderr line, never in a traceback
+    # stderr line, never in a traceback, through deobfuscate and evaluate
     directory, lines, key = fuzz_lock
     key = json.loads(json.dumps(key))
     if data.draw(st.booleans()):
@@ -300,10 +300,18 @@ def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
     locked, key_path = directory / "edited.qasm", directory / "edited.json"
     locked.write_text("\n".join(_fuzz_qasm(data, lines)) + "\n")
     key_path.write_text(json.dumps(key))
-    for extra in ([], ["--no-simplify"]):
+    deobfuscate = ["deobfuscate", str(locked), str(key_path), "-o", str(directory / "out.qasm")]
+    evaluate = [
+        "evaluate", str(directory / "adder.qasm"), str(locked), str(key_path),
+        "-o", str(directory / "report.json"), "--inputs", "1", "--shots", "10",
+    ]
+    for argv in (
+        deobfuscate, [*deobfuscate, "--no-simplify"],
+        evaluate, [*evaluate, "--noise"], [*evaluate, "--wrong-key-sweep", "2"],
+    ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["deobfuscate", str(locked), str(key_path), "-o", str(directory / "out.qasm"), *extra])
+            code = main(argv)
         assert code in (0, 2, 3)
         assert err.getvalue().count("\n") <= 1
 
@@ -458,8 +466,9 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
     assert sum(json.loads(counts.read_text())["counts"].values()) == 64
 
 
-# sha256 of every file a command writes. The noisy report was fixed before
-# noisy runs were batched, the simulate counts before the kernel dropped
+# sha256 of every file a command writes. The noisy report and noisy counts
+# were fixed when noisy runs moved to one stream of error draws and one
+# multinomial per error pattern, the noiseless counts before the kernel dropped
 # np.moveaxis, the select-lightcone and uncapped dense obfuscate outputs before
 # the site rules and picker were merged, the select-random one when the phase
 # boundary after the last layer stopped being a candidate, the others before
@@ -469,7 +478,7 @@ _GOLDEN = [
     pytest.param(
         ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
          "--noise", "--inputs", "1", "--seed", "4"],
-        {"report.json": "ffab5ad0d68bd0512c0bf2a0fdfe057d26d1e3c47472ea5ec8ccf3c6cfd069f2"},
+        {"report.json": "b67712176f095310763957a2c6bf03fd8523aa9ad1a19ef3930cd56593e0b373"},
         id="evaluate-noise",
     ),
     pytest.param(
@@ -485,7 +494,7 @@ _GOLDEN = [
     ),
     pytest.param(
         ["simulate", "{locked}", "-o", "{out}/counts.json", "--seed", "3", "--noise"],
-        {"counts.json": "df3c3068e7cdc02a14c71fd230ab822dc3fdc3fa3aac28af5e7c9ba99f6c3ed1"},
+        {"counts.json": "ca0ddbc3edca30bae067219c37faa035ea0ab16a9e1c646c11d58e75ee72eb9e"},
         id="simulate-noise",
     ),
     pytest.param(

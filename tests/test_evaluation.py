@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qlock import parse_circuit
+from qlock import evaluation, parse_circuit
 from qlock.circuit import Gate
 from qlock.evaluation import (
     EvalConfig,
@@ -22,6 +22,7 @@ from qlock.evaluation import (
 )
 from qlock.locking import ObfuscationPlan, dense_plan, obfuscate
 from qlock.simulator import Distribution, NoiseConfig
+from qlock.simulator import run as simulate
 
 
 def _dist(counts, shots, bits=1):
@@ -206,9 +207,18 @@ def test_evaluate_zero_plan_restored_matches_combined():
     assert abs(report.mean["restored"] - report.mean["combined"]) < 0.1
 
 
-def test_noise_config_attached_to_report(wstate_record):
+def test_noise_config_attached_to_report(wstate_record, monkeypatch):
+    # TVDs are multiples of 1/shots, so they can coincide with and without
+    # noise; the runs themselves show whether the noise config reaches them
     circuit, record = wstate_record
-    reports = [
+    runs = {False: [], True: []}
+
+    def recording(*args, noise, **kwargs):
+        runs[noise.enabled].append(simulate(*args, noise=noise, **kwargs))
+        return runs[noise.enabled][-1]
+
+    monkeypatch.setattr(evaluation, "run", recording)
+    for enabled in (False, True):
         evaluate(
             circuit,
             record,
@@ -217,9 +227,8 @@ def test_noise_config_attached_to_report(wstate_record):
                 modes=("restored",),
             ),
         )
-        for enabled in (False, True)
-    ]
-    assert reports[0].per_input != reports[1].per_input  # the noise config reaches the runs
+    assert len(runs[False]) == len(runs[True]) == 4
+    assert runs[False] != runs[True]
 
 
 def test_wrong_key_sweep_histogram(wstate_record):

@@ -238,35 +238,43 @@ def test_state_size_guard_refuses_before_allocating(monkeypatch):
         run(big, 10, noise=NoiseConfig(enabled=True))
 
 
-# --- noisy run against the per-shot trajectory loop it replaced ---------------
+# --- noisy run against a naive per-shot loop -------------------------------------
 
-def _trajectory(circuit, initial, noise, rng):
+def _trajectory(circuit, initial, noise, row):
+    """One shot, one plain gate at a time, reading its row of uniforms: its
+    final state and its errors as (gate, qubit, Pauli) triples."""
     n = circuit.num_qubits
     state = zero_state(n) if initial is None else np.asarray(initial, dtype=complex)
-    paulis = ("x", "y", "z")
-    for op in circuit.ops:
-        if not isinstance(op, Gate):
-            continue
+    errors = []
+    for index, (op, u) in enumerate(zip(circuit.gates(), row)):
         state = statevector(Circuit(n, 0, (op,)), state)
-        p = noise.p1 if len(op.qubits) == 1 else noise.p2
-        if rng.random() < p:
-            for q in op.qubits:
-                kind = paulis[rng.integers(3)]
+        rate = noise.p1 if len(op.qubits) == 1 else noise.p2
+        if u < rate:
+            pick = int(u / rate * 3 ** len(op.qubits))
+            for place, q in enumerate(op.qubits):
+                kind = "xyz"[pick // 3**place % 3]
                 state = statevector(Circuit(n, 0, (Gate(kind, (), (q,)),)), state)
-    return state
+                errors.append((index, q, kind))
+    return state, tuple(errors)
 
 
 def _per_shot_run(circuit, shots, noise, seed, initial=None):
-    measured = circuit.measured_qubits()
+    uniforms = derive_rng(seed, "traj", noise.seed).random((shots, len(circuit.gates())))
+    groups = {(): []}  # errors -> each shot's state: error-free first, then first occurrence
+    for row in uniforms:
+        state, errors = _trajectory(circuit, initial, noise, row)
+        groups.setdefault(errors, []).append(state)
+    measured = sorted(circuit.measured_qubits(), reverse=True)
+    rng = derive_rng(seed, "sample")
     counts: dict[str, int] = {}
-    for shot in range(shots):
-        rng = derive_rng(seed, "traj", noise.seed, shot)
-        state = _trajectory(circuit, initial, noise, rng)
-        probs = np.abs(state) ** 2
-        cumulative = np.cumsum(probs / probs.sum())
-        index = min(int(np.searchsorted(cumulative, rng.random(), side="right")), probs.size - 1)
-        key = "".join(str((index >> q) & 1) for q in sorted(measured, reverse=True))
-        counts[key] = counts.get(key, 0) + 1
+    for states in filter(None, groups.values()):
+        probs = np.zeros(2 ** len(measured))
+        for index, weight in enumerate(np.abs(states[0]) ** 2):
+            probs[int("".join(str((index >> q) & 1) for q in measured), 2)] += weight
+        for outcome, count in enumerate(rng.multinomial(len(states), probs / probs.sum())):
+            if count:
+                key = format(outcome, f"0{len(measured)}b")
+                counts[key] = counts.get(key, 0) + int(count)
     return Distribution(counts=counts, shots=shots, bits=len(measured))
 
 
@@ -299,14 +307,28 @@ _PER_SHOT_CASES = {
 }
 
 
+class _RecordingRng:
+    """A generator that records how many rows each block draw fills."""
+
+    def __init__(self, rng, rows):
+        self._rng, self._rows = rng, rows
+
+    def random(self, *, out):
+        self._rows.append(len(out))
+        return self._rng.random(out=out)
+
+
 @pytest.mark.parametrize("noise, run_seed, block_draws", _PER_SHOT_CASES.values(), ids=_PER_SHOT_CASES)
 def test_noisy_run_matches_per_shot_trajectories(noisy_cases, monkeypatch, noise, run_seed, block_draws):
     chunks = []
     if block_draws is not None:
-        keys = simulator.philox_keys
         monkeypatch.setattr(simulator, "_BLOCK_DRAWS", block_draws)
         monkeypatch.setattr(
-            simulator, "philox_keys", lambda *a, **kw: chunks.append(kw["count"]) or keys(*a, **kw)
+            simulator,
+            "derive_rng",
+            lambda seed, *path: (
+                _RecordingRng(derive_rng(seed, *path), chunks) if path[0] == "traj" else derive_rng(seed, *path)
+            ),
         )
     for index, circuit in enumerate(noisy_cases):
         seed = index if run_seed is None else run_seed
@@ -314,6 +336,51 @@ def test_noisy_run_matches_per_shot_trajectories(noisy_cases, monkeypatch, noise
         assert run(circuit, 30, noise=noise, seed=seed) == _per_shot_run(circuit, 30, noise, seed)
         if block_draws is not None:  # 30 shots span several chunks, the last one short
             assert len(chunks) > 1 and sum(chunks) == 30
+
+
+def test_noisy_run_without_errors_equals_noiseless_run(noisy_cases):
+    noise = NoiseConfig(enabled=True, p1=0.0, p2=0.0, seed=3)
+    for index, circuit in enumerate(noisy_cases):
+        for seed in (index, index + 100, 2**64 - 1):
+            assert run(circuit, 50, noise=noise, seed=seed) == run(circuit, 50, seed=seed)
+
+
+def _paulis(errors, index):
+    """Each column's Pauli indices at program index ``index``, in qubit order."""
+    columns: dict[int, list] = {}
+    for column, _, pauli in errors[index]:
+        columns.setdefault(column, []).append(next(i for i, m in enumerate(simulator._PAULI_LIST) if m is pauli))
+    return np.array(list(columns.values()))
+
+
+def test_error_paulis_are_uniform():
+    # at p1 = p2 = 1 every gate errs, so every Pauli and every pair on a
+    # 2-qubit gate is equally likely
+    circuit = Circuit(3, 0, (_gate("h", 0), _gate("cx", 2, 0), _gate("ccx", 1, 2, 0)))
+    program = simulator._program(circuit)
+    noise = NoiseConfig(enabled=True, p1=1.0, p2=1.0, seed=0)
+    shots = 9000
+    draws = derive_rng(0, "traj", 0).random((shots, len(program)))
+    patterns = list(simulator._error_patterns(program, noise, draws))
+    assert len(patterns) == shots
+    errors = simulator._insertions(program, patterns)
+    for index, (_, qubits) in enumerate(program):
+        paulis = _paulis(errors, index)
+        assert paulis.shape == (shots, len(qubits))
+        for place in range(len(qubits)):
+            assert stats.chisquare(np.bincount(paulis[:, place], minlength=3)).pvalue > 0.001
+    pairs = _paulis(errors, 1)
+    joint = np.bincount(3 * pairs[:, 0] + pairs[:, 1], minlength=9)
+    assert stats.chisquare(joint).pvalue > 0.001
+
+
+def test_error_pick_stays_below_three_to_the_k():
+    # the largest u below the rate gives the largest digits, never a pick of 3**k
+    program = simulator._program(Circuit(3, 0, (_gate("h", 0), _gate("cx", 0, 1), _gate("ccx", 0, 1, 2))))
+    for rate in (1.0, 0.5, 0.1, 1 / 3, 1e-3, 1e-10, 1e-300, 1e-320):
+        noise = NoiseConfig(enabled=True, p1=rate, p2=rate)
+        draws = np.full((1, len(program)), np.nextafter(rate, 0))
+        assert list(simulator._error_patterns(program, noise, draws)) == [((0, 2), (1, 8), (2, 26))]
 
 
 def test_noisy_run_initial_state_matches_per_shot_trajectories():
@@ -343,34 +410,26 @@ def test_noisy_run_chunked_batches_match(noisy_cases, monkeypatch):
         assert got == _per_shot_run(circuit, 30, noise, seed)
 
 
-def _batch_errors(patterns):
-    """A batch's insertions as ``_sample_noisy`` builds them: pattern i in column i."""
-    errors = {}
-    for column, pattern in enumerate(patterns):
-        for index, q, pauli in pattern:
-            errors.setdefault(index, []).append((column, q, simulator._PAULI_LIST[pauli]))
-    return errors
-
-
 def _evolve_batch(circuit, patterns):
     n = circuit.num_qubits
+    program = simulator._program(circuit)
     batch = np.repeat(zero_state(n).reshape(-1, 1), len(patterns), axis=1)
     tensor = batch.reshape((2,) * n + (len(patterns),))
-    return simulator._evolve(tensor, simulator._program(circuit), n, _batch_errors(patterns))
+    return simulator._evolve(tensor, program, n, simulator._insertions(program, patterns))
+
+
+def _drawn_patterns(circuit, noise, shots):
+    """The distinct error patterns of ``shots`` shots of a run with seed 0, error-free first."""
+    program = simulator._program(circuit)
+    draws = derive_rng(0, "traj", noise.seed).random((shots, len(program)))
+    return [()] + sorted(set(simulator._error_patterns(program, noise, draws)))
 
 
 def test_batch_columns_do_not_depend_on_their_position(noisy_cases):
-    # _sample_noisy puts its error patterns in batch columns in no particular
-    # order, so each column must come out the same wherever it sits
-    noise = _NOISE_SETTINGS[1]
+    # each batch column must come out the same wherever it sits, and as when
+    # evolved alone
     for circuit in noisy_cases[1::2]:  # every circuit behind a Haar input layer
-        program = simulator._program(circuit)
-        rates = [noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program]
-        drawn = (
-            simulator._draw_errors(program, rates, derive_rng(0, "traj", noise.seed, shot))
-            for shot in range(12)
-        )
-        patterns = [()] + sorted(set(drawn) - {()})
+        patterns = _drawn_patterns(circuit, _NOISE_SETTINGS[1], 12)
         assert len(patterns) > 2
         batch = _evolve_batch(circuit, patterns)
         permuted = np.random.default_rng(len(patterns)).permutation(len(patterns))
@@ -580,13 +639,12 @@ def test_norm_check_is_per_column(monkeypatch):
     # Z errors scale by 1 + 3e-10, above the 1e-10 tolerance in their own
     # column but below it in any norm pooled over the batch's columns
     circuit = Circuit(2, 0, (_gate("h", 0), _gate("cx", 0, 1), _gate("t", 1)))
-    noise = NoiseConfig(enabled=True, p1=0.1, p2=0.1, seed=12)
+    noise = NoiseConfig(enabled=True, p1=0.1, p2=0.1, seed=0)
     program = simulator._program(circuit)
-    patterns = {
-        simulator._draw_errors(program, [0.1] * 3, derive_rng(0, "traj", noise.seed, shot))
-        for shot in range(20)
-    }
-    with_z = [p for p in patterns if any(pauli == 2 for _, _, pauli in p)]
+    patterns = _drawn_patterns(circuit, noise, 20)
+    z = simulator._PAULI_LIST[2]
+    errors = simulator._insertions(program, patterns).values()
+    with_z = {column for inserts in errors for column, _, pauli in inserts if pauli is z}
     assert len(patterns) >= 4 and len(with_z) == 1  # one drifting column in the batch
     run(circuit, 20, noise=noise, seed=0)
     x, y, z = simulator._PAULI_LIST
