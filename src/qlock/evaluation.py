@@ -19,6 +19,11 @@ sampling streams, the default: TVD then carries the protocol's shot-noise
 floor, roughly sqrt(2^b/(pi*shots)) for identical circuits) or with paired
 streams (common random numbers) that cancel shot noise and expose small
 circuit-level residuals.
+
+Noiseless inputs are simulated in chunks, each arm evolving a chunk as the
+columns of one batched statevector (see ``_tvds``); the counts are exactly
+those of running every arm behind every input layer on its own
+(``with_input_layer``, then ``run``), which ``tests/test_evaluation.py`` checks.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, Gate
+from .circuit import Barrier, Circuit, Gate, Measure
 from .locking import ObfuscationRecord
 from .rng import derive_rng
-from .simulator import Distribution, NoiseConfig, run, unitary_of
+from .simulator import Distribution, NoiseConfig, batch_columns, run, statevector, unitary_of
 from .unlocking import apply_phase_key, find_ancilla, insert_key_toggles, simplify, unlock
 
 MODES = ("logic_only", "phase_only", "combined", "restored")
@@ -177,26 +182,47 @@ def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str
 def _tvds(original: Circuit, arms: dict[str, Circuit], config: EvalConfig) -> dict[str, list[float]]:
     """Per-input TVD of each named arm against the original.
 
-    Each input gets its own Haar layer from the ``"eval-input"`` stream and one
-    reference run; every run samples from its own derived seed, so the order
-    of runs cannot change any count.
+    Input ``i`` gets its own Haar layer from the ``"eval-input"`` stream, and
+    every run samples from its own ``_arm_seed`` stream, so neither the order
+    of runs nor how inputs are chunked can change any count. Noiseless inputs
+    go in chunks of ``batch_columns`` of the widest circuit: each input's
+    layer state is built once per circuit width, each arm (the reference
+    first) evolves the whole chunk in one batched ``statevector``, and ``run``
+    samples each column through the arm's measurements alone. That applies the
+    same gates in the same order as ``with_input_layer``, so every count is the
+    per-input path's. Noisy runs take one input at a time through
+    ``with_input_layer``, because the layer's gates carry noise too.
     """
+    noisy = config.noise.enabled
+    widest = max(c.num_qubits for c in (original, *arms.values()))
+    chunk = 1 if noisy else batch_columns(widest)
     out: dict[str, list[float]] = {arm: [] for arm in arms}
-    for i in range(config.n_inputs):
-        layer_seed = int(derive_rng(config.seed, "eval-input", i).integers(2**63))
-        layer = random_input_layer(original.num_qubits, layer_seed)
+    for first in range(0, config.n_inputs, chunk):
+        inputs = range(first, min(first + chunk, config.n_inputs))
+        layer_seeds = (int(derive_rng(config.seed, "eval-input", i).integers(2**63)) for i in inputs)
+        layers = [random_input_layer(original.num_qubits, seed) for seed in layer_seeds]
+        starts: dict[int, np.ndarray] = {}  # circuit width -> the layer states, one per column
 
-        def sample(circuit: Circuit, arm: str) -> Distribution:
-            return run(
-                with_input_layer(circuit, layer),
-                config.shots,
-                noise=config.noise,
-                seed=_arm_seed(config.seed, i, arm, config.sampling),
-            )
+        def sample(circuit: Circuit, arm: str) -> list[Distribution]:
+            seeds = [_arm_seed(config.seed, i, arm, config.sampling) for i in inputs]
+            if noisy:
+                return [
+                    run(with_input_layer(circuit, layer), config.shots, noise=config.noise, seed=seed)
+                    for layer, seed in zip(layers, seeds)
+                ]
+            width = circuit.num_qubits
+            if width not in starts:
+                starts[width] = np.stack([statevector(Circuit(width, 0, layer)) for layer in layers], 1)
+            states = statevector(circuit, starts[width])
+            measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
+            return [
+                run(measures, config.shots, initial=states[:, column], noise=config.noise, seed=seed)
+                for column, seed in enumerate(seeds)
+            ]
 
         reference = sample(original, "reference")
         for arm, circuit in arms.items():
-            out[arm].append(tvd(reference, sample(circuit, arm)))
+            out[arm].extend(map(tvd, reference, sample(circuit, arm)))
     return out
 
 

@@ -7,22 +7,26 @@ first (qubit 0 rightmost). Distributions serialize as
 
 Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
 into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
-optionally carrying a trailing batch axis of independent states. ``_evolve``
-allocates two state-sized buffers per call and none per gate: each gate
-copies the state into ``gather`` with its own axes in front (a ``transpose``
-whose permutation is resolved once per (qubits, qubit count, rank)), and one
-``np.matmul(..., out=)`` writes ``result``, which is left in that axis order;
-the state is then ``result`` seen through the inverse ``transpose``, and only
-the next gather, or the end of the run, copies it into natural order. Each
-matmul operand holds the same values, in the same rows and columns, as
-``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the same sum of the
-same k products, and results are bit-identical to moving axes there and back
-per gate (the oracle tests in ``tests/test_simulator.py`` hold them to it).
+optionally carrying a trailing batch axis of independent states. The batch
+columns are input states (``statevector`` takes ``(2**n, columns)``, and
+``evaluate`` evolves an arm's inputs that way), basis states (``unitary_of``)
+or the error patterns of a noisy run; ``batch_columns`` caps how many one
+batch holds. ``_evolve`` allocates two state-sized buffers per call and none
+per gate: each gate copies the state into ``gather`` with its own axes in
+front (a ``transpose`` whose permutation is resolved once per (qubits, qubit
+count, rank)), and one ``np.matmul(..., out=)`` writes ``result``, which is
+left in that axis order; the state is then ``result`` seen through the
+inverse ``transpose``, and only the next gather, or the end of the run, copies
+it into natural order. Each matmul operand holds the same values, in the same
+rows and columns, as ``np.moveaxis(...).reshape(k, -1)``, so each amplitude is
+the same sum of the same k products, and results are bit-identical to moving
+axes there and back per gate; each batch column is bit-identical to that
+column evolved alone, through the matmul layout ``_evolve`` picks per gate
+(the oracle tests in ``tests/test_simulator.py`` hold them to both).
 A noisy batch's Pauli insertions are written into ``result`` in place, the
 same way, right after their gate's matmul.
 The norm check after every gate reads the contiguous ``result``: one
-``np.vdot`` for a statevector; for a batch, each column's sum of squared
-magnitudes, computed in ``gather``, which is free until the next gate's copy.
+``np.vdot`` for a statevector, one ``np.vecdot`` per column for a batch.
 Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
 ``_NOISY_SHOT_LIMIT`` shots, are refused before anything is allocated.
 
@@ -64,7 +68,12 @@ _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
 # 128 MB; where nearly every shot draws its own pattern (20 gates at p = 0.3) each
 # pattern costs ~1.2 KB, which this limit does not bound below 10 GB
 _NOISY_SHOT_LIMIT = 2**23
-_BATCH_AMPLITUDES = 2**18  # amplitudes one batch of noisy trajectories may hold
+# amplitudes one batch may hold, its columns input states or noisy error patterns. One
+# batch's time over its columns' separate statevectors (best of 5-7, 2-core x86 host,
+# numpy 2.4.6): 2 columns 0.87-0.97 at 9-10 qubits, 0.97-1.05 at 11 (1.02-1.05 on the
+# 12,712-op locked 10q/4000 synthetic arm) and 1.02-1.24 at 12-13; 4 columns 0.52-0.69
+# at 9-11. So 2**11: 2 columns at 10 qubits, 4 at 9, 8 at 8, none at 11 and up
+_BATCH_AMPLITUDES = 2**11
 _BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
 
 
@@ -169,10 +178,13 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _permutations(qubits: tuple[int, ...], n: int, ndim: int) -> tuple[tuple[int, ...], ...]:
-    """Axis order bringing ``qubits`` to the front, as ``np.moveaxis`` would, and its inverse."""
-    axes = tuple(n - 1 - q for q in qubits)
-    order = axes + tuple(i for i in range(ndim) if i not in axes)
+def _permutations(
+    qubits: tuple[int, ...], n: int, ndim: int, stacked: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """Axis order bringing ``qubits`` to the front, as ``np.moveaxis`` would, and its
+    inverse; ``stacked`` puts a batch's axis (axis ``n``) in front of them."""
+    front = ((n,) if stacked else ()) + tuple(n - 1 - q for q in qubits)
+    order = front + tuple(i for i in range(ndim) if i not in front)
     return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
 
@@ -202,33 +214,51 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
     ``errors`` maps a program index to the ``(column, qubit, pauli)`` insertions
     that follow that gate, each in its own column only and written into
     ``result`` in place, through a view with the qubit's axis in front.
-    ``tensor`` itself is never written. The batch axis is never moved, so
-    ``gather`` and ``result`` keep ``tensor``'s shape whatever the gate's axis order.
-    A batch's norm check computes its squared magnitudes in ``gather``.
+    ``tensor`` itself is never written.
+
+    A batch's gate is one matmul over all its columns, the batch axis kept
+    last. Where a lone statevector's matmul for that gate has 4 or more
+    columns, BLAS runs it in the same kernel as the wide one, so each batch
+    column comes out bit-identical to that column evolved alone (a Hypothesis
+    test in ``tests/test_simulator.py`` checks 1-8 qubits and 1-40 columns).
+    A gate on every qubit, or on all but one, leaves the lone matmul 1 or 2
+    columns, which OpenBLAS 0.3.31 computes with gemv or an edge kernel that
+    differ from its main zgemm kernel in the last bit; there the batch axis
+    moves in front, and the gate runs one matmul per column, stacked, each
+    with a lone statevector's operands.
     """
     shape = tensor.shape
     batched = len(shape) > n
+    columns = shape[-1] if batched else 1
     gather = np.empty(shape, dtype=complex)
     result = np.empty(shape, dtype=complex)
-    rows = (-1, shape[-1]) if batched else (-1,)
+    if batched:  # the same buffers with the batch axis in front, for stacked gates
+        front = (columns,) + (2,) * n
+        gather_front, result_front = gather.reshape(front), result.reshape(front)
     errors = errors or {}
     for index, (mat, qubits) in enumerate(program):
-        order, inverse = _permutations(qubits, n, len(shape))
         k = mat.shape[0]
-        np.copyto(gather, tensor.transpose(order))
-        np.matmul(mat, gather.reshape(k, -1), out=result.reshape(k, -1))
-        tensor = result.transpose(inverse)
+        if batched and 4 * k > 2**n:
+            order, inverse = _permutations(qubits, n, len(shape), stacked=True)
+            np.copyto(gather_front, tensor.transpose(order))
+            stack = (columns, k, -1)
+            np.matmul(mat, gather_front.reshape(stack), out=result_front.reshape(stack))
+            tensor = result_front.transpose(inverse)
+            checked = result.reshape(columns, -1)
+        else:
+            order, inverse = _permutations(qubits, n, len(shape))
+            np.copyto(gather, tensor.transpose(order))
+            np.matmul(mat, gather.reshape(k, -1), out=result.reshape(k, -1))
+            tensor = result.transpose(inverse)
+            checked = result.reshape(-1, columns).T if batched else result.reshape(-1)
         for column, q, pauli in errors.get(index, ()):
             wire = tensor[..., column].transpose(_permutations((q,), n, n)[0])
             wire[...] = (pauli @ wire.reshape(2, -1)).reshape(wire.shape)
-        checked = result.reshape(rows)
         # the checks are written so that a NaN norm counts as drift
         if batched:
-            # a column norm's operations, in gather: no state-sized temporary per gate
-            sq = gather.reshape(rows)
-            np.conjugate(checked, out=sq)
-            np.multiply(sq, checked, out=sq)
-            norms = np.sqrt(sq.real.sum(axis=0))
+            # one conjugated dot product per column, in the layout the matmul wrote:
+            # no state-sized temporary per gate
+            norms = np.sqrt(np.vecdot(checked, checked).real)
             drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
             if drifted.any():
                 raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
@@ -241,17 +271,34 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
 
 
 def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
+    """One state, ``(2**n,)``, or a batch of states, ``(2**n, columns)``."""
     state = zero_state(n) if initial is None else np.asarray(initial, dtype=complex)
-    if state.size != 2**n:
-        raise ValueError("initial state has wrong dimension")
+    if state.ndim not in (1, 2) or state.shape[0] != 2**n or not state.size:
+        raise ValueError(
+            f"initial state has wrong dimension: shape {state.shape}, "
+            f"expected ({2**n},) or ({2**n}, columns) for {n} qubits"
+        )
     return state
 
 
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Noiseless evolution through all gates; barriers and measurements skipped."""
+    """Noiseless evolution through all gates; barriers and measurements skipped.
+
+    ``initial`` may hold a batch of states, one per column, ``(2**n, columns)``;
+    they evolve as one ``_evolve`` batch, and the result has the same shape.
+    """
     program = _program(circuit)
     n = circuit.num_qubits
-    return _evolve(_initial_state(n, initial).reshape((2,) * n), program, n)
+    state = _initial_state(n, initial)
+    # a batch of one evolves as a plain statevector: a batch axis of one is slower
+    columns = state.shape[1:] if state.ndim == 2 and state.shape[1] > 1 else ()
+    return _evolve(state.reshape((2,) * n + columns), program, n).reshape(state.shape)
+
+
+def batch_columns(num_qubits: int) -> int:
+    """How many ``num_qubits``-qubit states one batch holds: at most
+    ``_BATCH_AMPLITUDES`` amplitudes, one state at least."""
+    return max(1, _BATCH_AMPLITUDES >> num_qubits)
 
 
 def _error_patterns(program: Program, noise: NoiseConfig, draws: np.ndarray) -> Iterator[tuple]:
@@ -310,7 +357,7 @@ def _sample_noisy(
             patterns[pattern] = patterns.get(pattern, 0) + 1
     patterns[()] = shots - sum(patterns.values())
     distinct = list(patterns)
-    width = max(1, _BATCH_AMPLITUDES >> n)
+    width = batch_columns(n)
     for start in range(0, len(distinct), width):
         chunk = distinct[start : start + width]
         batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1)
@@ -343,6 +390,8 @@ def run(
     """
     if shots < 1:
         raise ValueError("shots must be positive")
+    if initial is not None and np.ndim(initial) != 1:
+        raise ValueError(f"run samples one state: initial must be 1-D, got shape {np.shape(initial)}")
     if noise is not None and noise.enabled and shots > _NOISY_SHOT_LIMIT:
         raise ValueError(f"{shots} shots too many for a noisy run (at most {_NOISY_SHOT_LIMIT})")
     measured = circuit.measured_qubits()

@@ -1,12 +1,14 @@
 import csv
 import io
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qlock import evaluation, parse_circuit
-from qlock.circuit import Gate
+from qlock import benchmarks, evaluation, parse_circuit, simulator
+from qlock.circuit import Circuit, Gate, Measure
 from qlock.evaluation import (
     EvalConfig,
     equivalent_up_to_global_phase,
@@ -21,7 +23,8 @@ from qlock.evaluation import (
     wrong_key_sweep,
 )
 from qlock.locking import ObfuscationPlan, dense_plan, obfuscate
-from qlock.simulator import Distribution, NoiseConfig
+from qlock.rng import derive_rng
+from qlock.simulator import Distribution, NoiseConfig, statevector
 from qlock.simulator import run as simulate
 
 
@@ -294,3 +297,122 @@ def test_with_input_layer_prepends():
     prepended = with_input_layer(circuit, layer)
     assert prepended.ops[0].kind == "u3"
     assert prepended.ops[-1].kind == "x"
+
+
+# --- the batched evaluation loop against the per-input path ---------------------
+
+
+def _per_input_tvds(original, arms, config):
+    """``_tvds`` rebuilt one input and one arm at a time: random_input_layer ->
+    with_input_layer -> run -> tvd."""
+    out = {arm: [] for arm in arms}
+    for i in range(config.n_inputs):
+        layer_seed = int(derive_rng(config.seed, "eval-input", i).integers(2**63))
+        layer = random_input_layer(original.num_qubits, layer_seed)
+
+        def sample(circuit, arm):
+            seed = evaluation._arm_seed(config.seed, i, arm, config.sampling)
+            return simulate(with_input_layer(circuit, layer), config.shots, noise=config.noise, seed=seed)
+
+        reference = sample(original, "reference")
+        for arm, circuit in arms.items():
+            out[arm].append(tvd(reference, sample(circuit, arm)))
+    return out
+
+
+def _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys):
+    arms = mode_circuits(record, config.modes)
+    sweep = evaluation._wrong_key_arms(record, config, wrong_keys)
+    want = _per_input_tvds(original, arms | sweep, config)
+    report = evaluate(original, record, config, wrong_keys)
+    assert report.per_input == {m: tuple(want[m]) for m in config.modes}
+    if wrong_keys:
+        assert report.wrong_key_sweep["tvds"] == [sum(want[k]) / len(want[k]) for k in sweep]
+
+
+@pytest.fixture(scope="module")
+def bundled_records():
+    out = []
+    for i, name in enumerate(benchmarks.NAMES):
+        original = parse_circuit(benchmarks.load(name))
+        out.append((original, obfuscate(original, dense_plan(original, seed=i), seed=i)))
+    return out
+
+
+def _recording_statevector(monkeypatch):
+    """Patch ``evaluation.statevector`` to record each batch's column count."""
+    columns = []
+
+    def recording(circuit, initial=None):
+        columns.append(None if initial is None else initial.shape[1])
+        return statevector(circuit, initial)
+
+    monkeypatch.setattr(evaluation, "statevector", recording)
+    return columns
+
+
+@pytest.mark.parametrize("sampling", ["independent", "paired"])
+@pytest.mark.parametrize("amplitudes", [None, 2**7])
+def test_evaluate_matches_per_input_path(bundled_records, monkeypatch, sampling, amplitudes):
+    # 2**7 amplitudes cut 13 inputs into chunks of 8 + 5 (4-qubit arms) or
+    # 4 + 4 + 4 + 1 (5-qubit arms); the default holds all 13 in one chunk
+    if amplitudes is not None:
+        monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", amplitudes)
+    config = EvalConfig(n_inputs=13, shots=40, seed=6, sampling=sampling)
+    for original, record in bundled_records:
+        columns = _recording_statevector(monkeypatch)
+        _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=3)
+        per_chunk = 13 if amplitudes is None else amplitudes >> record.locked_circuit.num_qubits
+        assert {c for c in columns if c is not None} == {per_chunk, 13 % per_chunk or per_chunk}
+
+
+def test_evaluate_matches_per_input_path_under_noise(bundled_records):
+    noise = NoiseConfig(enabled=True, p1=0.05, p2=0.1, seed=2)
+    config = EvalConfig(n_inputs=3, shots=40, seed=2, noise=noise)
+    for original, record in bundled_records:
+        _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=2)
+
+
+def _wide_record(n, seed):
+    """An ``n``-qubit circuit with every qubit measured, locked by a dense plan."""
+    rng = np.random.default_rng(seed)
+    gates = [Gate("h", (), (q,)) for q in range(n)]
+    for _ in range(3 * n):
+        a, b, c = (int(q) for q in rng.choice(n, 3, replace=False))
+        angle = float(rng.uniform(0.1, 6.0))
+        gates += [Gate("cx", (), (a, b)), Gate("rz", (angle,), (c,)), Gate("t", (), (b,))]
+    circuit = Circuit(n, n, tuple(gates) + tuple(Measure(q, q) for q in range(n)))
+    return circuit, obfuscate(circuit, dense_plan(circuit, seed=seed), seed=seed)
+
+
+@pytest.fixture(scope="module")
+def wide_record():
+    return _wide_record(12, seed=5)
+
+
+def test_evaluate_matches_per_input_path_on_wide_circuit(wide_record, monkeypatch):
+    # 13 qubits with the ancilla: every chunk is a single input
+    original, record = wide_record
+    columns = _recording_statevector(monkeypatch)
+    config = EvalConfig(n_inputs=3, shots=30, seed=1)
+    _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=1)
+    assert {c for c in columns if c is not None} == {1}
+
+
+def test_evaluate_memory_does_not_grow_with_inputs(wide_record):
+    original, record = wide_record
+    state_bytes = 16 * 2**record.locked_circuit.num_qubits
+    config = EvalConfig(shots=30, seed=1, modes=("combined", "restored"))
+    evaluate(original, record, replace(config, n_inputs=1))  # fills caches
+    peaks = {}
+    for n_inputs in (2, 16):
+        tracemalloc.start()
+        try:
+            evaluate(original, record, replace(config, n_inputs=n_inputs))
+            peaks[n_inputs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the chunk's two layer states, gather, result and the evolved copy, and a
+    # little more; one more input held at once would add at least 1.5 states
+    assert peaks[16] - peaks[2] < state_bytes / 2
+    assert peaks[16] < 6 * state_bytes

@@ -452,40 +452,44 @@ def _oracle_apply_matrix(tensor, mat, qubits, n):
 
 
 def _oracle_evolve(tensor, program, n, errors=None):
-    shape = tensor.shape
-    batched = len(shape) > n
-    flat = tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
+    """A batch is its columns, each evolved alone with its own error insertions."""
+    if tensor.ndim == n:
+        return _oracle_column(tensor.reshape(-1), program, n, [])
+    flat = tensor.reshape(2**n, -1)
     errors = errors or {}
+    columns = []
+    for c in range(flat.shape[1]):
+        inserts = [(i, q, pauli) for i, row in errors.items() for column, q, pauli in row if column == c]
+        columns.append(_oracle_column(flat[:, c], program, n, inserts))
+    return np.stack(columns, axis=1)
+
+
+def _oracle_column(state, program, n, inserts):
+    """One state through the moveaxis loop, with its (gate index, qubit, Pauli) insertions."""
     for index, (mat, qubits) in enumerate(program):
-        flat = _oracle_apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
-        for column, q, pauli in errors.get(index, ()):
-            state = flat[:, column].reshape((2,) * n)
-            flat[:, column] = _oracle_apply_matrix(state, pauli, (q,), n).reshape(-1)
-        if batched:
-            norms = np.linalg.norm(flat, axis=0)
-            drifted = ~(np.abs(norms - 1.0) <= 1e-10)
-            if drifted.any():
-                raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
-        else:
-            norm = np.linalg.norm(flat)
-            if not abs(norm - 1.0) <= 1e-10:
-                raise ArithmeticError(f"statevector norm drifted to {norm}")
-        tensor = flat.reshape(shape)
-    return flat
+        state = _oracle_apply_matrix(state.reshape((2,) * n), mat, qubits, n).reshape(-1)
+        for after, q, pauli in inserts:
+            if after == index:
+                state = _oracle_apply_matrix(state.reshape((2,) * n), pauli, (q,), n).reshape(-1)
+        norm = np.linalg.norm(state)
+        if not abs(norm - 1.0) <= 1e-10:
+            raise ArithmeticError(f"statevector norm drifted to {norm}")
+    return state
 
 
-def _simulate(circuit, noise, shots):
+def _simulate(circuit, noise, shots, initial):
     # unitaries stop at 10 qubits; wider circuits compare states and counts
     unitary = unitary_of(circuit) if circuit.num_qubits <= simulator._UNITARY_QUBIT_LIMIT else None
-    return statevector(circuit), unitary, run(circuit, shots, noise=noise, seed=2)
+    return statevector(circuit, initial), unitary, run(circuit, shots, noise=noise, seed=2)
 
 
-def _assert_matches_oracle(circuit, monkeypatch, noise, shots=30):
-    """Bit-identical statevector and unitary, equal noisy counts, against the oracle kernel."""
-    state, unitary, counts = _simulate(circuit, noise, shots)
+def _assert_matches_oracle(circuit, monkeypatch, noise, shots=30, initial=None):
+    """Bit-identical statevector (from ``initial``, one state or a batch) and
+    unitary, equal noisy counts, against the oracle kernel."""
+    state, unitary, counts = _simulate(circuit, noise, shots, initial)
     with monkeypatch.context() as patched:
         patched.setattr(simulator, "_evolve", _oracle_evolve)
-        want_state, want_unitary, want_counts = _simulate(circuit, noise, shots)
+        want_state, want_unitary, want_counts = _simulate(circuit, noise, shots, initial)
     assert np.array_equal(state, want_state)
     assert np.array_equal(unitary, want_unitary)  # None == None beyond 10 qubits
     assert counts == want_counts
@@ -494,6 +498,15 @@ def _assert_matches_oracle(circuit, monkeypatch, noise, shots=30):
 def test_kernel_bit_identical_to_moveaxis_loop(noisy_cases, monkeypatch):
     for circuit in noisy_cases:
         _assert_matches_oracle(circuit, monkeypatch, _NOISE_SETTINGS[1])
+
+
+def test_kernel_bit_identical_on_batched_inputs(noisy_cases, monkeypatch):
+    # a batch of Haar input states, as evaluate() evolves them
+    for circuit in noisy_cases[::2]:  # every circuit without an input layer
+        n = circuit.num_qubits
+        layers = [random_input_layer(n, seed) for seed in range(5)]
+        states = np.stack([statevector(Circuit(n, 0, layer)) for layer in layers], axis=1)
+        _assert_matches_oracle(circuit, monkeypatch, _NOISE_SETTINGS[1], initial=states)
 
 
 def test_kernel_bit_identical_on_descending_non_adjacent_qubits(monkeypatch):
@@ -528,7 +541,8 @@ def _wide_circuit(n, seed):
 @pytest.mark.parametrize("n", [11, 15])
 def test_kernel_bit_identical_on_wide_states(n, monkeypatch):
     # p = 0.3 puts error insertions in most columns of the noisy batches,
-    # which hold 2**18 >> n columns each
+    # which hold 2**18 >> n columns each here
+    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 2**18)
     noise = NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=4)
     _assert_matches_oracle(_wide_circuit(n, seed=n), monkeypatch, noise, shots=12)
 
@@ -599,9 +613,9 @@ _ANGLES = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 
 
 @st.composite
-def _circuits(draw):
-    """1-6 qubits, every gate kind, operands in any order on any qubits."""
-    n = draw(st.integers(1, 6))
+def _circuits(draw, max_qubits=6):
+    """1 to ``max_qubits`` qubits, every gate kind, operands in any order on any qubits."""
+    n = draw(st.integers(1, max_qubits))
     kinds = sorted(k for k, (nq, _) in GATE_SPECS.items() if nq <= n)
     ops = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
@@ -618,6 +632,35 @@ def test_kernel_bit_identical_property(circuit):
         _assert_matches_oracle(circuit, monkeypatch, NoiseConfig(enabled=True, p1=0.2, p2=0.2, seed=1), shots=10)
 
 
+@given(_circuits(max_qubits=8), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_batch_columns_match_single_statevectors(circuit, columns, seed):
+    # every column count up to 40 meets the matmul's edge blocks at every width
+    n = circuit.num_qubits
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(2**n, columns)) + 1j * rng.normal(size=(2**n, columns))
+    states /= np.linalg.norm(states, axis=0)
+    batch = statevector(circuit, states)
+    assert batch.shape == states.shape
+    for column in range(columns):
+        assert np.array_equal(batch[:, column], statevector(circuit, states[:, column]))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (8, 0), (2, 2, 2), (8, 1, 1), ()])
+def test_statevector_refuses_malformed_initial(shape):
+    circuit = Circuit(3, 0, (_gate("h", 0),))
+    with pytest.raises(ValueError, match="initial state has wrong dimension") as info:
+        statevector(circuit, np.ones(shape, dtype=complex))
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("noise", [None, NoiseConfig(enabled=True)])
+def test_run_refuses_a_batch_of_initial_states(noise):
+    batch = np.eye(4, 2, dtype=complex)
+    with pytest.raises(ValueError, match="run samples one state") as info:
+        run(Circuit(2, 0, (_gate("h", 0),)), 10, initial=batch, noise=noise)
+    assert "\n" not in str(info.value)
+
+
 # --- the norm check on every path ------------------------------------------------
 
 def test_norm_check_catches_non_unitary_gate_on_every_path(monkeypatch):
@@ -628,6 +671,7 @@ def test_norm_check_catches_non_unitary_gate_on_every_path(monkeypatch):
     circuit = Circuit(3, 0, (_gate("h", 0), _gate("cx", 0, 2), _gate("t", 2), _gate("h", 1)))
     for simulate in (
         statevector,
+        lambda c: statevector(c, np.eye(8, 3, dtype=complex)),
         unitary_of,
         lambda c: run(c, 20, noise=NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=1)),
     ):
