@@ -7,22 +7,22 @@ first (qubit 0 rightmost). Distributions serialize as
 
 Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
 into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
-optionally carrying a trailing batch axis of independent states. The batch
-columns are input states (``statevector`` takes ``(2**n, columns)``, and
-``evaluate`` evolves an arm's inputs that way), basis states (``unitary_of``)
-or the error patterns of a noisy run; ``batch_columns`` caps how many one
-batch holds. ``_evolve`` allocates two state-sized buffers per call and none
-per gate: each gate copies the state into ``gather`` with its own axes in
-front (a ``transpose`` whose permutation is resolved once per (qubits, qubit
-count, rank)), and one ``np.matmul(..., out=)`` writes ``result``, which is
-left in that axis order; the state is then ``result`` seen through the
-inverse ``transpose``, and only the next gather, or the end of the run, copies
-it into natural order. Each matmul operand holds the same values, in the same
-rows and columns, as ``np.moveaxis(...).reshape(k, -1)``, so each amplitude is
-the same sum of the same k products, and results are bit-identical to moving
-axes there and back per gate; each batch column is bit-identical to that
-column evolved alone, through the matmul layout ``_evolve`` picks per gate
-(the oracle tests in ``tests/test_simulator.py`` hold them to both).
+optionally carrying a trailing batch axis of independent states. ``_evolve``
+allocates two state-sized buffers per call and none per gate: each gate
+copies the state into ``gather`` with its own axes in front (a ``transpose``
+whose permutation is resolved once per (qubits, qubit count, rank)), and one
+``np.matmul(..., out=)`` writes ``result``, which is left in that axis order;
+the state is then ``result`` seen through the inverse ``transpose``, and only
+the next gather, or the end of the run, copies it into natural order. Each
+matmul operand holds the same values, in the same rows and columns, as
+``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the same sum of the
+same k products, and results are bit-identical to moving axes there and back
+per gate (the oracle tests in ``tests/test_simulator.py`` hold them to it).
+The batch columns are input states (``statevector`` takes ``(2**n,
+columns)``, and ``evaluate`` evolves an arm's inputs that way,
+``batch_columns`` at a time), basis states (``unitary_of``) or the error
+patterns of a noisy run. A batch of input states evolves stacked, one matmul
+per column, so each column is also bit-identical to that state evolved alone.
 A noisy batch's Pauli insertions are written into ``result`` in place, the
 same way, right after their gate's matmul.
 The norm check after every gate reads the contiguous ``result``: one
@@ -68,11 +68,14 @@ _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
 # 128 MB; where nearly every shot draws its own pattern (20 gates at p = 0.3) each
 # pattern costs ~1.2 KB, which this limit does not bound below 10 GB
 _NOISY_SHOT_LIMIT = 2**23
-# amplitudes one batch may hold, its columns input states or noisy error patterns. One
-# batch's time over its columns' separate statevectors (best of 5-7, 2-core x86 host,
-# numpy 2.4.6): 2 columns 0.87-0.97 at 9-10 qubits, 0.97-1.05 at 11 (1.02-1.05 on the
-# 12,712-op locked 10q/4000 synthetic arm) and 1.02-1.24 at 12-13; 4 columns 0.52-0.69
-# at 9-11. So 2**11: 2 columns at 10 qubits, 4 at 9, 8 at 8, none at 11 and up
+# amplitudes one batch may hold, its columns input states or noisy error patterns
+# (``batch_columns``). Measured on a 2-core x86 host, numpy 2.4.6, process time, median
+# of 5-7: a stacked batch of input states over its columns' separate statevectors, 2
+# columns 0.84-0.96 at 4-10 qubits, 0.95 (0.81-1.12) on the 11-qubit locked 10q/4000
+# synthetic arm, 1.03 at 15 qubits, 4 columns 0.48-0.76 at 4-10 qubits; noisy runs on
+# locked circuits under this cap over 2**18, 0.64-0.93 at 9-15 qubits, 1.00-1.04 at
+# 100 shots of the bundled circuits (one batch either way), 0.48-1.11 at 1000 shots.
+# So 2**11: 2 columns at 10 qubits, 4 at 9, 64 at 5, one at 11 and up
 _BATCH_AMPLITUDES = 2**11
 _BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
 
@@ -206,7 +209,9 @@ def _program(circuit: Circuit) -> Program:
     return [(gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate)]
 
 
-def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.ndarray:
+def _evolve(
+    tensor: np.ndarray, program: Program, n: int, errors=None, stacked: bool = False
+) -> np.ndarray:
     """Apply ``program`` to a state tensor, checking norm preservation after every gate.
 
     ``tensor`` is shaped ``(2,) * n``, or ``(2,) * n + (columns,)`` for a batch
@@ -217,40 +222,31 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
     ``tensor`` itself is never written.
 
     A batch's gate is one matmul over all its columns, the batch axis kept
-    last. Where a lone statevector's matmul for that gate has 4 or more
-    columns, BLAS runs it in the same kernel as the wide one, so each batch
-    column comes out bit-identical to that column evolved alone (a Hypothesis
-    test in ``tests/test_simulator.py`` checks 1-8 qubits and 1-40 columns).
-    A gate on every qubit, or on all but one, leaves the lone matmul 1 or 2
-    columns, which OpenBLAS 0.3.31 computes with gemv or an edge kernel that
-    differ from its main zgemm kernel in the last bit; there the batch axis
-    moves in front, and the gate runs one matmul per column, stacked, each
-    with a lone statevector's operands.
+    last. With ``stacked``, the buffers hold the batch axis in front instead,
+    and each gate is a stack of per-column matmuls: for each stack item numpy
+    makes the BLAS call a lone statevector makes, with the same shape and
+    strides on the same values, so each column comes out bit-identical to
+    that column evolved alone, whatever kernel the BLAS picks for that shape.
+    One wide matmul does not promise that: OpenBLAS computes 1- and 2-column
+    products with other kernels than wide ones, which differ in the last bit.
+    Only a BLAS whose results depend on where its operands sit in memory (MKL
+    may, outside its reproducibility mode) could still tell the two apart.
     """
     shape = tensor.shape
     batched = len(shape) > n
     columns = shape[-1] if batched else 1
-    gather = np.empty(shape, dtype=complex)
-    result = np.empty(shape, dtype=complex)
-    if batched:  # the same buffers with the batch axis in front, for stacked gates
-        front = (columns,) + (2,) * n
-        gather_front, result_front = gather.reshape(front), result.reshape(front)
+    # a stacked batch's buffers hold one contiguous state per column
+    buffer = (columns,) + (2,) * n if stacked else shape
+    gather = np.empty(buffer, dtype=complex)
+    result = np.empty(buffer, dtype=complex)
+    stack = (columns,) if stacked else ()
     errors = errors or {}
     for index, (mat, qubits) in enumerate(program):
+        order, inverse = _permutations(qubits, n, len(shape), stacked)
         k = mat.shape[0]
-        if batched and 4 * k > 2**n:
-            order, inverse = _permutations(qubits, n, len(shape), stacked=True)
-            np.copyto(gather_front, tensor.transpose(order))
-            stack = (columns, k, -1)
-            np.matmul(mat, gather_front.reshape(stack), out=result_front.reshape(stack))
-            tensor = result_front.transpose(inverse)
-            checked = result.reshape(columns, -1)
-        else:
-            order, inverse = _permutations(qubits, n, len(shape))
-            np.copyto(gather, tensor.transpose(order))
-            np.matmul(mat, gather.reshape(k, -1), out=result.reshape(k, -1))
-            tensor = result.transpose(inverse)
-            checked = result.reshape(-1, columns).T if batched else result.reshape(-1)
+        np.copyto(gather, tensor.transpose(order))
+        np.matmul(mat, gather.reshape(stack + (k, -1)), out=result.reshape(stack + (k, -1)))
+        tensor = result.transpose(inverse)
         for column, q, pauli in errors.get(index, ()):
             wire = tensor[..., column].transpose(_permutations((q,), n, n)[0])
             wire[...] = (pauli @ wire.reshape(2, -1)).reshape(wire.shape)
@@ -258,12 +254,14 @@ def _evolve(tensor: np.ndarray, program: Program, n: int, errors=None) -> np.nda
         if batched:
             # one conjugated dot product per column, in the layout the matmul wrote:
             # no state-sized temporary per gate
+            checked = result.reshape(columns, -1) if stacked else result.reshape(-1, columns).T
             norms = np.sqrt(np.vecdot(checked, checked).real)
             drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
             if drifted.any():
                 raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
         else:
             # plain statevectors keep the flat norm: a batch axis of one is slower
+            checked = result.reshape(-1)
             norm = math.sqrt(np.vdot(checked, checked).real)
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
@@ -292,7 +290,8 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     state = _initial_state(n, initial)
     # a batch of one evolves as a plain statevector: a batch axis of one is slower
     columns = state.shape[1:] if state.ndim == 2 and state.shape[1] > 1 else ()
-    return _evolve(state.reshape((2,) * n + columns), program, n).reshape(state.shape)
+    tensor = state.reshape((2,) * n + columns)
+    return _evolve(tensor, program, n, stacked=bool(columns)).reshape(state.shape)
 
 
 def batch_columns(num_qubits: int) -> int:

@@ -451,30 +451,32 @@ def _oracle_apply_matrix(tensor, mat, qubits, n):
     return np.moveaxis(out.reshape(shape), range(k), axes)
 
 
-def _oracle_evolve(tensor, program, n, errors=None):
-    """A batch is its columns, each evolved alone with its own error insertions."""
-    if tensor.ndim == n:
-        return _oracle_column(tensor.reshape(-1), program, n, [])
-    flat = tensor.reshape(2**n, -1)
+def _oracle_evolve(tensor, program, n, errors=None, stacked=False):
+    """The moveaxis loop; a stacked batch is its columns, each evolved alone."""
+    if stacked:
+        flat = tensor.reshape(2**n, -1)
+        lone = [_oracle_evolve(flat[:, c].reshape((2,) * n), program, n) for c in range(flat.shape[1])]
+        return np.stack(lone, axis=1)
+    shape = tensor.shape
+    batched = len(shape) > n
+    flat = tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
     errors = errors or {}
-    columns = []
-    for c in range(flat.shape[1]):
-        inserts = [(i, q, pauli) for i, row in errors.items() for column, q, pauli in row if column == c]
-        columns.append(_oracle_column(flat[:, c], program, n, inserts))
-    return np.stack(columns, axis=1)
-
-
-def _oracle_column(state, program, n, inserts):
-    """One state through the moveaxis loop, with its (gate index, qubit, Pauli) insertions."""
     for index, (mat, qubits) in enumerate(program):
-        state = _oracle_apply_matrix(state.reshape((2,) * n), mat, qubits, n).reshape(-1)
-        for after, q, pauli in inserts:
-            if after == index:
-                state = _oracle_apply_matrix(state.reshape((2,) * n), pauli, (q,), n).reshape(-1)
-        norm = np.linalg.norm(state)
-        if not abs(norm - 1.0) <= 1e-10:
-            raise ArithmeticError(f"statevector norm drifted to {norm}")
-    return state
+        flat = _oracle_apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
+        for column, q, pauli in errors.get(index, ()):
+            state = flat[:, column].reshape((2,) * n)
+            flat[:, column] = _oracle_apply_matrix(state, pauli, (q,), n).reshape(-1)
+        if batched:
+            norms = np.linalg.norm(flat, axis=0)
+            drifted = ~(np.abs(norms - 1.0) <= 1e-10)
+            if drifted.any():
+                raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
+        else:
+            norm = np.linalg.norm(flat)
+            if not abs(norm - 1.0) <= 1e-10:
+                raise ArithmeticError(f"statevector norm drifted to {norm}")
+        tensor = flat.reshape(shape)
+    return flat
 
 
 def _simulate(circuit, noise, shots, initial):
