@@ -20,10 +20,14 @@ floor, roughly sqrt(2^b/(pi*shots)) for identical circuits) or with paired
 streams (common random numbers) that cancel shot noise and expose small
 circuit-level residuals.
 
-Noiseless inputs are simulated in chunks, each arm evolving a chunk as the
-columns of one batched statevector (see ``_tvds``); the counts are exactly
-those of running every arm behind every input layer on its own
-(``with_input_layer``, then ``run``), which ``tests/test_evaluation.py`` checks.
+Noiseless inputs are simulated in chunks: each arm is compiled once, fused
+into blocks of a few qubits, and evolves a chunk as the columns of one
+batched statevector (see ``_tvds``). The counts are those of running every
+arm behind every input layer on its own (``with_input_layer``, then ``run``):
+the two paths multiply the same gates in other groupings, so their
+probabilities differ in the last bits, which moves a count only if a
+multinomial draw lands that close to a boundary. ``tests/test_evaluation.py``
+checks the counts for equality.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +44,16 @@ import numpy as np
 from .circuit import Barrier, Circuit, Gate, Measure
 from .locking import ObfuscationRecord
 from .rng import derive_rng
-from .simulator import Distribution, NoiseConfig, batch_columns, run, statevector, unitary_of
+from .simulator import (
+    Distribution,
+    NoiseConfig,
+    batch_columns,
+    compile_program,
+    gate_matrix,
+    run,
+    statevector,
+    unitary_of,
+)
 from .unlocking import apply_phase_key, find_ancilla, insert_key_toggles, simplify, unlock
 
 MODES = ("logic_only", "phase_only", "combined", "restored")
@@ -59,8 +73,9 @@ def tvd(a: Distribution, b: Distribution) -> float:
         raise ValueError(f"shot counts differ: {a.shots} vs {b.shots}")
     if a.bits != b.bits:
         raise ValueError(f"outcome widths differ: {a.bits} vs {b.bits}")
-    keys = set(a.counts) | set(b.counts)
-    total = sum(abs(a.counts.get(k, 0) - b.counts.get(k, 0)) for k in keys)
+    ca, cb = a.counts, b.counts
+    total = sum(abs(count - cb.get(k, 0)) for k, count in ca.items())
+    total += sum(count for k, count in cb.items() if k not in ca)
     return total / (2.0 * a.shots)
 
 
@@ -74,6 +89,22 @@ def random_input_layer(num_qubits: int, seed: int = 0) -> tuple[Gate, ...]:
         lam = float(rng.uniform(0.0, 2.0 * math.pi))
         gates.append(Gate("u3", (theta, phi, lam), (q,)))
     return tuple(gates)
+
+
+def _layer_states(layers: list[tuple[Gate, ...]], width: int) -> np.ndarray:
+    """The state each input layer prepares from |0...0> on ``width`` qubits, one per column.
+
+    A layer's ``u3`` gates act on qubits 0, 1, ... in turn, so its state is
+    the product of their matrices' first columns, qubit 0 least significant;
+    the qubits above the layer's stay |0>.
+    """
+    states = np.zeros((2**width, len(layers)), dtype=complex)
+    for column, layer in enumerate(layers):
+        state = np.ones(1, dtype=complex)
+        for gate in layer:
+            state = np.multiply.outer(gate_matrix(gate)[:, 0], state).reshape(-1)
+        states[: state.size, column] = state
+    return states
 
 
 def with_input_layer(circuit: Circuit, layer: tuple[Gate, ...]) -> Circuit:
@@ -184,46 +215,58 @@ def _tvds(original: Circuit, arms: dict[str, Circuit], config: EvalConfig) -> di
 
     Input ``i`` gets its own Haar layer from the ``"eval-input"`` stream, and
     every run samples from its own ``_arm_seed`` stream, so neither the order
-    of runs nor how inputs are chunked can change any count. Noiseless inputs
-    go in chunks of ``batch_columns`` of the widest circuit: each input's
-    layer state is built once per circuit width, each arm (the reference
-    first) evolves the whole chunk in one batched ``statevector``, and ``run``
-    samples each column through the arm's measurements alone. That applies the
-    same gates in the same order as ``with_input_layer``, so every count is the
-    per-input path's. Noisy runs take one input at a time through
-    ``with_input_layer``, because the layer's gates carry noise too.
+    of runs nor how inputs are chunked can change any count. The arms run one
+    after another, the reference first, whose distributions are kept for the
+    rest. Noiseless inputs go in chunks of ``batch_columns`` of the widest
+    circuit: each arm is compiled once, for all its inputs
+    (``compile_program``), and evolves each chunk in one batched
+    ``statevector``, from each input layer's product state
+    (``_layer_states``); ``run`` then samples each column through the arm's
+    measurements alone. Only one arm's program is held at a time. The last
+    chunk's input layers, and their states once per circuit width, are kept
+    for the next arm, so a single chunk builds them once. Noisy runs take one
+    input at a time through ``with_input_layer``, because the layer's gates
+    carry noise too.
     """
     noisy = config.noise.enabled
     widest = max(c.num_qubits for c in (original, *arms.values()))
     chunk = 1 if noisy else batch_columns(widest)
-    out: dict[str, list[float]] = {arm: [] for arm in arms}
-    for first in range(0, config.n_inputs, chunk):
-        inputs = range(first, min(first + chunk, config.n_inputs))
-        layer_seeds = (int(derive_rng(config.seed, "eval-input", i).integers(2**63)) for i in inputs)
-        layers = [random_input_layer(original.num_qubits, seed) for seed in layer_seeds]
-        starts: dict[int, np.ndarray] = {}  # circuit width -> the layer states, one per column
+    held: dict = {}  # the last chunk's inputs, their layers and, by circuit width, their states
 
-        def sample(circuit: Circuit, arm: str) -> list[Distribution]:
+    def layers(inputs: range) -> list[tuple[Gate, ...]]:
+        if held.get("inputs") != inputs:
+            held.clear()
+            held["inputs"] = inputs
+            seeds = (int(derive_rng(config.seed, "eval-input", i).integers(2**63)) for i in inputs)
+            held["layers"] = [random_input_layer(original.num_qubits, seed) for seed in seeds]
+        return held["layers"]
+
+    def starts(inputs: range, width: int) -> np.ndarray:
+        chunk_layers = layers(inputs)
+        if width not in held:
+            held[width] = _layer_states(chunk_layers, width)
+        return held[width]
+
+    def sample(circuit: Circuit, arm: str) -> Iterator[Distribution]:
+        program = None if noisy else compile_program(circuit, config.n_inputs)
+        measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
+        for first in range(0, config.n_inputs, chunk):
+            inputs = range(first, min(first + chunk, config.n_inputs))
             seeds = [_arm_seed(config.seed, i, arm, config.sampling) for i in inputs]
             if noisy:
-                return [
-                    run(with_input_layer(circuit, layer), config.shots, noise=config.noise, seed=seed)
-                    for layer, seed in zip(layers, seeds)
-                ]
-            width = circuit.num_qubits
-            if width not in starts:
-                starts[width] = np.stack([statevector(Circuit(width, 0, layer)) for layer in layers], 1)
-            states = statevector(circuit, starts[width])
-            measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
-            return [
-                run(measures, config.shots, initial=states[:, column], noise=config.noise, seed=seed)
-                for column, seed in enumerate(seeds)
+                for layer, seed in zip(layers(inputs), seeds):
+                    yield run(with_input_layer(circuit, layer), config.shots, noise=config.noise, seed=seed)
+                continue
+            states = statevector(circuit, starts(inputs, circuit.num_qubits), program)
+            runs = [
+                run(measures, config.shots, initial=state, noise=config.noise, seed=seed)
+                for state, seed in zip(states.T, seeds)
             ]
+            del states  # let the chunk's states go before the next chunk evolves
+            yield from runs
 
-        reference = sample(original, "reference")
-        for arm, circuit in arms.items():
-            out[arm].extend(map(tvd, reference, sample(circuit, arm)))
-    return out
+    reference = list(sample(original, "reference"))
+    return {arm: list(map(tvd, reference, sample(circuit, arm))) for arm, circuit in arms.items()}
 
 
 def evaluate(
@@ -260,7 +303,7 @@ def _wrong_key_arms(record: ObfuscationRecord, config: EvalConfig, n_keys: int) 
     key_len = len(record.key.bits)
     arms: dict[str, Circuit] = {}
     for k in range(n_keys):
-        bits = "".join(str(int(rng.integers(2))) for _ in range(key_len))
+        bits = "".join(map(str, rng.integers(2, size=key_len).tolist()))
         arms[f"wrong-key-{k}"] = unlock(
             record.locked_circuit, record.key, candidate_bits=bits
         ).restored_circuit

@@ -9,6 +9,7 @@ execution order.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,13 @@ _MASK64 = (1 << 64) - 1
 def _component(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
-    digest = hashlib.blake2s(str(part).encode("utf-8"), digest_size=8).digest()
+    return _label_hash(str(part))
+
+
+@lru_cache(maxsize=4096)
+def _label_hash(label: str) -> int:
+    """A string label's 64-bit word; labels recur on every run, so each is hashed once."""
+    digest = hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -8,27 +8,41 @@ first (qubit 0 rightmost). Distributions serialize as
 Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
 into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
 optionally carrying a trailing batch axis of independent states. ``_evolve``
-allocates two state-sized buffers per call and none per gate: each gate
-copies the state into ``gather`` with its own axes in front (a ``transpose``
-whose permutation is resolved once per (qubits, qubit count, rank)), and one
-``np.matmul(..., out=)`` writes ``result``, which is left in that axis order;
-the state is then ``result`` seen through the inverse ``transpose``, and only
-the next gather, or the end of the run, copies it into natural order. Each
-matmul operand holds the same values, in the same rows and columns, as
-``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the same sum of the
-same k products, and results are bit-identical to moving axes there and back
-per gate (the oracle tests in ``tests/test_simulator.py`` hold them to it).
+allocates two state-sized buffers per call and none per gate (none at all for
+an empty program): each gate copies the state into ``gather`` with its own
+axes in front (a ``transpose`` whose permutation is resolved once per
+(qubits, qubit count, rank)), and one ``np.matmul(..., out=)`` writes
+``result``, which is left in that axis order; the state is then ``result``
+seen through the inverse ``transpose``, and only the next gather, or the end
+of the run (into ``gather``, which is returned), copies it into natural
+order. Each matmul operand holds the same values, in the same rows and
+columns, as ``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the
+same sum of the same k products, and for a given program the results are
+bit-identical to moving axes there and back per matrix (the oracle tests in
+``tests/test_simulator.py`` hold them to it).
 The batch columns are input states (``statevector`` takes ``(2**n,
 columns)``, and ``evaluate`` evolves an arm's inputs that way,
 ``batch_columns`` at a time), basis states (``unitary_of``) or the error
 patterns of a noisy run. A batch of input states evolves stacked, one matmul
-per column, so each column is also bit-identical to that state evolved alone.
+per column, so each column is also bit-identical to that state evolved alone
+through the same program.
 A noisy batch's Pauli insertions are written into ``result`` in place, the
 same way, right after their gate's matmul.
-The norm check after every gate reads the contiguous ``result``: one
+The norm check after every matrix reads the contiguous ``result``: one
 ``np.vdot`` for a statevector, one ``np.vecdot`` per column for a batch.
 Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
 ``_NOISY_SHOT_LIMIT`` shots, are refused before anything is allocated.
+
+Noiseless programs are fused where that pays (``compile_program``): for a
+batch, a unitary, or a lone state of at least ``_FUSE_LONE_QUBITS`` qubits.
+``_fuse`` groups the gates into blocks of at most ``_FUSE_QUBITS`` qubits
+(barriers do not stop a block), and each block's matrix is composed once, by
+the kernel's own gather and matmul steps on the identity, with one norm check
+per block. A fused program applies one matrix per block; its amplitudes
+differ from the gate-by-gate ones in the last bits only (the fusion tests
+bound the drift by 1e-12). A batch takes a lone state's program unless its
+caller compiles one for all its columns, as ``evaluate`` does once per arm.
+Noisy programs are not fused: their Pauli insertions follow single gates.
 
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
@@ -50,7 +64,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +92,17 @@ _NOISY_SHOT_LIMIT = 2**23
 # So 2**11: 2 columns at 10 qubits, 4 at 9, 64 at 5, one at 11 and up
 _BATCH_AMPLITUDES = 2**11
 _BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
+# the widest block _fuse builds. perfbench synthetic_pipeline (seed 4, 15 s runs, 3 pairs;
+# 2-core x86 host, numpy 2.4.6, OpenBLAS 0.3.31): evaluate_ref 122-125 at 3 and 116-119
+# at 4, but peak_rss_mb 50.6-50.8 at 3 and 53.2-54.0 at 4 (51.1 unfused): a 4-qubit block
+# holds 4 KB, and the locked 10q/4000 arm's 9,251 gates fuse into 2.5 MB at 3, 4.7 MB at 4
+_FUSE_QUBITS = 3
+# fusing and evolving one state over evolving it gate by gate (process time, median of
+# 15, same host): 1.48 at 8 qubits, 1.28 at 9, 1.16 at 10, 0.92 at 11, 0.41 at 14, 0.36 at
+# 15 (the synthetic circuits and their locked forms); two states 0.90 at 8 qubits and
+# 0.62 at 11, ten states of the locked bundled circuits 0.88-1.07. So a lone state is
+# fused from 11 qubits, any batch always
+_FUSE_LONE_QUBITS = 11
 
 
 @dataclass(frozen=True)
@@ -101,11 +126,15 @@ class Distribution:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be positive")
-        if sum(self.counts.values()) != self.shots:
+        total, malformed = 0, None
+        for key, count in self.counts.items():
+            total += count
+            if malformed is None and (len(key) != self.bits or key.strip("01")):
+                malformed = key
+        if total != self.shots:
             raise ValueError("counts do not sum to shot count")
-        for key in self.counts:
-            if len(key) != self.bits or set(key) - {"0", "1"}:
-                raise ValueError(f"malformed outcome key {key!r}")
+        if malformed is not None:
+            raise ValueError(f"malformed outcome key {malformed!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -194,19 +223,108 @@ def _permutations(
 Program = list[tuple[np.ndarray, tuple[int, ...]]]
 
 
-def _program(circuit: Circuit) -> Program:
+def _program(circuit: Circuit, fused: bool = False) -> Program:
     """Resolve each gate once to (matrix, qubits); barriers and measurements drop out.
 
-    Qubit indices need no check here: ``Circuit`` keeps them in range. Circuits
-    whose state would exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes are refused
-    before anything is allocated.
+    With ``fused``, the gates go through ``_fuse`` one at a time, so each
+    gate's matrix lives only until its block is built. Qubit indices need no
+    check here: ``Circuit`` keeps them in range. Circuits whose state would
+    exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes are refused before anything is
+    allocated.
     """
     n = circuit.num_qubits
     if n > _STATE_QUBIT_LIMIT:
         raise ValueError(
             f"{n}-qubit circuit too large to simulate (at most {_STATE_QUBIT_LIMIT} qubits)"
         )
-    return [(gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate)]
+    gates = ((gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate))
+    return _fuse(gates) if fused else list(gates)
+
+
+class _Block:
+    """An open block of ``_fuse``: its qubits and its gates in program order."""
+
+    __slots__ = ("qubits", "gates")
+
+    def __init__(self, qubits: set[int], gates: Program):
+        self.qubits, self.gates = qubits, gates
+
+
+def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_QUBITS) -> Program:
+    """Group ``program``'s gates into blocks of at most ``k`` qubits, one matrix each.
+
+    Each qubit has at most one open block. A gate joins the open blocks on
+    its qubits, merged into one, when their qubits and its own number at most
+    ``k``. Otherwise it joins the one of them it fits with that holds the most
+    gates, the others close, and if it fits with none it opens a block of its
+    own. Blocks are emitted as they close, the ones still open at the end
+    last, so every qubit sees its gates in program order. A block of one gate
+    is that gate.
+    """
+    fused: Program = []
+    open_blocks: dict[int, _Block] = {}
+    for gate in program:
+        touched: list[_Block] = []
+        for q in gate[1]:
+            b = open_blocks.get(q)
+            if b is not None and b not in touched:
+                touched.append(b)
+        qubits = set(gate[1]).union(*[b.qubits for b in touched])
+        if len(qubits) > k:
+            fits = [b for b in touched if len(b.qubits.union(gate[1])) <= k]
+            keep = max(fits, key=lambda b: len(b.gates), default=None)
+            for b in touched:
+                if b is not keep:
+                    fused.append(_compose(b))
+                    for q in b.qubits:
+                        del open_blocks[q]
+            touched = [keep] if keep else []
+            qubits = set(gate[1]).union(*[b.qubits for b in touched])
+        block = touched[0] if touched else _Block(qubits, [])
+        for b in touched[1:]:
+            block.gates += b.gates
+        block.qubits = qubits
+        block.gates.append(gate)
+        for q in qubits:
+            open_blocks[q] = block
+    fused.extend(_compose(b) for b in dict.fromkeys(open_blocks.values()))
+    return fused
+
+
+@lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    """The ``2**m`` identity as a batch of ``m``-qubit basis states; never written."""
+    identity = np.eye(2**m, dtype=complex).reshape((2,) * m + (2**m,))
+    identity.flags.writeable = False
+    return identity
+
+
+def _compose(block: _Block) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A block's (matrix, qubits), its qubits listed from the highest down.
+
+    The matrix is the block's gates applied to the identity by ``_evolve``'s
+    steps (gather, matmul), its columns the basis states of the block's
+    qubits, with one norm check at the end instead of one per gate.
+    """
+    if len(block.gates) == 1:
+        return block.gates[0]
+    order = tuple(sorted(block.qubits, reverse=True))
+    m = len(order)
+    local = {q: m - 1 - i for i, q in enumerate(order)}  # the block's own little-endian qubits
+    tensor = _identity(m)
+    gather = np.empty_like(tensor)
+    result = np.empty_like(tensor)
+    for mat, qubits in block.gates:
+        axes, inverse = _permutations(tuple(map(local.__getitem__, qubits)), m, m + 1)
+        np.copyto(gather, tensor.transpose(axes))
+        np.matmul(mat, gather.reshape(mat.shape[0], -1), out=result.reshape(mat.shape[0], -1))
+        tensor = result.transpose(inverse)
+    matrix = tensor.reshape(2**m, 2**m)
+    norms = np.sqrt(np.vecdot(matrix, matrix, axis=0).real)
+    drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
+    if drifted.any():
+        raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
+    return matrix, order
 
 
 def _evolve(
@@ -218,8 +336,10 @@ def _evolve(
     of states; the result comes back flat, ``(2**n,)`` or ``(2**n, columns)``.
     ``errors`` maps a program index to the ``(column, qubit, pauli)`` insertions
     that follow that gate, each in its own column only and written into
-    ``result`` in place, through a view with the qubit's axis in front.
-    ``tensor`` itself is never written.
+    ``result`` in place, through a view with the qubit's axis in front (a
+    plain statevector's insertions use column 0 and its one state).
+    ``tensor`` itself is never written; an empty program returns it
+    flattened, allocating nothing.
 
     A batch's gate is one matmul over all its columns, the batch axis kept
     last. With ``stacked``, the buffers hold the batch axis in front instead,
@@ -234,6 +354,8 @@ def _evolve(
     """
     shape = tensor.shape
     batched = len(shape) > n
+    if not program:
+        return tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
     columns = shape[-1] if batched else 1
     # a stacked batch's buffers hold one contiguous state per column
     buffer = (columns,) + (2,) * n if stacked else shape
@@ -248,7 +370,7 @@ def _evolve(
         np.matmul(mat, gather.reshape(stack + (k, -1)), out=result.reshape(stack + (k, -1)))
         tensor = result.transpose(inverse)
         for column, q, pauli in errors.get(index, ()):
-            wire = tensor[..., column].transpose(_permutations((q,), n, n)[0])
+            wire = (tensor[..., column] if batched else tensor).transpose(_permutations((q,), n, n)[0])
             wire[...] = (pauli @ wire.reshape(2, -1)).reshape(wire.shape)
         # the checks are written so that a NaN norm counts as drift
         if batched:
@@ -265,7 +387,12 @@ def _evolve(
             norm = math.sqrt(np.vdot(checked, checked).real)
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
-    return tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
+    # the state goes into natural order in ``gather``, which no gate reads any more
+    if stacked:
+        np.copyto(gather, np.moveaxis(tensor, -1, 0))
+        return gather.reshape(columns, 2**n).T
+    np.copyto(gather, tensor)
+    return gather.reshape(2**n, -1) if batched else gather.reshape(-1)
 
 
 def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
@@ -279,15 +406,33 @@ def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
     return state
 
 
-def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+def compile_program(circuit: Circuit, columns: int = 1) -> Program:
+    """``circuit``'s gates as (matrix, qubits) pairs, for evolving ``columns`` states in all.
+
+    The gates are fused into blocks of at most ``_FUSE_QUBITS`` qubits where
+    that pays: for more than one state, or for one state of at least
+    ``_FUSE_LONE_QUBITS`` qubits. Otherwise each gate stays its own pair.
+    """
+    return _program(circuit, fused=columns > 1 or circuit.num_qubits >= _FUSE_LONE_QUBITS)
+
+
+def statevector(
+    circuit: Circuit, initial: np.ndarray | None = None, program: Program | None = None
+) -> np.ndarray:
     """Noiseless evolution through all gates; barriers and measurements skipped.
 
     ``initial`` may hold a batch of states, one per column, ``(2**n, columns)``;
     they evolve as one ``_evolve`` batch, and the result has the same shape.
+    ``program`` is the circuit's ``compile_program``, for a caller that evolves
+    it more than once; without it, a batch takes the program a lone state
+    would, so each column stays bit-identical to that state evolved alone.
     """
-    program = _program(circuit)
+    if program is None:
+        program = compile_program(circuit)
     n = circuit.num_qubits
     state = _initial_state(n, initial)
+    if not program:
+        return state.copy()
     # a batch of one evolves as a plain statevector: a batch axis of one is slower
     columns = state.shape[1:] if state.ndim == 2 and state.shape[1] > 1 else ()
     tensor = state.reshape((2,) * n + columns)
@@ -359,8 +504,10 @@ def _sample_noisy(
     width = batch_columns(n)
     for start in range(0, len(distinct), width):
         chunk = distinct[start : start + width]
-        batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1)
-        flat = _evolve(batch.reshape((2,) * n + (len(chunk),)), program, n, _insertions(program, chunk))
+        # one pattern evolves as a plain statevector: a batch axis of one is slower
+        batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1) if len(chunk) > 1 else state
+        tensor = batch.reshape((2,) * n + batch.shape[1:])
+        flat = _evolve(tensor, program, n, _insertions(program, chunk)).reshape(2**n, -1)
         for column, pattern in enumerate(chunk):
             yield np.abs(flat[:, column]) ** 2, patterns[pattern]
 
@@ -396,7 +543,9 @@ def run(
     measured = circuit.measured_qubits()
     n = circuit.num_qubits
     if noise is None or not noise.enabled:
-        state = statevector(circuit, initial)
+        # statevector's evolution, but the state of an empty program is ``initial`` itself
+        program = compile_program(circuit)
+        state = _evolve(_initial_state(n, initial).reshape((2,) * n), program, n)
         groups = [(np.abs(state) ** 2, shots)]
     else:
         groups = _sample_noisy(circuit, shots, initial, noise, seed)
@@ -406,7 +555,8 @@ def run(
         probs = _marginal(weights, measured, n)
         sampled = sampled + rng.multinomial(count, probs / probs.sum())
     b = len(measured)
-    counts = {format(i, f"0{b}b"): int(count) for i, count in enumerate(sampled) if count}
+    spec, hits = f"0{b}b", np.flatnonzero(sampled)
+    counts = {format(i, spec): count for i, count in zip(hits.tolist(), sampled[hits].tolist())}
     return Distribution(counts=counts, shots=shots, bits=b)
 
 
@@ -421,4 +571,4 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"unitary_of supports at most {_UNITARY_QUBIT_LIMIT} qubits")
     dim = 2**n
     # each column of the identity is one basis state, evolved as a batch
-    return _evolve(np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), _program(circuit), n)
+    return _evolve(np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), compile_program(circuit, dim), n)

@@ -2,6 +2,7 @@ import csv
 import io
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,9 +344,9 @@ def _recording_statevector(monkeypatch):
     """Patch ``evaluation.statevector`` to record each batch's column count."""
     columns = []
 
-    def recording(circuit, initial=None):
+    def recording(circuit, initial=None, program=None):
         columns.append(None if initial is None else initial.shape[1])
-        return statevector(circuit, initial)
+        return statevector(circuit, initial, program)
 
     monkeypatch.setattr(evaluation, "statevector", recording)
     return columns
@@ -416,3 +417,49 @@ def test_evaluate_memory_does_not_grow_with_inputs(wide_record):
     # little more; one more input held at once would add at least 1.5 states
     assert peaks[16] - peaks[2] < state_bytes / 2
     assert peaks[16] < 6 * state_bytes
+
+
+# --- the batched loop's pieces ----------------------------------------------------
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300), st.integers(1, 4))
+def test_wrong_keys_draw_the_per_bit_loops_bits(seed, key_len, n_keys):
+    # each key's bits come from one integers(2, size=key_len) call; they must be
+    # the bits of one integers(2) call per bit, key after key
+    rng = derive_rng(seed, "wrong-keys")
+    want = ["".join(str(int(rng.integers(2))) for _ in range(key_len)) for _ in range(n_keys)]
+    record = SimpleNamespace(locked_circuit=None, key=SimpleNamespace(bits="0" * key_len))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(
+            evaluation, "unlock", lambda locked, key, candidate_bits: SimpleNamespace(restored_circuit=candidate_bits)
+        )
+        arms = evaluation._wrong_key_arms(record, EvalConfig(seed=seed), n_keys)
+    assert list(arms.values()) == want
+
+
+def test_layer_states_hold_to_the_layer_statevector():
+    for n in range(1, 9):
+        layers = [random_input_layer(n, seed) for seed in range(4)]
+        for width in (n, n + 1):
+            states = evaluation._layer_states(layers, width)
+            for column, layer in enumerate(layers):
+                want = statevector(Circuit(width, 0, layer))
+                assert np.max(np.abs(states[:, column] - want)) <= 1e-15
+
+
+def test_each_arm_is_compiled_once(wide_record, monkeypatch):
+    # 13 qubits: each of the 3 inputs is a chunk of its own, and each arm's
+    # program serves all of them
+    original, record = wide_record
+    compiled = []
+    compile_program = evaluation.compile_program
+
+    def recording(circuit, columns=1):
+        compiled.append((circuit.num_qubits, columns))
+        return compile_program(circuit, columns)
+
+    monkeypatch.setattr(evaluation, "compile_program", recording)
+    columns = _recording_statevector(monkeypatch)
+    evaluate(original, record, EvalConfig(n_inputs=3, shots=30, seed=1, modes=("combined", "restored")))
+    assert compiled == [(12, 3), (13, 3), (12, 3)]
+    assert columns == [1] * 9

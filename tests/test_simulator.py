@@ -14,6 +14,7 @@ from qlock.rng import derive_rng
 from qlock.simulator import (
     Distribution,
     NoiseConfig,
+    compile_program,
     gate_matrix,
     run,
     statevector,
@@ -396,9 +397,9 @@ def test_noisy_run_chunked_batches_match(noisy_cases, monkeypatch):
     calls = []
     evolve = simulator._evolve
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape[-1])
-        return evolve(*args, **kwargs)
+    def counting(tensor, program, n, *args, **kwargs):
+        calls.append(tensor.shape[n] if tensor.ndim > n else 1)  # a lone pattern evolves flat
+        return evolve(tensor, program, n, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 32)
     monkeypatch.setattr(simulator, "_evolve", counting)
@@ -464,8 +465,9 @@ def _oracle_evolve(tensor, program, n, errors=None, stacked=False):
     for index, (mat, qubits) in enumerate(program):
         flat = _oracle_apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
         for column, q, pauli in errors.get(index, ()):
-            state = flat[:, column].reshape((2,) * n)
-            flat[:, column] = _oracle_apply_matrix(state, pauli, (q,), n).reshape(-1)
+            target = (slice(None), column) if batched else slice(None)
+            state = flat[target].reshape((2,) * n)
+            flat[target] = _oracle_apply_matrix(state, pauli, (q,), n).reshape(-1)
         if batched:
             norms = np.linalg.norm(flat, axis=0)
             drifted = ~(np.abs(norms - 1.0) <= 1e-10)
@@ -615,12 +617,12 @@ _ANGLES = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 
 
 @st.composite
-def _circuits(draw, max_qubits=6):
+def _circuits(draw, max_qubits=6, max_gates=12):
     """1 to ``max_qubits`` qubits, every gate kind, operands in any order on any qubits."""
     n = draw(st.integers(1, max_qubits))
     kinds = sorted(k for k, (nq, _) in GATE_SPECS.items() if nq <= n)
     ops = []
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
         nq, n_params = GATE_SPECS[kind]
         qubits = tuple(draw(st.permutations(range(n)))[:nq])
         params = tuple(draw(st.lists(_ANGLES, min_size=n_params, max_size=n_params)))
@@ -697,3 +699,127 @@ def test_norm_check_is_per_column(monkeypatch):
     monkeypatch.setattr(simulator, "_PAULI_LIST", (x, y, (1 + 3e-10) * z))
     with pytest.raises(ArithmeticError, match="norm drifted"):
         run(circuit, 20, noise=noise, seed=0)
+
+
+def test_norm_check_catches_non_unitary_gate_in_a_fused_block(monkeypatch):
+    exact = simulator.gate_matrix
+    monkeypatch.setattr(
+        simulator, "gate_matrix", lambda gate: 1.5 * exact(gate) if gate.kind == "t" else exact(gate)
+    )
+    gates = (_gate("h", 0), _gate("cx", 0, 2), _gate("t", 2), _gate("h", 1))
+    narrow = Circuit(3, 0, gates)
+    wide = Circuit(12, 0, gates)  # a lone state this wide is fused
+    for simulate in (
+        lambda: statevector(narrow, program=compile_program(narrow, 2)),
+        lambda: statevector(narrow, np.eye(8, 3, dtype=complex), compile_program(narrow, 3)),
+        lambda: statevector(wide),
+        lambda: run(wide, 10),
+    ):
+        with pytest.raises(ArithmeticError, match="statevector norm drifted"):
+            simulate()
+
+
+def test_block_norm_check_reads_every_basis_state(monkeypatch):
+    # a t that scales |1> only leaves |0...0> at norm 1, so no state check
+    # sees it; the block holding it fails its check on the columns with qubit 0 set
+    exact = simulator.gate_matrix
+    monkeypatch.setattr(
+        simulator, "gate_matrix", lambda gate: np.diag([1.0, 1.5]) @ exact(gate) if gate.kind == "t" else exact(gate)
+    )
+    circuit = Circuit(12, 0, (_gate("t", 0), _gate("cx", 0, 1), _gate("x", 2)))
+    statevector(circuit, program=simulator._program(circuit))
+    with pytest.raises(ArithmeticError, match="statevector norm drifted to 1.5"):
+        statevector(circuit)
+
+
+# --- gate fusion -------------------------------------------------------------------
+
+
+@given(_circuits(max_qubits=9, max_gates=40), st.sampled_from([3, 4, 5]))
+def test_fused_program_matches_the_gate_by_gate_kernel(circuit, k):
+    n = circuit.num_qubits
+    program = simulator._program(circuit)
+    fused = simulator._fuse(program, k)
+    assert len(fused) <= len(program)
+    assert all(len(qubits) <= k for _, qubits in fused)
+    rng = np.random.default_rng(n)
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    tensor = state.reshape((2,) * n)
+    drift = simulator._evolve(tensor, fused, n) - simulator._evolve(tensor, program, n)
+    assert np.max(np.abs(drift), initial=0.0) <= 1e-12
+    if n <= simulator._UNITARY_QUBIT_LIMIT:
+        eye = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
+        assert np.max(np.abs(unitary_of(circuit) - simulator._evolve(eye, program, n))) <= 1e-12
+
+
+@given(_circuits(max_qubits=9, max_gates=40), st.sampled_from([3, 4, 5]))
+def test_fusion_keeps_each_qubits_gate_order(circuit, k):
+    # with blocks left uncomposed, every gate lands in exactly one block, no
+    # block spans more than k qubits, and each qubit meets its gates in
+    # program order, reading the blocks in emitted order
+    program = simulator._program(circuit)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(simulator, "_compose", lambda block: block)
+        blocks = simulator._fuse(program, k)
+    assert all(len(block.qubits) <= k for block in blocks)
+    assert all(set(q for gate in block.gates for q in gate[1]) == block.qubits for block in blocks)
+    emitted = [gate for block in blocks for gate in block.gates]
+    assert sorted(map(id, emitted)) == sorted(map(id, program))
+    for q in range(circuit.num_qubits):
+        assert [id(g) for g in emitted if q in g[1]] == [id(g) for g in program if q in g[1]]
+
+
+def test_fusion_blocks_cross_barriers():
+    gates = (_gate("h", 0), Barrier((0, 1)), _gate("cx", 0, 1), Barrier((0, 1)), _gate("t", 1))
+    (block,) = compile_program(Circuit(2, 0, gates), columns=2)
+    assert block[1] == (1, 0)
+    assert np.max(np.abs(block[0] - unitary_of(Circuit(2, 0, gates)))) <= 1e-15
+
+
+def test_only_wide_lone_states_and_batches_are_fused():
+    circuit = _wide_circuit(10, seed=1)
+    gates = len(circuit.gates())
+    assert len(compile_program(circuit)) == gates  # a lone 10-qubit state: one pair per gate
+    assert len(compile_program(circuit, columns=2)) < gates
+    wide = _wide_circuit(11, seed=1)
+    assert len(compile_program(wide)) < len(wide.gates())
+
+
+def test_evolve_allocates_nothing_for_an_empty_program():
+    tensor = np.zeros((2,) * 12, dtype=complex)
+    tensor[(0,) * 12] = 1.0
+    tracemalloc.start()
+    try:
+        out = simulator._evolve(tensor, [], 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor.nbytes / 8 and np.shares_memory(out, tensor)
+    assert not np.shares_memory(statevector(Circuit(12, 0, ()), tensor.reshape(-1)), tensor)
+
+
+# --- one error pattern, one plain statevector ----------------------------------------
+
+
+def test_one_pattern_chunks_evolve_flat(monkeypatch):
+    # from 11 qubits on every noisy batch holds one pattern: each evolves as a
+    # plain statevector, its insertions written into the flat state, with the
+    # amplitudes of a one-column batch and the counts of the per-shot loop
+    circuit = _wide_circuit(11, seed=6)
+    noise = NoiseConfig(enabled=True, p1=0.3, p2=0.3, seed=4)
+    shapes = []
+    evolve = simulator._evolve
+
+    def recording(tensor, *args, **kwargs):
+        shapes.append(tensor.shape)
+        return evolve(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_evolve", recording)
+    assert run(circuit, 12, noise=noise, seed=3) == _per_shot_run(circuit, 12, noise, 3)
+    assert len(shapes) > 2 and set(shapes) == {(2,) * 11}
+    for pattern in _drawn_patterns(circuit, noise, 12):
+        program = simulator._program(circuit)
+        errors = simulator._insertions(program, [pattern])
+        flat = evolve(zero_state(11).reshape((2,) * 11), program, 11, errors)
+        assert np.array_equal(flat, _evolve_batch(circuit, [pattern])[:, 0])
