@@ -36,13 +36,18 @@ Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
 Noiseless programs are fused where that pays (``compile_program``): for a
 batch, a unitary, or a lone state of at least ``_FUSE_LONE_QUBITS`` qubits.
 ``_fuse`` groups the gates into blocks of at most ``_FUSE_QUBITS`` qubits
-(barriers do not stop a block), and each block's matrix is composed once, by
-the kernel's own gather and matmul steps on the identity, with one norm check
-per block. A fused program applies one matrix per block; its amplitudes
-differ from the gate-by-gate ones in the last bits only (the fusion tests
-bound the drift by 1e-12). A batch takes a lone state's program unless its
-caller compiles one for all its columns, as ``evaluate`` does once per arm.
-Noisy programs are not fused: their Pauli insertions follow single gates.
+(barriers do not stop a block). ``_compose`` builds the matrices of closed
+blocks of one width ``m`` together, ``_COMPOSE_GROUP`` at a time: each gate
+is embedded as a ``2**m``-square matrix (one-qubit gates scattered into the
+row pairs they mix, multi-qubit gates by the kernel's own gather and matmul
+steps on the identity, cached), step ``s`` of every block at least that long
+is one stacked matmul, and one column-norm check covers the group. A fused
+program applies one matrix per block; its amplitudes differ from the
+gate-by-gate ones in the last bits only (the fusion tests bound the drift by
+1e-12, and each block's matrix by 1e-14 from composing it gate by gate). A
+batch takes a lone state's program unless its caller compiles one for all its
+columns, as ``evaluate`` does once per arm. Noisy programs are not fused:
+their Pauli insertions follow single gates.
 
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
@@ -89,20 +94,34 @@ _NOISY_SHOT_LIMIT = 2**23
 # synthetic arm, 1.03 at 15 qubits, 4 columns 0.48-0.76 at 4-10 qubits; noisy runs on
 # locked circuits under this cap over 2**18, 0.64-0.93 at 9-15 qubits, 1.00-1.04 at
 # 100 shots of the bundled circuits (one batch either way), 0.48-1.11 at 1000 shots.
-# So 2**11: 2 columns at 10 qubits, 4 at 9, 64 at 5, one at 11 and up
+# Through fused programs (median of 15): 2 columns 0.96-1.02 at 4-7 qubits, 0.85-0.97
+# at 8-10, 0.93 at 11 and 12, 0.98 at 13, 1.04-1.15 at 14-15; 4 columns 0.53-0.61 at
+# 4-9, 0.69 at 10, 0.78 at 11. A larger cap would batch the 11-qubit arm's inputs, but
+# it also sets how wide a noisy batch is, whose one wide matmul per gate can change
+# last bits with its width. So 2**11: 2 columns at 10 qubits, 4 at 9, 64 at 5, one at
+# 11 and up
 _BATCH_AMPLITUDES = 2**11
 _BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
 # the widest block _fuse builds. perfbench synthetic_pipeline (seed 4, 15 s runs, 3 pairs;
 # 2-core x86 host, numpy 2.4.6, OpenBLAS 0.3.31): evaluate_ref 122-125 at 3 and 116-119
 # at 4, but peak_rss_mb 50.6-50.8 at 3 and 53.2-54.0 at 4 (51.1 unfused): a 4-qubit block
-# holds 4 KB, and the locked 10q/4000 arm's 9,251 gates fuse into 2.5 MB at 3, 4.7 MB at 4
+# holds 4 KB, and the locked 10q/4000 arm's 9,251 gates fuse into 2.1 MB at 3 and 4.3 MB
+# at 4 (tracemalloc; each block a view into its group's array)
 _FUSE_QUBITS = 3
+# closed blocks of one width that _compose builds together, and the most gate matrices
+# it embeds at once (512 KB at 3 qubits). Compiling the locked 10q/4000 arm peaks at
+# 2.13 MB of tracemalloc at 16, 2.24 at 32 and 2.49 at 64 (2.27 composing each block
+# alone as it closes); fusing the nine synthetic programs took 110, 100 and 94 ms (best
+# of 30, same host). So 32, below the peak of composing blocks alone
+_COMPOSE_GROUP = 32
+_COMPOSE_WINDOW = 2**9
 # fusing and evolving one state over evolving it gate by gate (process time, median of
-# 15, same host): 1.48 at 8 qubits, 1.28 at 9, 1.16 at 10, 0.92 at 11, 0.41 at 14, 0.36 at
-# 15 (the synthetic circuits and their locked forms); two states 0.90 at 8 qubits and
-# 0.62 at 11, ten states of the locked bundled circuits 0.88-1.07. So a lone state is
-# fused from 11 qubits, any batch always
-_FUSE_LONE_QUBITS = 11
+# 15, same host; the synthetic circuits, their locked forms, and 400-700-gate synthetic
+# circuits of 4-7 qubits): 0.84-0.95 at 4-7 qubits, 0.81-0.85 at 8, 0.70-0.75 at 9,
+# 0.60-0.66 at 10, 0.45-0.61 at 11, 0.34-0.40 at 14-15, but 1.0-2.2 on the bundled
+# circuits (3-5 qubits, under 1.3 ms); ten states of the locked bundled circuits
+# 0.56-0.87. So a lone state is fused from 8 qubits, any batch always
+_FUSE_LONE_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -242,7 +261,7 @@ def _program(circuit: Circuit, fused: bool = False) -> Program:
 
 
 class _Block:
-    """An open block of ``_fuse``: its qubits and its gates in program order."""
+    """A block of ``_fuse``: its qubits and its gates in program order."""
 
     __slots__ = ("qubits", "gates")
 
@@ -257,13 +276,37 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
     its qubits, merged into one, when their qubits and its own number at most
     ``k``. Otherwise it joins the one of them it fits with that holds the most
     gates, the others close, and if it fits with none it opens a block of its
-    own. Blocks are emitted as they close, the ones still open at the end
-    last, so every qubit sees its gates in program order. A block of one gate
-    is that gate.
+    own. A one-qubit gate always fits its qubit's open block, so it joins it
+    or opens one. Blocks take their place in the program as they close, the
+    ones still open at the end last, so every qubit sees its gates in program
+    order. A closed block waits in its place until ``_COMPOSE_GROUP`` blocks
+    of its width have closed, and ``_compose`` builds their matrices
+    together; the blocks still waiting at the end are composed last.
     """
-    fused: Program = []
+    fused: list = []
+    waiting: dict[int, list[int]] = {}  # block width -> places of blocks not yet composed
     open_blocks: dict[int, _Block] = {}
+
+    def compose(places: list[int]) -> None:
+        for place, pair in zip(places, _compose([fused[i] for i in places])):
+            fused[place] = pair
+        places.clear()
+
+    def close(block: _Block) -> None:
+        places = waiting.setdefault(len(block.qubits), [])
+        places.append(len(fused))
+        fused.append(block)
+        if len(places) >= _COMPOSE_GROUP:
+            compose(places)
+
     for gate in program:
+        if len(gate[1]) == 1:
+            q = gate[1][0]
+            if q in open_blocks:
+                open_blocks[q].gates.append(gate)
+            else:
+                open_blocks[q] = _Block({q}, [gate])
+            continue
         touched: list[_Block] = []
         for q in gate[1]:
             b = open_blocks.get(q)
@@ -275,7 +318,7 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
             keep = max(fits, key=lambda b: len(b.gates), default=None)
             for b in touched:
                 if b is not keep:
-                    fused.append(_compose(b))
+                    close(b)
                     for q in b.qubits:
                         del open_blocks[q]
             touched = [keep] if keep else []
@@ -287,7 +330,11 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
         block.gates.append(gate)
         for q in qubits:
             open_blocks[q] = block
-    fused.extend(_compose(b) for b in dict.fromkeys(open_blocks.values()))
+    for b in dict.fromkeys(open_blocks.values()):
+        close(b)
+    for places in waiting.values():
+        if places:
+            compose(places)
     return fused
 
 
@@ -299,32 +346,107 @@ def _identity(m: int) -> np.ndarray:
     return identity
 
 
-def _compose(block: _Block) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A block's (matrix, qubits), its qubits listed from the highest down.
+@lru_cache(maxsize=2**10)
+def _embedded(matrix: bytes, wires: tuple[int, ...], m: int) -> np.ndarray:
+    """A multi-qubit gate's matrix, given by its bytes, on ``wires`` of an ``m``-qubit
+    block, as the block's ``2**m``-square matrix; never written.
 
-    The matrix is the block's gates applied to the identity by ``_evolve``'s
-    steps (gather, matmul), its columns the basis states of the block's
-    qubits, with one norm check at the end instead of one per gate.
+    ``_evolve`` applies the gate to ``_identity(m)``, which copies each entry
+    exactly. Every multi-qubit kind in the alphabet has no parameters, so the
+    cache holds one matrix per kind and placement.
     """
-    if len(block.gates) == 1:
-        return block.gates[0]
-    order = tuple(sorted(block.qubits, reverse=True))
-    m = len(order)
-    local = {q: m - 1 - i for i, q in enumerate(order)}  # the block's own little-endian qubits
-    tensor = _identity(m)
-    gather = np.empty_like(tensor)
-    result = np.empty_like(tensor)
-    for mat, qubits in block.gates:
-        axes, inverse = _permutations(tuple(map(local.__getitem__, qubits)), m, m + 1)
-        np.copyto(gather, tensor.transpose(axes))
-        np.matmul(mat, gather.reshape(mat.shape[0], -1), out=result.reshape(mat.shape[0], -1))
-        tensor = result.transpose(inverse)
-    matrix = tensor.reshape(2**m, 2**m)
-    norms = np.sqrt(np.vecdot(matrix, matrix, axis=0).real)
+    k = 2 ** len(wires)
+    embedded = _evolve(_identity(m), [(np.frombuffer(matrix, dtype=complex).reshape(k, k), wires)], m)
+    embedded.flags.writeable = False
+    return embedded
+
+
+@lru_cache(maxsize=None)
+def _pair_entries(m: int, wire: int) -> np.ndarray:
+    """Flat entries, ``(2, 2, 2**(m-1))``, of a ``2**m``-square matrix that a one-qubit
+    gate on ``wire`` fills: entry ``(a, b, i)`` is at the ``i``-th row pair's row
+    with the wire's bit ``a`` and column with it ``b``, every other bit equal."""
+    pairs = np.array([i for i in range(2**m) if not i >> wire & 1])
+    rows = pairs + np.array([[0], [1 << wire]])
+    entries = rows[:, None, :] * 2**m + rows[None, :, :]
+    entries.flags.writeable = False
+    return entries
+
+
+def _embed(gates: list[tuple[tuple[np.ndarray, tuple[int, ...]], dict[int, int]]], m: int) -> np.ndarray:
+    """``gates``, each a (matrix, qubits) pair and its ``m``-qubit block's map from
+    qubits to the block's own wires, as an array ``(len(gates), 2**m, 2**m)``.
+
+    The one-qubit gates on one wire are scattered into their row pairs in one
+    vectorised assignment; each multi-qubit gate copies its ``_embedded``.
+    """
+    d = 2**m
+    embedded = np.zeros((len(gates), d, d), dtype=complex)
+    lone: list[list[int]] = [[] for _ in range(m)]  # indices of the one-qubit gates on each wire
+    for i, ((matrix, qubits), local) in enumerate(gates):
+        if len(qubits) == 1:
+            lone[local[qubits[0]]].append(i)
+        else:
+            embedded[i] = _embedded(matrix.tobytes(), tuple(map(local.__getitem__, qubits)), m)
+    flat = embedded.reshape(len(gates), d * d)
+    for wire, indices in enumerate(lone):
+        if indices:
+            matrices = np.array([gates[i][0][0] for i in indices])
+            flat[np.array(indices)[:, None, None, None], _pair_entries(m, wire)] = matrices[..., None]
+    return embedded
+
+
+def _compose(blocks: list[_Block]) -> Program:
+    """Each block's (matrix, qubits), its qubits listed from the highest down; every
+    one of ``blocks`` spans the same number ``m`` of qubits.
+
+    A block of one gate is that gate. The others are composed together, step
+    by step: step ``s`` multiplies the ``s``-th gate of every block at least
+    ``s + 1`` gates long onto that block's product so far. The blocks are
+    taken longest first, so step ``s``'s gates, embedded as ``2**m``-square
+    matrices (``_embed``), and the products they meet are contiguous slices,
+    and a step is one stacked ``np.matmul``. The gates are embedded a window
+    of steps at a time, at most ``_COMPOSE_WINDOW`` matrices. One column-norm
+    check covers every block.
+    """
+    program = [block.gates[0] for block in blocks]
+    multi = sorted((i for i, b in enumerate(blocks) if len(b.gates) > 1), key=lambda i: -len(blocks[i].gates))
+    if not multi:
+        return program
+    m = len(blocks[multi[0]].qubits)
+    orders = [tuple(sorted(blocks[i].qubits, reverse=True)) for i in multi]
+    local = [{q: m - 1 - w for w, q in enumerate(order)} for order in orders]  # each block's own little-endian wires
+    gates = [blocks[i].gates for i in multi]
+    sizes, active = [], len(gates)  # blocks that take part in each step
+    for step in range(len(gates[0])):
+        while len(gates[active - 1]) <= step:
+            active -= 1
+        sizes.append(active)
+    layout = [(gates[j][step], local[j]) for step, active in enumerate(sizes) for j in range(active)]
+    matrices = np.empty((len(multi), 2**m, 2**m), dtype=complex)  # each block's product so far
+    per_window = max(1, _COMPOSE_WINDOW // len(multi))  # a step embeds len(multi) matrices at most
+    start = 0  # the window's first gate in ``layout``
+    for first in range(0, len(sizes), per_window):
+        window = sizes[first : first + per_window]
+        embedded = _embed(layout[start : start + sum(window)], m)
+        offset = 0
+        for step, active in enumerate(window, first):
+            step_gates = embedded[offset : offset + active]
+            if step:
+                # in place: numpy copies the products before the matmul overwrites them
+                np.matmul(step_gates, matrices[:active], out=matrices[:active])
+            else:
+                matrices[:active] = step_gates
+            offset += active
+        start += offset
+        del embedded, step_gates  # before the next window's gates are embedded
+    norms = np.sqrt(np.vecdot(matrices, matrices, axis=-2).real)
     drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
     if drifted.any():
         raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
-    return matrix, order
+    for j, i in enumerate(multi):
+        program[i] = (matrices[j], orders[j])
+    return program
 
 
 def _evolve(
