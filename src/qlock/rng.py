@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_POOL_WORDS = 4  # SeedSequence's default pool size
 
 
 def _component(part) -> int:
@@ -29,14 +31,29 @@ def _label_hash(label: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _words(value: int) -> list[int]:
+    """A 64-bit value as ``SeedSequence`` splits an int: its little-endian uint32
+    words, one word for values below 2**32 (zero included)."""
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
 def derive_rng(seed: int, *path) -> np.random.Generator:
     """Philox generator for the stream named by (seed, *path).
 
     Identical arguments always yield an identical stream; distinct paths give
     statistically independent streams off the same master seed.
+
+    The stream is that of ``SeedSequence(entropy=seed & MASK64,
+    spawn_key=path components)``. That form converts each int to uint32 words
+    in Python; here the words are assembled the way ``SeedSequence`` assembles
+    them (the seed's words, zero-padded to its pool size of four when a path
+    follows, then each component's words) and passed as one uint32 array,
+    which gives the same entropy pool.
     """
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64,
-        spawn_key=tuple(_component(p) for p in path),
-    )
+    words = _words(int(seed) & _MASK64)
+    if path:
+        words += [0] * (_POOL_WORDS - len(words))
+        for part in path:
+            words += _words(_component(part))
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))

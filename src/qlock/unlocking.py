@@ -9,14 +9,23 @@ form, |0> -> deleted), removes the ancilla, and drops zero-angle phase gates.
 
 Wrong keys follow the same path and always yield a well-formed circuit; the
 ancilla stays classical no matter which bits are supplied.
+
+Since only the key-bearing gates depend on the bits, ``key_template`` runs
+those steps once for a lock and lists what any candidate restores: fixed
+gates, and one slot per key entry (a logic entry's uncontrolled gate, present
+iff its bit is 1, or a phase entry's ``rz(kappa * pi/4)``, absent for kappa
+0). ``KeyTemplate.restored(bits)`` equals ``unlock``'s restored circuit for
+those bits, and the wrong-key sweep simulates every candidate through one
+compiled template.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import NamedTuple
 
-from .circuit import Barrier, Circuit, Gate, phase_angle_of
+from .circuit import PHASE_KINDS, Barrier, Circuit, Gate, phase_angle_of
 from .locking import (
     ANCILLA_REGISTER,
     KAPPA_STEP,
@@ -25,6 +34,9 @@ from .locking import (
     UNCONTROLLED_FORM,
     normalize_phase_angle,
 )
+
+
+_NOT_CLASSICAL = "cannot simplify: ancilla evolution is not classical ({} present)"
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,23 @@ def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]
     return replace(locked, ops=tuple(ops))
 
 
+def _identity_phase(gate: Gate) -> bool:
+    """Whether ``gate`` is a phase gate of angle 0 (mod 2 pi), which ``simplify`` drops."""
+    return gate.kind in PHASE_KINDS and normalize_phase_angle(phase_angle_of(gate)) == 0
+
+
+def _without_ancilla(circuit: Circuit, ancilla: int | None, ops: list) -> Circuit:
+    """``circuit`` with ``ops`` and without its ancilla, the last qubit if any."""
+    labels = circuit.qubit_labels[:ancilla]  # all of them without an ancilla
+    return Circuit(
+        num_qubits=len(labels),
+        num_clbits=circuit.num_clbits,
+        ops=tuple(ops),
+        qubit_labels=labels,
+        clbit_labels=circuit.clbit_labels,
+    )
+
+
 def simplify(
     circuit: Circuit, logic_bits: Iterable[int] | None = None, ancilla: int | None = None
 ) -> Circuit:
@@ -154,22 +183,20 @@ def simplify(
     state = 0
     section = 0
     for op in circuit.ops:
-        if _on_ancilla(op, ancilla):
-            if len(op.qubits) == 1:
-                if op.kind == "x":
-                    state ^= 1
-                    continue
-                raise ValueError(
-                    f"cannot simplify: ancilla evolution is not classical ({op.kind} present)"
-                )
-            if bits is not None and (section >= len(bits) or bits[section] != state):
-                raise ValueError("ancilla state disagrees with the supplied logic bits")
-            section += 1
-            if state == 1:
-                ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
-        elif isinstance(op, Gate):
-            if not (op.is_phase and normalize_phase_angle(phase_angle_of(op)) == 0):
-                ops.append(op)
+        if isinstance(op, Gate):
+            if ancilla not in op.qubits:
+                if not _identity_phase(op):
+                    ops.append(op)
+            elif _on_ancilla(op, ancilla) and len(op.qubits) > 1:
+                if bits is not None and (section >= len(bits) or bits[section] != state):
+                    raise ValueError("ancilla state disagrees with the supplied logic bits")
+                section += 1
+                if state == 1:
+                    ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
+            elif op.kind == "x":
+                state ^= 1
+            else:
+                raise ValueError(_NOT_CLASSICAL.format(op.kind))
         elif isinstance(op, Barrier):
             span = tuple(q for q in op.qubits if q != ancilla)
             if span:
@@ -178,14 +205,19 @@ def simplify(
             if op.qubit == ancilla:
                 raise ValueError("key ancilla must not be measured")
             ops.append(op)
-    labels = circuit.qubit_labels[:ancilla]  # all of them without an ancilla
-    return Circuit(
-        num_qubits=len(labels),
-        num_clbits=circuit.num_clbits,
-        ops=tuple(ops),
-        qubit_labels=labels,
-        clbit_labels=circuit.clbit_labels,
-    )
+    return _without_ancilla(circuit, ancilla, ops)
+
+
+def _keyed(locked: Circuit, key: Key, logic_bits: tuple[int, ...]) -> tuple[Circuit, int | None]:
+    """``locked`` with ``key``'s ancilla toggles (for its ``logic_bits``) and phase
+    key applied, and its ancilla."""
+    ancilla = find_ancilla(locked)
+    if logic_bits and ancilla is None:
+        raise ValueError("key has logic bits but the circuit has no key ancilla register")
+    current = locked
+    if logic_bits:
+        current = insert_key_toggles(current, key, ancilla)
+    return apply_phase_key(current, key.phase_assignments()), ancilla
 
 
 def unlock(
@@ -203,13 +235,123 @@ def unlock(
     """
     applied = key if candidate_bits is None else key.with_bits(candidate_bits)
     logic_bits = applied.logic_bits()
-    ancilla = find_ancilla(locked)
-    if logic_bits and ancilla is None:
-        raise ValueError("key has logic bits but the circuit has no key ancilla register")
-    current = locked
-    if logic_bits:
-        current = insert_key_toggles(current, applied, ancilla)
-    current = apply_phase_key(current, applied.phase_assignments())
+    current, ancilla = _keyed(locked, applied, logic_bits)
     if not keep_ancilla:
         current = simplify(current, logic_bits if logic_bits else None, ancilla)
     return UnlockResult(restored_circuit=current)
+
+
+class KeySlot(NamedTuple):
+    """A gate of a ``KeyTemplate`` that a candidate key picks.
+
+    The candidate's bits ``[offset, offset + span)``, read as a binary
+    number, pick one of ``options``, None standing for no gate: a logic
+    entry's bit drops (0) or keeps (1) its section's uncontrolled gate, and a
+    phase entry's kappa picks ``rz(kappa * pi/4)``, kappa 0 being no gate.
+    ``index`` is the slot's place in the template circuit's ops.
+    """
+
+    index: int
+    offset: int
+    span: int
+    options: tuple[Gate | None, ...]
+
+
+class KeyTemplate(NamedTuple):
+    """What ``unlock`` restores from one locked circuit for any candidate key.
+
+    ``circuit`` is the restoration under the all-ones candidate, in which
+    every slot holds a gate (its last option); every other gate is the same
+    for all candidates. ``restored(bits)`` equals
+    ``unlock(locked, key, candidate_bits=bits).restored_circuit``.
+    """
+
+    circuit: Circuit
+    slots: tuple[KeySlot, ...]
+    key_bits: int
+
+    def choices(self, bits: str) -> tuple[int, ...]:
+        """The option each slot takes under candidate ``bits``."""
+        if len(bits) != self.key_bits or set(bits) - {"0", "1"}:
+            raise ValueError(f"candidate must be {self.key_bits} bits of 0/1, got {bits!r}")
+        return tuple(int(bits[s.offset : s.offset + s.span], 2) for s in self.slots)
+
+    def restored(self, bits: str) -> Circuit:
+        """The circuit candidate ``bits`` restores: each slot's pick in its place."""
+        ops = list(self.circuit.ops)
+        for slot, choice in zip(reversed(self.slots), reversed(self.choices(bits))):
+            gate = slot.options[choice]
+            if gate is None:
+                del ops[slot.index]
+            else:
+                ops[slot.index] = gate
+        return replace(self.circuit, ops=tuple(ops))
+
+
+def key_template(locked: Circuit, key: Key) -> KeyTemplate:
+    """The ``KeyTemplate`` of ``locked`` under ``key``'s schedule, built once
+    for any number of candidates.
+
+    It applies the all-ones candidate as ``unlock`` does, then makes
+    ``simplify``'s pass with its checks, so a lock that ``unlock`` refuses
+    raises the same error here: whether a lock is refused never depends on
+    the key's bit values. In that pass each key section is a logic slot, and
+    each ``rz`` at a phase entry's (block, qubit), the gates
+    ``apply_phase_key`` sets, a phase slot; every other gate goes as
+    ``simplify`` decides. A circuit whose key has no logic entries keeps its
+    sections resolved, as ``simplify`` resolves them.
+    """
+    ones = key.with_bits("1" * len(key.bits))
+    logic_bits = ones.logic_bits()
+    keyed, ancilla = _keyed(locked, ones, logic_bits)
+    if ancilla not in (None, keyed.num_qubits - 1):
+        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
+    sections: list[int] = []  # each logic entry's bit offset, in section order
+    phase: dict[tuple[int, int], int] = {}  # (block, qubit) -> the phase entry's bit offset
+    offset = 0
+    for entry in key.schedule:
+        if entry.kind == "logic":
+            sections.append(offset)
+        else:
+            phase[(entry.layer, entry.qubit)] = offset
+        offset += entry.span
+    offsets = iter(sections)
+    rotations: dict[tuple[int, ...], tuple[Gate | None, ...]] = {}  # a phase slot's options, by qubit
+    ops: list = []
+    slots: list[KeySlot] = []
+    state = 0
+    block = 0
+    # simplify's pass over the keyed circuit, each key-bearing gate a slot
+    for op in keyed.ops:
+        if isinstance(op, Gate):
+            if ancilla not in op.qubits:
+                site = (block, op.qubits[0])
+                if op.kind == "rz" and site in phase:
+                    if op.qubits not in rotations:
+                        gates = tuple(Gate("rz", (kappa * KAPPA_STEP,), op.qubits) for kappa in range(1, 8))
+                        rotations[op.qubits] = (None, *gates)
+                    slots.append(KeySlot(len(ops), phase[site], 3, rotations[op.qubits]))
+                    ops.append(op)
+                elif not _identity_phase(op):
+                    ops.append(op)
+            elif _on_ancilla(op, ancilla) and len(op.qubits) > 1:
+                gate = Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:])
+                if logic_bits:
+                    slots.append(KeySlot(len(ops), next(offsets), 1, (None, gate)))
+                    ops.append(gate)
+                elif state == 1:
+                    ops.append(gate)
+            elif op.kind == "x":
+                state ^= 1
+            else:
+                raise ValueError(_NOT_CLASSICAL.format(op.kind))
+        elif isinstance(op, Barrier):
+            block += 1
+            span = tuple(q for q in op.qubits if q != ancilla)
+            if span:
+                ops.append(Barrier(span))
+        else:
+            if op.qubit == ancilla:
+                raise ValueError("key ancilla must not be measured")
+            ops.append(op)
+    return KeyTemplate(_without_ancilla(keyed, ancilla, ops), tuple(slots), len(key.bits))

@@ -14,7 +14,7 @@ from qlock import circuit as qlock_circuit
 from qlock.circuit import flatten, layerize, metrics
 from qlock.cli import main
 
-from conftest import NoNumpy
+from conftest import NoNumpy, fuzz_key, fuzz_qasm
 
 
 @pytest.fixture()
@@ -234,60 +234,6 @@ def test_obfuscate_gateless_circuit_has_no_phase_site(tmp_path, capsys):
     assert err == "error: requested 1 phase sites but only 0 are available\n"
 
 
-@pytest.fixture(scope="module")
-def fuzz_lock(tmp_path_factory):
-    """The adder's locked QASM lines and parsed key, and a directory to write edits in."""
-    directory = tmp_path_factory.mktemp("fuzz")
-    adder = directory / "adder.qasm"
-    adder.write_text(benchmarks.load("adder_n4"))
-    locked, key = directory / "locked.qasm", directory / "key.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["obfuscate", str(adder), "-o", str(locked), "--key", str(key), "--seed", "5"]) == 0
-    return directory, locked.read_text().splitlines(), json.loads(key.read_text())
-
-
-_WRONG_VALUES = (None, "x", 1.5, -1, True, [], {"kind": "logic"}, 2**70)
-_GATE_NAMES = ("h", "x", "t", "cx", "ccx", "rz", "u3", "barrier", "measure", "bogus")
-
-
-def _fuzz_key(data, key: dict) -> None:
-    entries = key["schedule"]
-    edit = data.draw(st.sampled_from(("drop", "retype", "duplicate", "shuffle", "bits")))
-    if edit in ("drop", "retype"):
-        index = data.draw(st.integers(-1, len(entries) - 1))
-        target = key if index < 0 else entries[index]
-        field = data.draw(st.sampled_from(sorted(target)))
-        if edit == "drop":
-            del target[field]
-        else:
-            target[field] = data.draw(st.sampled_from(_WRONG_VALUES))
-    elif edit == "duplicate":
-        index = data.draw(st.integers(0, len(entries) - 1))
-        entries.insert(data.draw(st.integers(0, len(entries))), dict(entries[index]))
-        key["bits"] += data.draw(st.sampled_from(("", "1", "101")))
-    elif edit == "shuffle":
-        key["schedule"] = data.draw(st.permutations(entries))
-    else:
-        key["bits"] = data.draw(st.text("01", max_size=len(key["bits"]) + 4) | st.sampled_from(_WRONG_VALUES))
-
-
-def _fuzz_qasm(data, lines: list[str]) -> list[str]:
-    lines = list(lines)
-    edit = data.draw(st.sampled_from(("delete", "duplicate", "rename", "retarget", "none")))
-    index = data.draw(st.integers(0, len(lines) - 1))
-    if edit == "delete":
-        del lines[index]
-    elif edit == "duplicate":
-        lines.insert(index, lines[index])
-    elif edit == "rename":
-        lines[index] = re.sub(r"^\w+", data.draw(st.sampled_from(_GATE_NAMES)), lines[index])
-    elif edit == "retarget":
-        found = [i for i, line in enumerate(lines) if "qk[0]" in line]
-        index = found[index % len(found)]
-        lines[index] = lines[index].replace("qk[0]", data.draw(st.sampled_from(("q[0]", "q[3]", "q[4]"))), 1)
-    return lines
-
-
 @settings(max_examples=40)
 @given(data=st.data())
 def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
@@ -296,9 +242,9 @@ def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
     directory, lines, key = fuzz_lock
     key = json.loads(json.dumps(key))
     if data.draw(st.booleans()):
-        _fuzz_key(data, key)
+        fuzz_key(data, key)
     locked, key_path = directory / "edited.qasm", directory / "edited.json"
-    locked.write_text("\n".join(_fuzz_qasm(data, lines)) + "\n")
+    locked.write_text("\n".join(fuzz_qasm(data, lines)) + "\n")
     key_path.write_text(json.dumps(key))
     deobfuscate = ["deobfuscate", str(locked), str(key_path), "-o", str(directory / "out.qasm")]
     evaluate = [

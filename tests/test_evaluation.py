@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlock import benchmarks, evaluation, parse_circuit, simulator
-from qlock.circuit import Circuit, Gate, Measure
+from qlock.circuit import Circuit, Gate
 from qlock.evaluation import (
     EvalConfig,
     equivalent_up_to_global_phase,
@@ -27,6 +27,7 @@ from qlock.locking import ObfuscationPlan, dense_plan, obfuscate
 from qlock.rng import derive_rng
 from qlock.simulator import Distribution, NoiseConfig, statevector
 from qlock.simulator import run as simulate
+from qlock.unlocking import unlock
 
 
 def _dist(counts, shots, bits=1):
@@ -323,7 +324,10 @@ def _per_input_tvds(original, arms, config):
 
 def _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys):
     arms = mode_circuits(record, config.modes)
-    sweep = evaluation._wrong_key_arms(record, config, wrong_keys)
+    sweep = {
+        arm: unlock(record.locked_circuit, record.key, candidate_bits=bits).restored_circuit
+        for arm, bits in evaluation._wrong_key_arms(record, config, wrong_keys).items()
+    }
     want = _per_input_tvds(original, arms | sweep, config)
     report = evaluate(original, record, config, wrong_keys)
     assert report.per_input == {m: tuple(want[m]) for m in config.modes}
@@ -352,19 +356,46 @@ def _recording_statevector(monkeypatch):
     return columns
 
 
+def _widths(total, width):
+    """How ``total`` columns split into chunks of at most ``width``."""
+    return [min(width, total - first) for first in range(0, total, width)]
+
+
 @pytest.mark.parametrize("sampling", ["independent", "paired"])
-@pytest.mark.parametrize("amplitudes", [None, 2**7])
-def test_evaluate_matches_per_input_path(bundled_records, monkeypatch, sampling, amplitudes):
+@pytest.mark.parametrize(
+    "amplitudes, template_batch",
+    [
+        pytest.param(None, None, id="None"),
+        pytest.param(2**7, None, id="128"),
+        pytest.param(2**7, 1, id="128-template"),
+    ],
+)
+def test_evaluate_matches_per_input_path(bundled_records, monkeypatch, sampling, amplitudes, template_batch):
     # 2**7 amplitudes cut 13 inputs into chunks of 8 + 5 (4-qubit arms) or
-    # 4 + 4 + 4 + 1 (5-qubit arms); the default holds all 13 in one chunk
+    # 4 + 4 + 4 + 1 (5-qubit arms); the default holds all 13 in one chunk.
+    # The sweep evolves each chunk's inputs times its 3 keys through the key
+    # template, at most batch_columns of the restored width at a time: all of
+    # them by default, 16 (3 qubits) or 8 (4 qubits) with 2**7 amplitudes.
+    # Batches that small are below _TEMPLATE_BATCH, so unless that is
+    # lowered each key runs as an arm of its own
     if amplitudes is not None:
         monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", amplitudes)
+    if template_batch is not None:
+        monkeypatch.setattr(evaluation, "_TEMPLATE_BATCH", template_batch)
     config = EvalConfig(n_inputs=13, shots=40, seed=6, sampling=sampling)
     for original, record in bundled_records:
         columns = _recording_statevector(monkeypatch)
         _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=3)
         per_chunk = 13 if amplitudes is None else amplitudes >> record.locked_circuit.num_qubits
-        assert {c for c in columns if c is not None} == {per_chunk, 13 % per_chunk or per_chunk}
+        arms = _widths(13, per_chunk) * (1 + len(config.modes))
+        if amplitudes is None:
+            sweep = [39]
+        elif template_batch is None:
+            sweep = _widths(13, per_chunk) * 3
+        else:
+            per_part = amplitudes >> original.num_qubits
+            sweep = [w for inputs in _widths(13, per_chunk) for w in _widths(3 * inputs, per_part)]
+        assert columns == arms + sweep
 
 
 def test_evaluate_matches_per_input_path_under_noise(bundled_records):
@@ -372,23 +403,6 @@ def test_evaluate_matches_per_input_path_under_noise(bundled_records):
     config = EvalConfig(n_inputs=3, shots=40, seed=2, noise=noise)
     for original, record in bundled_records:
         _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=2)
-
-
-def _wide_record(n, seed):
-    """An ``n``-qubit circuit with every qubit measured, locked by a dense plan."""
-    rng = np.random.default_rng(seed)
-    gates = [Gate("h", (), (q,)) for q in range(n)]
-    for _ in range(3 * n):
-        a, b, c = (int(q) for q in rng.choice(n, 3, replace=False))
-        angle = float(rng.uniform(0.1, 6.0))
-        gates += [Gate("cx", (), (a, b)), Gate("rz", (angle,), (c,)), Gate("t", (), (b,))]
-    circuit = Circuit(n, n, tuple(gates) + tuple(Measure(q, q) for q in range(n)))
-    return circuit, obfuscate(circuit, dense_plan(circuit, seed=seed), seed=seed)
-
-
-@pytest.fixture(scope="module")
-def wide_record():
-    return _wide_record(12, seed=5)
 
 
 def test_evaluate_matches_per_input_path_on_wide_circuit(wide_record, monkeypatch):
@@ -419,6 +433,43 @@ def test_evaluate_memory_does_not_grow_with_inputs(wide_record):
     assert peaks[16] < 6 * state_bytes
 
 
+def _sweep_peaks(original, record, keys):
+    """tracemalloc peak of a sweep of each number of ``keys``, after one of the most
+    has filled the caches (the first keys of a sweep are those of any longer one)."""
+    config = EvalConfig(n_inputs=2, shots=30, seed=1, modes=())
+    evaluate(original, record, config, wrong_keys=max(keys))
+    peaks = {}
+    for wrong_keys in keys:
+        tracemalloc.start()
+        try:
+            evaluate(original, record, config, wrong_keys=wrong_keys)
+            peaks[wrong_keys] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_sweep_memory_does_not_grow_with_keys(wide_record, monkeypatch):
+    # through the key template, one (input, key) column at a time at 12
+    # restored qubits: more keys add their bits, picks and TVDs, never
+    # another state held at once
+    original, record = wide_record
+    state_bytes = 16 * 2**original.num_qubits
+    monkeypatch.setattr(evaluation, "_TEMPLATE_BATCH", 1)
+    peaks = _sweep_peaks(original, record, (2, 16))
+    assert peaks[16] - peaks[2] < state_bytes / 2
+
+
+def test_sweep_memory_holds_one_key_at_a_time(wide_record):
+    # one key's restored circuit and program at a time, where batches are too
+    # small for the template; compiling one key's program peaks up to ~60 KB
+    # above another's here, so the bound is one state, not half of one
+    original, record = wide_record
+    state_bytes = 16 * 2**original.num_qubits
+    peaks = _sweep_peaks(original, record, (2, 16))
+    assert peaks[16] - peaks[2] < state_bytes
+
+
 # --- the batched loop's pieces ----------------------------------------------------
 
 
@@ -429,12 +480,8 @@ def test_wrong_keys_draw_the_per_bit_loops_bits(seed, key_len, n_keys):
     rng = derive_rng(seed, "wrong-keys")
     want = ["".join(str(int(rng.integers(2))) for _ in range(key_len)) for _ in range(n_keys)]
     record = SimpleNamespace(locked_circuit=None, key=SimpleNamespace(bits="0" * key_len))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(
-            evaluation, "unlock", lambda locked, key, candidate_bits: SimpleNamespace(restored_circuit=candidate_bits)
-        )
-        arms = evaluation._wrong_key_arms(record, EvalConfig(seed=seed), n_keys)
-    assert list(arms.values()) == want
+    arms = evaluation._wrong_key_arms(record, EvalConfig(seed=seed), n_keys)
+    assert arms == {f"wrong-key-{k}": bits for k, bits in enumerate(want)}
 
 
 def test_layer_states_hold_to_the_layer_statevector():
