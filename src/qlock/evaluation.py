@@ -29,14 +29,10 @@ probabilities differ in the last bits, which moves a count only if a
 multinomial draw lands that close to a boundary. ``tests/test_evaluation.py``
 checks the counts for equality.
 
-A noiseless wrong-key sweep unlocks no key: the record's ``key_template``
-lists what every key restores. Where a batch holds many small states, the
-template is compiled once, with a placeholder for each key entry's gate, and
-the keys' inputs evolve together, each (input, key) column taking its key's
-choice at every placeholder (``_KeyedProgram``); wider circuits run each
-key's restored circuit from the template as an arm. Their counts match those
-of unlocking each key and running it behind each input layer in the same
-sense, by count rather than by bit.
+A wrong-key sweep unlocks no key: the record's ``key_template``, built
+once, gives each random key's restored circuit (``KeyTemplate.restored``),
+the very circuit ``unlock`` would, and that circuit runs as an arm of its
+own. Its counts are those of unlocking each key, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,16 +70,6 @@ from .unlocking import (
 )
 
 MODES = ("logic_only", "phase_only", "combined", "restored")
-# the fewest columns one batch of a key template must hold for the sweep to evolve
-# (input, key) columns through it; below, each key's restored circuit is fused and
-# evolved on its own, as an arm. Every key slot is a step of its own, one per key entry,
-# so where a batch is a few wide states those steps cost more than the batching saves.
-# 20 keys x 10 inputs of dense locks (process time, median of 3-9, 2-core x86 host,
-# numpy 2.4.6), template against one arm per key: bundled circuits 23-33 ms against
-# 29-43, seeded 3n-layer circuits at 4 qubits (128 columns a batch) 0.040 against
-# 0.051 s, 5 (64) 0.044 against 0.050, 6 (32) 0.063 against 0.055, 8 (8) 0.140
-# against 0.126, 12 (1) 0.892 against 0.198
-_TEMPLATE_BATCH = 64
 
 
 def _arm_seed(seed: int, input_index: int, arm: str, sampling: str) -> int:
@@ -237,52 +223,6 @@ def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str
     return out
 
 
-class _KeyedProgram:
-    """A ``KeyTemplate`` compiled once for a list of candidate keys.
-
-    The template circuit is compiled for ``columns`` states in all, its key
-    slots left as placeholders. Each slot's options resolve to a stack of
-    matrices (the identity for no gate), built once for all slots whose
-    options differ only in their qubits, and each candidate to the option it
-    picks at every slot.
-    """
-
-    def __init__(self, template: KeyTemplate, candidates: list[str], columns: int):
-        self.circuit = template.circuit
-        self.program = compile_program(self.circuit, columns, [slot.index for slot in template.slots])
-        stacks: dict[tuple, np.ndarray] = {}
-        self.tables = []
-        for slot in template.slots:
-            kinds = tuple(None if g is None else (g.kind, g.params) for g in slot.options)
-            if kinds not in stacks:
-                k = 2 ** len(slot.options[-1].qubits)
-                stacks[kinds] = np.array([np.eye(k) if g is None else gate_matrix(g) for g in slot.options])
-            self.tables.append(stacks[kinds])
-        self.picks = np.array([template.choices(bits) for bits in candidates], dtype=np.intp)
-
-    def statevector(self, states: np.ndarray, keys: list[int]) -> np.ndarray:
-        """Column ``j`` of ``states``, ``(2**n, len(keys))``, evolved through the
-        circuit that candidate ``keys[j]`` restores.
-
-        Each slot becomes one matrix per column, stacked, or one matrix for a
-        single column, which evolves as a plain statevector. A slot's
-        matrices are built as the evolution reaches it, so only one slot's
-        are held at a time.
-        """
-        chosen = self.picks[keys]
-        lone = len(keys) == 1
-
-        def program() -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-            slots = iter(enumerate(self.tables))
-            for matrix, qubits in self.program:
-                if matrix is None:
-                    s, table = next(slots)
-                    matrix = table[chosen[0, s]] if lone else table[chosen[:, s]]
-                yield matrix, qubits
-
-        return statevector(self.circuit, states, program())
-
-
 def _tvds(
     original: Circuit,
     arms: dict[str, Circuit],
@@ -296,30 +236,21 @@ def _tvds(
     every run samples from its own ``_arm_seed`` stream, so neither the order
     of runs nor how inputs are chunked can change any count. The arms run one
     after another, the reference first, whose distributions are kept for the
-    rest, and the sweep last. Noiseless inputs go in chunks of
-    ``batch_columns`` of the widest circuit: each arm is compiled once, for
-    all its inputs (``compile_program``), and evolves each chunk in one
-    batched ``statevector``, from each input layer's product state
-    (``_layer_states``); ``run`` then samples each column through the arm's
-    measurements alone. Only one arm's program is held at a time. The last
-    chunk's input layers, and their states once per circuit width, are kept
-    for the next arm, so a single chunk builds them once. Noisy runs take one
-    input at a time through ``with_input_layer``, because the layer's gates
-    carry noise too; a noisy evaluation passes no sweep.
-
-    Where a batch of the sweep's template holds at least ``_TEMPLATE_BATCH``
-    columns, the template is compiled once, its key slots left as
-    placeholders, and each chunk of inputs is evolved as (input, candidate)
-    columns, ``batch_columns`` of the template at a time. Each slot is then
-    one step with one matrix per column, the option that column's candidate
-    picks, so a column's amplitudes do not depend on its neighbours; each
-    column is sampled by one ``run`` from the candidate's own stream. Wider
-    templates run each candidate's ``KeyTemplate.restored`` circuit as an
-    arm, one candidate at a time.
+    rest, and the sweep's candidates last, each as the arm its
+    ``KeyTemplate.restored`` circuit makes, built only when it runs.
+    Noiseless inputs go in chunks of ``batch_columns`` of the widest circuit:
+    each arm is compiled once, for all its inputs (``compile_program``), and
+    evolves each chunk in one batched ``statevector``, from each input
+    layer's product state (``_layer_states``); ``run`` then samples each
+    column through the arm's measurements alone. Only one arm's program is
+    held at a time. The last chunk's input layers, and their states once per
+    circuit width, are kept for the next arm, so a single chunk builds them
+    once. Noisy runs take one input at a time through ``with_input_layer``,
+    because the layer's gates carry noise too.
     """
+    template, candidates = sweep or (None, {})
     noisy = config.noise.enabled
-    circuits = (original, *arms.values(), *([sweep[0].circuit] if sweep else []))
-    widest = max(c.num_qubits for c in circuits)
+    widest = max(c.num_qubits for c in (original, *arms.values(), *([template.circuit] if template else [])))
     chunk = 1 if noisy else batch_columns(widest)
     held: dict = {}  # the last chunk's inputs, their layers and, by circuit width, their states
 
@@ -337,17 +268,11 @@ def _tvds(
             held[width] = _layer_states(chunk_layers, width)
         return held[width]
 
-    def measures(circuit: Circuit) -> Circuit:
-        return replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
-
-    def chunks() -> Iterator[range]:
-        for first in range(0, config.n_inputs, chunk):
-            yield range(first, min(first + chunk, config.n_inputs))
-
     def sample(circuit: Circuit, arm: str) -> Iterator[Distribution]:
         program = None if noisy else compile_program(circuit, config.n_inputs)
-        measured = measures(circuit)
-        for inputs in chunks():
+        measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
+        for first in range(0, config.n_inputs, chunk):
+            inputs = range(first, min(first + chunk, config.n_inputs))
             seeds = [_arm_seed(config.seed, i, arm, config.sampling) for i in inputs]
             if noisy:
                 for layer, seed in zip(layers(inputs), seeds):
@@ -355,44 +280,16 @@ def _tvds(
                 continue
             states = statevector(circuit, starts(inputs, circuit.num_qubits), program)
             runs = [
-                run(measured, config.shots, initial=state, noise=config.noise, seed=seed)
+                run(measures, config.shots, initial=state, noise=config.noise, seed=seed)
                 for state, seed in zip(states.T, seeds)
             ]
             del states  # let the chunk's states go before the next chunk evolves
             yield from runs
 
-    def sweep_tvds(
-        reference: list[Distribution], template: KeyTemplate, candidates: dict[str, str]
-    ) -> dict[str, list[float]]:
-        names = list(candidates)
-        keyed = _KeyedProgram(template, list(candidates.values()), len(names) * config.n_inputs)
-        measured = measures(template.circuit)
-        width = batch_columns(template.circuit.num_qubits)
-        out: dict[str, list[float]] = {name: [] for name in names}
-        for inputs in chunks():
-            states = starts(inputs, template.circuit.num_qubits)
-            columns = [(i, c) for i in inputs for c in range(len(names))]
-            for first in range(0, len(columns), width):
-                part = columns[first : first + width]
-                index = [i - inputs.start for i, _ in part]
-                # a lone column is a view, as a plain arm's chunk is: no copy of its state
-                initial = states[:, index] if len(part) > 1 else states[:, index[0] : index[0] + 1]
-                evolved = keyed.statevector(initial, [c for _, c in part])
-                for (i, c), state in zip(part, evolved.T):
-                    seed = _arm_seed(config.seed, i, names[c], config.sampling)
-                    dist = run(measured, config.shots, initial=state, noise=config.noise, seed=seed)
-                    out[names[c]].append(tvd(reference[i], dist))
-                del evolved
-        return out
-
     reference = list(sample(original, "reference"))
     out = {arm: list(map(tvd, reference, sample(circuit, arm))) for arm, circuit in arms.items()}
-    if sweep and batch_columns(sweep[0].circuit.num_qubits) >= _TEMPLATE_BATCH:
-        out |= sweep_tvds(reference, *sweep)
-    elif sweep:
-        template, candidates = sweep
-        for arm, bits in candidates.items():
-            out[arm] = list(map(tvd, reference, sample(template.restored(bits), arm)))
+    for arm, bits in candidates.items():
+        out[arm] = list(map(tvd, reference, sample(template.restored(bits), arm)))
     return out
 
 
@@ -405,23 +302,15 @@ def evaluate(
     mean TVD of that many uniformly random concrete keys, each as a full
     unlock would restore it, plus a 10-bin histogram of those means. The
     random keys share the mode arms' runs of the reference, so each input's
-    reference is simulated once. Noiseless sweeps take every key from one
-    ``key_template`` of the record instead of one ``unlock`` per key, and
-    small circuits evolve all keys through one compiled template (see
-    ``_tvds``); their counts match the per-key ``unlock`` path by count, not
-    by bit (``tests/test_evaluation.py`` checks them for equality). A noisy
-    sweep unlocks each key, because noise attaches to each restored gate.
+    reference is simulated once. Every key's circuit comes from one
+    ``key_template`` of the record, equal to what ``unlock`` restores for
+    it, so no key is unlocked and the counts are those of unlocking each.
     """
     if wrong_keys < 0:
         raise ValueError(f"wrong-key sweep size must not be negative, got {wrong_keys}")
     arms = mode_circuits(record, config.modes)
     candidates = _wrong_key_arms(record, config, wrong_keys)
-    sweep = None
-    if config.noise.enabled:
-        for arm, bits in candidates.items():
-            arms[arm] = unlock(record.locked_circuit, record.key, candidate_bits=bits).restored_circuit
-    elif candidates:
-        sweep = (key_template(record.locked_circuit, record.key), candidates)
+    sweep = (key_template(record.locked_circuit, record.key), candidates) if candidates else None
     per_input = _tvds(original, arms, config, sweep)
     modes = {m: per_input[m] for m in config.modes}
     summary = _sweep_summary(wrong_keys, [per_input[k] for k in candidates]) if wrong_keys else None

@@ -47,10 +47,7 @@ gate-by-gate ones in the last bits only (the fusion tests bound the drift by
 1e-12, and each block's matrix by 1e-14 from composing it gate by gate). A
 batch takes a lone state's program unless its caller compiles one for all its
 columns, as ``evaluate`` does once per arm. Noisy programs are not fused:
-their Pauli insertions follow single gates. ``compile_program`` can also
-leave chosen gates as ``(None, qubits)`` placeholders, which no block
-crosses on their qubits; the caller fills each before evolving, for a
-stacked batch with one matrix per column (the wrong-key sweep's key slots).
+their Pauli insertions follow single gates.
 
 Noise, when enabled, is a parametric depolarizing model unravelled as quantum
 trajectories: after each gate, with probability ``p1`` (single-qubit gates)
@@ -72,7 +69,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,26 +242,21 @@ def _permutations(
 Program = list[tuple[np.ndarray, tuple[int, ...]]]
 
 
-def _program(circuit: Circuit, fused: bool = False, slots: Collection[int] = ()) -> Program:
+def _program(circuit: Circuit, fused: bool = False) -> Program:
     """Resolve each gate once to (matrix, qubits); barriers and measurements drop out.
 
     With ``fused``, the gates go through ``_fuse`` one at a time, so each
-    gate's matrix lives only until its block is built. The gates at the op
-    indices in ``slots`` become ``(None, qubits)`` placeholders. Qubit indices
-    need no check here: ``Circuit`` keeps them in range. Circuits whose state
-    would exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes are refused before
-    anything is allocated.
+    gate's matrix lives only until its block is built. Qubit indices need no
+    check here: ``Circuit`` keeps them in range. Circuits whose state would
+    exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes are refused before anything is
+    allocated.
     """
     n = circuit.num_qubits
     if n > _STATE_QUBIT_LIMIT:
         raise ValueError(
             f"{n}-qubit circuit too large to simulate (at most {_STATE_QUBIT_LIMIT} qubits)"
         )
-    gates = (
-        (None if i in slots else gate_matrix(op), op.qubits)
-        for i, op in enumerate(circuit.ops)
-        if isinstance(op, Gate)
-    )
+    gates = ((gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate))
     return _fuse(gates) if fused else list(gates)
 
 
@@ -290,11 +282,6 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
     order. A closed block waits in its place until ``_COMPOSE_GROUP`` blocks
     of its width have closed, and ``_compose`` builds their matrices
     together; the blocks still waiting at the end are composed last.
-
-    A ``(None, qubits)`` placeholder joins no block: the blocks open on its
-    qubits close, and it takes its place after them. A block open elsewhere
-    may take gates from both sides of it, which is sound because its qubits
-    are disjoint from the placeholder's.
     """
     fused: list = []
     waiting: dict[int, list[int]] = {}  # block width -> places of blocks not yet composed
@@ -313,13 +300,6 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
             compose(places)
 
     for gate in program:
-        if gate[0] is None:
-            for b in dict.fromkeys(open_blocks[q] for q in gate[1] if q in open_blocks):
-                close(b)
-                for q in b.qubits:
-                    del open_blocks[q]
-            fused.append(gate)
-            continue
         if len(gate[1]) == 1:
             q = gate[1][0]
             if q in open_blocks:
@@ -482,9 +462,6 @@ def _evolve(
     plain statevector's insertions use column 0 and its one state).
     ``tensor`` itself is never written; an empty program returns it
     flattened, allocating nothing.
-    A stacked batch's matrix may also come one per column, ``(columns, k,
-    k)``: each column's matmul then takes its own matrix, with the same
-    shapes as a shared one.
 
     A batch's gate is one matmul over all its columns, the batch axis kept
     last. With ``stacked``, the buffers hold the batch axis in front instead,
@@ -510,7 +487,7 @@ def _evolve(
     errors = errors or {}
     for index, (mat, qubits) in enumerate(program):
         order, inverse = _permutations(qubits, n, len(shape), stacked)
-        k = mat.shape[-1]
+        k = mat.shape[0]
         np.copyto(gather, tensor.transpose(order))
         np.matmul(mat, gather.reshape(stack + (k, -1)), out=result.reshape(stack + (k, -1)))
         tensor = result.transpose(inverse)
@@ -551,24 +528,18 @@ def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
     return state
 
 
-def compile_program(circuit: Circuit, columns: int = 1, slots: Collection[int] = ()) -> Program:
+def compile_program(circuit: Circuit, columns: int = 1) -> Program:
     """``circuit``'s gates as (matrix, qubits) pairs, for evolving ``columns`` states in all.
 
     The gates are fused into blocks of at most ``_FUSE_QUBITS`` qubits where
     that pays: for more than one state, or for one state of at least
     ``_FUSE_LONE_QUBITS`` qubits. Otherwise each gate stays its own pair.
-    The gates at the op indices in ``slots`` stay ``(None, qubits)``
-    placeholders, in op order, for the caller to fill before evolving, with a
-    matrix or, for a stacked batch, one matrix per column.
     """
-    fused = columns > 1 or circuit.num_qubits >= _FUSE_LONE_QUBITS
-    return _program(circuit, fused, frozenset(slots))
+    return _program(circuit, fused=columns > 1 or circuit.num_qubits >= _FUSE_LONE_QUBITS)
 
 
 def statevector(
-    circuit: Circuit,
-    initial: np.ndarray | None = None,
-    program: Program | Iterator[tuple[np.ndarray, tuple[int, ...]]] | None = None,
+    circuit: Circuit, initial: np.ndarray | None = None, program: Program | None = None
 ) -> np.ndarray:
     """Noiseless evolution through all gates; barriers and measurements skipped.
 
@@ -577,9 +548,6 @@ def statevector(
     ``program`` is the circuit's ``compile_program``, for a caller that evolves
     it more than once; without it, a batch takes the program a lone state
     would, so each column stays bit-identical to that state evolved alone.
-    It may also be an iterator over such pairs, read once as the evolution
-    reaches each (the wrong-key sweep builds each key slot's per-column
-    matrices only then).
     """
     if program is None:
         program = compile_program(circuit)

@@ -15,13 +15,14 @@ those steps once for a lock and lists what any candidate restores: fixed
 gates, and one slot per key entry (a logic entry's uncontrolled gate, present
 iff its bit is 1, or a phase entry's ``rz(kappa * pi/4)``, absent for kappa
 0). ``KeyTemplate.restored(bits)`` equals ``unlock``'s restored circuit for
-those bits, and the wrong-key sweep simulates every candidate through one
-compiled template.
+those bits, so the wrong-key sweep builds each candidate's circuit from one
+template instead of unlocking it. ``simplify`` and the template make one
+pass over the keyed circuit (``_walk``), which raises their shared errors.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -34,9 +35,6 @@ from .locking import (
     UNCONTROLLED_FORM,
     normalize_phase_angle,
 )
-
-
-_NOT_CLASSICAL = "cannot simplify: ancilla evolution is not classical ({} present)"
 
 
 @dataclass(frozen=True)
@@ -165,6 +163,60 @@ def _without_ancilla(circuit: Circuit, ancilla: int | None, ops: list) -> Circui
     )
 
 
+def _walk(
+    circuit: Circuit,
+    ancilla: int | None,
+    logic_bits: Iterable[int] | None = None,
+    sites: Collection[tuple[int, int]] = (),
+) -> tuple[list, list[int], list[tuple[int, tuple[int, int]]]]:
+    """``simplify``'s pass over ``circuit``, raising its errors.
+
+    Returns the ops that stay, in order; the places among them of the key
+    sections' gates, each in uncontrolled form because the ancilla holds 1
+    there; and the place and site of each ``rz`` gate at one of ``sites``,
+    (block, qubit) pairs whose blocks are counted by barriers. Sections
+    where the ancilla holds 0, ancilla X gates, zero-angle phase gates and
+    barriers left with no qubit are dropped.
+    """
+    if ancilla not in (None, circuit.num_qubits - 1):
+        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
+    bits = None if logic_bits is None else [int(b) for b in logic_bits]
+    ops: list = []
+    sections: list[int] = []
+    rotations: list[tuple[int, tuple[int, int]]] = []
+    state = 0
+    section = 0
+    block = 0
+    for op in circuit.ops:
+        if isinstance(op, Gate):
+            if ancilla not in op.qubits:
+                if not _identity_phase(op):
+                    if sites and op.kind == "rz" and (block, op.qubits[0]) in sites:
+                        rotations.append((len(ops), (block, op.qubits[0])))
+                    ops.append(op)
+            elif _on_ancilla(op, ancilla) and len(op.qubits) > 1:
+                if bits is not None and (section >= len(bits) or bits[section] != state):
+                    raise ValueError("ancilla state disagrees with the supplied logic bits")
+                section += 1
+                if state == 1:
+                    sections.append(len(ops))
+                    ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
+            elif op.kind == "x":
+                state ^= 1
+            else:
+                raise ValueError(f"cannot simplify: ancilla evolution is not classical ({op.kind} present)")
+        elif isinstance(op, Barrier):
+            block += 1
+            span = tuple(q for q in op.qubits if q != ancilla)
+            if span:
+                ops.append(Barrier(span))
+        else:
+            if op.qubit == ancilla:
+                raise ValueError("key ancilla must not be measured")
+            ops.append(op)
+    return ops, sections, rotations
+
+
 def simplify(
     circuit: Circuit, logic_bits: Iterable[int] | None = None, ancilla: int | None = None
 ) -> Circuit:
@@ -176,36 +228,7 @@ def simplify(
     simplification is refused). Zero-angle phase gates are removed; barriers
     are retained with the ancilla stripped from their span.
     """
-    if ancilla not in (None, circuit.num_qubits - 1):
-        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
-    bits = None if logic_bits is None else [int(b) for b in logic_bits]
-    ops: list = []
-    state = 0
-    section = 0
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            if ancilla not in op.qubits:
-                if not _identity_phase(op):
-                    ops.append(op)
-            elif _on_ancilla(op, ancilla) and len(op.qubits) > 1:
-                if bits is not None and (section >= len(bits) or bits[section] != state):
-                    raise ValueError("ancilla state disagrees with the supplied logic bits")
-                section += 1
-                if state == 1:
-                    ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
-            elif op.kind == "x":
-                state ^= 1
-            else:
-                raise ValueError(_NOT_CLASSICAL.format(op.kind))
-        elif isinstance(op, Barrier):
-            span = tuple(q for q in op.qubits if q != ancilla)
-            if span:
-                ops.append(Barrier(span))
-        else:
-            if op.qubit == ancilla:
-                raise ValueError("key ancilla must not be measured")
-            ops.append(op)
-    return _without_ancilla(circuit, ancilla, ops)
+    return _without_ancilla(circuit, ancilla, _walk(circuit, ancilla, logic_bits)[0])
 
 
 def _keyed(locked: Circuit, key: Key, logic_bits: tuple[int, ...]) -> tuple[Circuit, int | None]:
@@ -270,22 +293,14 @@ class KeyTemplate(NamedTuple):
     slots: tuple[KeySlot, ...]
     key_bits: int
 
-    def choices(self, bits: str) -> tuple[int, ...]:
-        """The option each slot takes under candidate ``bits``."""
-        if len(bits) != self.key_bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"candidate must be {self.key_bits} bits of 0/1, got {bits!r}")
-        return tuple(int(bits[s.offset : s.offset + s.span], 2) for s in self.slots)
-
     def restored(self, bits: str) -> Circuit:
         """The circuit candidate ``bits`` restores: each slot's pick in its place."""
+        if len(bits) != self.key_bits or set(bits) - {"0", "1"}:
+            raise ValueError(f"candidate must be {self.key_bits} bits of 0/1, got {bits!r}")
         ops = list(self.circuit.ops)
-        for slot, choice in zip(reversed(self.slots), reversed(self.choices(bits))):
-            gate = slot.options[choice]
-            if gate is None:
-                del ops[slot.index]
-            else:
-                ops[slot.index] = gate
-        return replace(self.circuit, ops=tuple(ops))
+        for slot in self.slots:
+            ops[slot.index] = slot.options[int(bits[slot.offset : slot.offset + slot.span], 2)]
+        return replace(self.circuit, ops=tuple(op for op in ops if op is not None))
 
 
 def key_template(locked: Circuit, key: Key) -> KeyTemplate:
@@ -293,19 +308,16 @@ def key_template(locked: Circuit, key: Key) -> KeyTemplate:
     for any number of candidates.
 
     It applies the all-ones candidate as ``unlock`` does, then makes
-    ``simplify``'s pass with its checks, so a lock that ``unlock`` refuses
-    raises the same error here: whether a lock is refused never depends on
-    the key's bit values. In that pass each key section is a logic slot, and
-    each ``rz`` at a phase entry's (block, qubit), the gates
-    ``apply_phase_key`` sets, a phase slot; every other gate goes as
-    ``simplify`` decides. A circuit whose key has no logic entries keeps its
-    sections resolved, as ``simplify`` resolves them.
+    ``simplify``'s pass (``_walk``) with its checks, so a lock that
+    ``unlock`` refuses raises the same error here: whether a lock is refused
+    never depends on the key's bit values. In that pass each key section is
+    a logic slot, and each ``rz`` at a phase entry's (block, qubit), the
+    gates ``apply_phase_key`` sets, a phase slot; every other gate goes as
+    ``simplify`` decides.
     """
     ones = key.with_bits("1" * len(key.bits))
     logic_bits = ones.logic_bits()
     keyed, ancilla = _keyed(locked, ones, logic_bits)
-    if ancilla not in (None, keyed.num_qubits - 1):
-        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
     sections: list[int] = []  # each logic entry's bit offset, in section order
     phase: dict[tuple[int, int], int] = {}  # (block, qubit) -> the phase entry's bit offset
     offset = 0
@@ -315,43 +327,14 @@ def key_template(locked: Circuit, key: Key) -> KeyTemplate:
         else:
             phase[(entry.layer, entry.qubit)] = offset
         offset += entry.span
-    offsets = iter(sections)
-    rotations: dict[tuple[int, ...], tuple[Gate | None, ...]] = {}  # a phase slot's options, by qubit
-    ops: list = []
-    slots: list[KeySlot] = []
-    state = 0
-    block = 0
-    # simplify's pass over the keyed circuit, each key-bearing gate a slot
-    for op in keyed.ops:
-        if isinstance(op, Gate):
-            if ancilla not in op.qubits:
-                site = (block, op.qubits[0])
-                if op.kind == "rz" and site in phase:
-                    if op.qubits not in rotations:
-                        gates = tuple(Gate("rz", (kappa * KAPPA_STEP,), op.qubits) for kappa in range(1, 8))
-                        rotations[op.qubits] = (None, *gates)
-                    slots.append(KeySlot(len(ops), phase[site], 3, rotations[op.qubits]))
-                    ops.append(op)
-                elif not _identity_phase(op):
-                    ops.append(op)
-            elif _on_ancilla(op, ancilla) and len(op.qubits) > 1:
-                gate = Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:])
-                if logic_bits:
-                    slots.append(KeySlot(len(ops), next(offsets), 1, (None, gate)))
-                    ops.append(gate)
-                elif state == 1:
-                    ops.append(gate)
-            elif op.kind == "x":
-                state ^= 1
-            else:
-                raise ValueError(_NOT_CLASSICAL.format(op.kind))
-        elif isinstance(op, Barrier):
-            block += 1
-            span = tuple(q for q in op.qubits if q != ancilla)
-            if span:
-                ops.append(Barrier(span))
-        else:
-            if op.qubit == ancilla:
-                raise ValueError("key ancilla must not be measured")
-            ops.append(op)
+    ops, logic, phase_gates = _walk(keyed, ancilla, logic_bits or None, phase)
+    # under the all-ones toggles the ancilla holds 1 at every section; a key
+    # without logic entries has no offsets, its sections resolved as simplify does
+    slots = [KeySlot(i, offset, 1, (None, ops[i])) for i, offset in zip(logic, sections)]
+    options: dict[tuple[int, ...], tuple[Gate | None, ...]] = {}  # a phase slot's, by qubit
+    for i, site in phase_gates:
+        qubits = ops[i].qubits
+        if qubits not in options:
+            options[qubits] = (None, *(Gate("rz", (kappa * KAPPA_STEP,), qubits) for kappa in range(1, 8)))
+        slots.append(KeySlot(i, phase[site], 3, options[qubits]))
     return KeyTemplate(_without_ancilla(keyed, ancilla, ops), tuple(slots), len(key.bits))

@@ -362,40 +362,20 @@ def _widths(total, width):
 
 
 @pytest.mark.parametrize("sampling", ["independent", "paired"])
-@pytest.mark.parametrize(
-    "amplitudes, template_batch",
-    [
-        pytest.param(None, None, id="None"),
-        pytest.param(2**7, None, id="128"),
-        pytest.param(2**7, 1, id="128-template"),
-    ],
-)
-def test_evaluate_matches_per_input_path(bundled_records, monkeypatch, sampling, amplitudes, template_batch):
+@pytest.mark.parametrize("amplitudes", [None, 2**7])
+def test_evaluate_matches_per_input_path(bundled_records, monkeypatch, sampling, amplitudes):
     # 2**7 amplitudes cut 13 inputs into chunks of 8 + 5 (4-qubit arms) or
     # 4 + 4 + 4 + 1 (5-qubit arms); the default holds all 13 in one chunk.
-    # The sweep evolves each chunk's inputs times its 3 keys through the key
-    # template, at most batch_columns of the restored width at a time: all of
-    # them by default, 16 (3 qubits) or 8 (4 qubits) with 2**7 amplitudes.
-    # Batches that small are below _TEMPLATE_BATCH, so unless that is
-    # lowered each key runs as an arm of its own
+    # The reference, the mode arms and then the sweep's 3 keys, one arm each,
+    # all take the same chunks
     if amplitudes is not None:
         monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", amplitudes)
-    if template_batch is not None:
-        monkeypatch.setattr(evaluation, "_TEMPLATE_BATCH", template_batch)
     config = EvalConfig(n_inputs=13, shots=40, seed=6, sampling=sampling)
     for original, record in bundled_records:
         columns = _recording_statevector(monkeypatch)
         _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=3)
         per_chunk = 13 if amplitudes is None else amplitudes >> record.locked_circuit.num_qubits
-        arms = _widths(13, per_chunk) * (1 + len(config.modes))
-        if amplitudes is None:
-            sweep = [39]
-        elif template_batch is None:
-            sweep = _widths(13, per_chunk) * 3
-        else:
-            per_part = amplitudes >> original.num_qubits
-            sweep = [w for inputs in _widths(13, per_chunk) for w in _widths(3 * inputs, per_part)]
-        assert columns == arms + sweep
+        assert columns == _widths(13, per_chunk) * (1 + len(config.modes) + 3)
 
 
 def test_evaluate_matches_per_input_path_under_noise(bundled_records):
@@ -433,40 +413,23 @@ def test_evaluate_memory_does_not_grow_with_inputs(wide_record):
     assert peaks[16] < 6 * state_bytes
 
 
-def _sweep_peaks(original, record, keys):
-    """tracemalloc peak of a sweep of each number of ``keys``, after one of the most
-    has filled the caches (the first keys of a sweep are those of any longer one)."""
+def test_sweep_memory_holds_one_key_at_a_time(wide_record):
+    # each key's restored circuit and program are built as its arm runs and
+    # let go before the next: more keys add their bits and TVDs, never another
+    # state held at once. Compiling one key's program here peaks up to ~67 KB
+    # above another's (the keys' blocks differ), so the bound is one state
+    original, record = wide_record
+    state_bytes = 16 * 2**original.num_qubits
     config = EvalConfig(n_inputs=2, shots=30, seed=1, modes=())
-    evaluate(original, record, config, wrong_keys=max(keys))
+    evaluate(original, record, config, wrong_keys=16)  # fills caches; its first 2 keys are those of 2
     peaks = {}
-    for wrong_keys in keys:
+    for wrong_keys in (2, 16):
         tracemalloc.start()
         try:
             evaluate(original, record, config, wrong_keys=wrong_keys)
             peaks[wrong_keys] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    return peaks
-
-
-def test_sweep_memory_does_not_grow_with_keys(wide_record, monkeypatch):
-    # through the key template, one (input, key) column at a time at 12
-    # restored qubits: more keys add their bits, picks and TVDs, never
-    # another state held at once
-    original, record = wide_record
-    state_bytes = 16 * 2**original.num_qubits
-    monkeypatch.setattr(evaluation, "_TEMPLATE_BATCH", 1)
-    peaks = _sweep_peaks(original, record, (2, 16))
-    assert peaks[16] - peaks[2] < state_bytes / 2
-
-
-def test_sweep_memory_holds_one_key_at_a_time(wide_record):
-    # one key's restored circuit and program at a time, where batches are too
-    # small for the template; compiling one key's program peaks up to ~60 KB
-    # above another's here, so the bound is one state, not half of one
-    original, record = wide_record
-    state_bytes = 16 * 2**original.num_qubits
-    peaks = _sweep_peaks(original, record, (2, 16))
     assert peaks[16] - peaks[2] < state_bytes
 
 

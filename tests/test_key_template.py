@@ -1,6 +1,5 @@
-"""The key template against ``unlock``: one compiled program for every
-candidate key must restore, simulate and refuse what one ``unlock`` per
-candidate does."""
+"""The key template against ``unlock``: one template for every candidate key
+must restore, simulate and refuse what one ``unlock`` per candidate does."""
 
 import json
 
@@ -9,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlock import benchmarks, parse_circuit
-from qlock.evaluation import _KeyedProgram, _layer_states, random_input_layer, with_input_layer
-from qlock.locking import ObfuscationPlan, dense_plan, import_key, obfuscate, select_sites
+from qlock.evaluation import _layer_states, random_input_layer, with_input_layer
+from qlock.locking import ObfuscationPlan, dense_plan, export_key, import_key, obfuscate, select_sites
+from qlock.qasm import emit_circuit
 from qlock.qasm import QasmError
-from qlock.simulator import batch_columns, statevector
+from qlock.simulator import compile_program, statevector
 from qlock.unlocking import key_template, unlock
 
 from conftest import fuzz_key, fuzz_qasm
@@ -62,7 +62,7 @@ def test_template_restores_what_unlock_restores(record):
 def test_template_refuses_a_candidate_of_another_length(record):
     template = key_template(record.locked_circuit, record.key)
     with pytest.raises(ValueError, match="candidate must be"):
-        template.choices(record.key.bits + "0")
+        template.restored(record.key.bits + "0")
 
 
 def _oracle(record, candidates, layers):
@@ -73,18 +73,16 @@ def _oracle(record, candidates, layers):
     ]
 
 
-def _keyed_columns(record, candidates, layers, width):
-    """Every (input, candidate) column through the template, ``width`` columns at a time."""
+def _template_columns(record, candidates, layers):
+    """Every (input, candidate) column as the sweep evolves it: each candidate's
+    ``restored`` circuit, compiled once for all inputs, evolves them as one batch."""
     template = key_template(record.locked_circuit, record.key)
-    n = template.circuit.num_qubits
-    keyed = _KeyedProgram(template, candidates, len(candidates) * len(layers))
-    states = _layer_states(layers, n)
-    columns = [(i, c) for i in range(len(layers)) for c in range(len(candidates))]
+    states = _layer_states(layers, template.circuit.num_qubits)
     out = {}
-    for first in range(0, len(columns), width):
-        part = columns[first : first + width]
-        evolved = keyed.statevector(states[:, [i for i, _ in part]], [c for _, c in part])
-        out.update(zip(part, evolved.T))
+    for c, bits in enumerate(candidates):
+        circuit = template.restored(bits)
+        evolved = statevector(circuit, states, compile_program(circuit, len(layers)))
+        out.update(((i, c), state) for i, state in enumerate(evolved.T))
     return out
 
 
@@ -93,14 +91,8 @@ def test_template_columns_hold_to_unlock(record):
     n = key_template(record.locked_circuit, record.key).circuit.num_qubits
     layers = [random_input_layer(n, seed) for seed in range(3)]
     want = _oracle(record, candidates, layers)
-    width = batch_columns(n)
-    got = _keyed_columns(record, candidates, layers, width)
-    for (i, c), state in got.items():
+    for (i, c), state in _template_columns(record, candidates, layers).items():
         assert np.max(np.abs(state - want[i][c])) <= 1e-12
-    # each column takes its own matmuls: its amplitudes do not depend on its neighbours
-    for chunk in (1, 2, 5):
-        alone = _keyed_columns(record, candidates, layers, chunk)
-        assert all(np.array_equal(alone[column], state) for column, state in got.items())
 
 
 def test_template_columns_hold_to_unlock_on_a_wide_circuit(wide_record):
@@ -108,7 +100,7 @@ def test_template_columns_hold_to_unlock_on_a_wide_circuit(wide_record):
     candidates = _candidates(record, 3, seed=5)
     layers = [random_input_layer(12, seed) for seed in range(2)]
     want = _oracle(record, candidates, layers)
-    for (i, c), state in _keyed_columns(record, candidates, layers, batch_columns(12)).items():
+    for (i, c), state in _template_columns(record, candidates, layers).items():
         assert np.max(np.abs(state - want[i][c])) <= 1e-12
 
 
@@ -143,3 +135,22 @@ def test_template_refuses_what_unlock_refuses(fuzz_lock, data):
     assert template.restored(parsed.bits) == want
     bits = data.draw(st.text("01", min_size=len(parsed.bits), max_size=len(parsed.bits)))
     assert template.restored(bits) == unlock(locked, parsed, candidate_bits=bits).restored_circuit
+
+
+def test_template_refuses_an_ancilla_declared_first():
+    # a hand-written lock with its qk register before q, its key's qubits moved
+    # to match: unlock and the template refuse it with one message
+    circuit = parse_circuit(benchmarks.load("adder_n4"))
+    record = obfuscate(circuit, dense_plan(circuit, seed=0), seed=0)
+    lines = emit_circuit(record.locked_circuit).splitlines()
+    ancilla = next(line for line in lines if line.startswith("qreg qk"))
+    lines.remove(ancilla)
+    lines.insert(next(i for i, line in enumerate(lines) if line.startswith("qreg")), ancilla)
+    locked = parse_circuit("\n".join(lines) + "\n")
+    key = json.loads(export_key(record.key))
+    for entry in key["schedule"]:
+        entry["qubit"] += 1
+    key = import_key(json.dumps(key))
+    want = "key ancilla is qubit 0, not the last qubit"
+    assert _outcome(lambda: unlock(locked, key)) == want
+    assert _outcome(lambda: key_template(locked, key)) == want
