@@ -22,16 +22,14 @@ bit-identical to moving axes there and back per matrix (the oracle tests in
 ``tests/test_simulator.py`` hold them to it).
 The batch columns are input states (``statevector`` takes ``(2**n,
 columns)``, and ``evaluate`` evolves an arm's inputs that way,
-``batch_columns`` at a time), basis states (``unitary_of``) or the error
-patterns of a noisy run. A batch of input states evolves stacked, one matmul
-per column, so each column is also bit-identical to that state evolved alone
-through the same program.
-A noisy batch's Pauli insertions are written into ``result`` in place, the
-same way, right after their gate's matmul.
+``batch_columns`` at a time) or basis states (``unitary_of``). A batch of
+input states evolves stacked, one matmul per column, so each column is also
+bit-identical to that state evolved alone through the same program.
 The norm check after every matrix reads the contiguous ``result``: one
-``np.vdot`` for a statevector, one ``np.vecdot`` per column for a batch.
-Circuits beyond ``_STATE_QUBIT_LIMIT`` qubits, and noisy runs beyond
-``_NOISY_SHOT_LIMIT`` shots, are refused before anything is allocated.
+``np.vdot`` for a statevector, one ``np.vecdot`` per column for a batch, and
+the trace for a density tensor. Circuits beyond ``_STATE_QUBIT_LIMIT``
+qubits, and noisy runs beyond half of it, are refused before anything is
+allocated.
 
 Noiseless programs are fused where that pays (``compile_program``): for a
 batch, a unitary, or a lone state of at least ``_FUSE_LONE_QUBITS`` qubits.
@@ -46,32 +44,32 @@ program applies one matrix per block; its amplitudes differ from the
 gate-by-gate ones in the last bits only (the fusion tests bound the drift by
 1e-12, and each block's matrix by 1e-14 from composing it gate by gate). A
 batch takes a lone state's program unless its caller compiles one for all its
-columns, as ``evaluate`` does once per arm. Noisy programs are not fused:
-their Pauli insertions follow single gates.
+columns, as ``evaluate`` does once per arm. Noisy programs are not fused.
 
-Noise, when enabled, is a parametric depolarizing model unravelled as quantum
-trajectories: after each gate, with probability ``p1`` (single-qubit gates)
-or ``p2`` (multi-qubit gates), a Pauli drawn uniformly from {X, Y, Z} is
-applied to each of the gate's qubits. The draws never depend on the state,
-so a run draws every shot's error pattern first: one stream per run fills a
-(shots, gates) block of uniforms, one per gate of each shot, and a uniform
-below its gate's rate both marks the error and picks its Paulis. Each
-distinct pattern (most shots share the error-free one) is then simulated
-once, as one column of a batch. Every run ends the same way: each group of
-shots (a noiseless run's one state, or a noisy run's patterns, the
-error-free one first) has its probabilities summed over the unmeasured
-qubits and draws its shots with one multinomial from the run's sampling
-stream, and each remaining index prints as its outcome string. A noisy run
-that draws no error therefore gives the noiseless counts.
+Noise, when enabled, is a parametric depolarizing channel after each gate:
+with probability ``p1`` (single-qubit gates) or ``p2`` (multi-qubit gates), a
+Pauli drawn uniformly from {X, Y, Z} hits each of the gate's qubits. A noisy
+run evolves the exact density matrix rho = psi psi^dagger of its ``n`` qubits
+as a ``2n``-qubit tensor through the same kernel: tensor qubit ``n + q`` holds
+qubit ``q``'s row bit and tensor qubit ``q`` its column bit, so the flat index
+is ``row * 2**n + col``, and each gate with its channel is one
+``4**k``-square superoperator (``_superoperator``) on tensor qubits
+``(n + q..., q...)``. Every run ends the same way: the probabilities (a
+state's squared amplitudes, or the density matrix's diagonal) are summed over
+the unmeasured qubits, the shots are drawn with one multinomial from the
+run's sampling stream, and each remaining index prints as its outcome
+string. Noise with ``p1 = p2 = 0`` runs noiseless, so it gives the noiseless
+counts; a noisy run's memory does not depend on its shot count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -80,28 +78,17 @@ from .rng import derive_rng
 
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
-_STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector
-# a noisy run keeps no per-shot arrays, only one chunk of draws and a shot count per
-# distinct error pattern. tracemalloc peaks of a 1-gate run over 2**20 shots: 2.3 bytes
-# a shot at p1 = 0.001, 12 at p1 = 0.5, so repeated patterns keep 2**23 shots within
-# 128 MB; where nearly every shot draws its own pattern (20 gates at p = 0.3) each
-# pattern costs ~1.2 KB, which this limit does not bound below 10 GB
-_NOISY_SHOT_LIMIT = 2**23
-# amplitudes one batch may hold, its columns input states or noisy error patterns
-# (``batch_columns``). Measured on a 2-core x86 host, numpy 2.4.6, process time, median
-# of 5-7: a stacked batch of input states over its columns' separate statevectors, 2
-# columns 0.84-0.96 at 4-10 qubits, 0.95 (0.81-1.12) on the 11-qubit locked 10q/4000
-# synthetic arm, 1.03 at 15 qubits, 4 columns 0.48-0.76 at 4-10 qubits; noisy runs on
-# locked circuits under this cap over 2**18, 0.64-0.93 at 9-15 qubits, 1.00-1.04 at
-# 100 shots of the bundled circuits (one batch either way), 0.48-1.11 at 1000 shots.
-# Through fused programs (median of 15): 2 columns 0.96-1.02 at 4-7 qubits, 0.85-0.97
-# at 8-10, 0.93 at 11 and 12, 0.98 at 13, 1.04-1.15 at 14-15; 4 columns 0.53-0.61 at
-# 4-9, 0.69 at 10, 0.78 at 11. A larger cap would batch the 11-qubit arm's inputs, but
-# it also sets how wide a noisy batch is, whose one wide matmul per gate can change
-# last bits with its width. So 2**11: 2 columns at 10 qubits, 4 at 9, 64 at 5, one at
-# 11 and up
+_STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector, or per density tensor of 13 qubits
+# amplitudes one batch of noiseless input states may hold (``batch_columns``). Measured on
+# a 2-core x86 host, numpy 2.4.6, process time, median of 5-7: a stacked batch of input
+# states over its columns' separate statevectors, 2 columns 0.84-0.96 at 4-10 qubits, 0.95
+# (0.81-1.12) on the 11-qubit locked 10q/4000 synthetic arm, 1.03 at 15 qubits, 4 columns
+# 0.48-0.76 at 4-10 qubits. Through fused programs (median of 15): 2 columns 0.96-1.02 at
+# 4-7 qubits, 0.85-0.97 at 8-10, 0.93 at 11 and 12, 0.98 at 13, 1.04-1.15 at 14-15; 4
+# columns 0.53-0.61 at 4-9, 0.69 at 10, 0.78 at 11. A larger cap would batch the 11-qubit
+# arm's inputs too; it has not been retuned since. So 2**11: 2 columns at 10 qubits, 4 at
+# 9, 64 at 5, one at 11 and up
 _BATCH_AMPLITUDES = 2**11
-_BLOCK_DRAWS = 2**18  # uniforms one chunk of noisy shots may hold
 # the widest block _fuse builds. perfbench synthetic_pipeline (seed 4, 15 s runs, 3 pairs;
 # 2-core x86 host, numpy 2.4.6, OpenBLAS 0.3.31): evaluate_ref 122-125 at 3 and 116-119
 # at 4, but peak_rss_mb 50.6-50.8 at 3 and 53.2-54.0 at 4 (51.1 unfused): a 4-qubit block
@@ -242,22 +229,52 @@ def _permutations(
 Program = list[tuple[np.ndarray, tuple[int, ...]]]
 
 
-def _program(circuit: Circuit, fused: bool = False) -> Program:
+def _program(circuit: Circuit, fused: bool = False, noise: NoiseConfig | None = None) -> Program:
     """Resolve each gate once to (matrix, qubits); barriers and measurements drop out.
 
     With ``fused``, the gates go through ``_fuse`` one at a time, so each
-    gate's matrix lives only until its block is built. Qubit indices need no
-    check here: ``Circuit`` keeps them in range. Circuits whose state would
-    exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes are refused before anything is
-    allocated.
+    gate's matrix lives only until its block is built. With ``noise``, each
+    gate is its ``_superoperator`` on the density tensor's qubits. Qubit
+    indices need no check here: ``Circuit`` keeps them in range. Circuits
+    whose state would exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes (a density
+    tensor holds ``4**n``) are refused before anything is allocated.
     """
     n = circuit.num_qubits
-    if n > _STATE_QUBIT_LIMIT:
-        raise ValueError(
-            f"{n}-qubit circuit too large to simulate (at most {_STATE_QUBIT_LIMIT} qubits)"
-        )
+    limit = _STATE_QUBIT_LIMIT if noise is None else _STATE_QUBIT_LIMIT // 2
+    if n > limit:
+        kind = "simulate" if noise is None else "simulate with noise"
+        raise ValueError(f"{n}-qubit circuit too large to {kind} (at most {limit} qubits)")
     gates = ((gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate))
+    if noise is not None:
+        return [
+            (_superoperator(u.tobytes(), len(q), noise.p1 if len(q) == 1 else noise.p2), tuple(n + b for b in q) + q)
+            for u, q in gates
+        ]
     return _fuse(gates) if fused else list(gates)
+
+
+@lru_cache(maxsize=None)
+def _depolarizer(k: int) -> np.ndarray:
+    """``T_k``, the superoperator of a uniform Pauli from {X, Y, Z} on each of ``k``
+    qubits: the mean of ``P (x) conj(P)`` over the ``3**k`` Pauli products ``P``,
+    row bits before column bits; never written."""
+    paulis = (reduce(np.kron, combination) for combination in product(_PAULI_LIST, repeat=k))
+    depolarizer = sum(np.kron(p, p.conj()) for p in paulis) / 3**k
+    depolarizer.flags.writeable = False
+    return depolarizer
+
+
+@lru_cache(maxsize=2**10)
+def _superoperator(matrix: bytes, k: int, rate: float) -> np.ndarray:
+    """A ``k``-qubit gate, given by its matrix's bytes, followed by its depolarizing
+    channel of ``rate``, as one ``4**k``-square matrix on the row bits, then the
+    column bits, of its qubits: ``(1 - rate) U (x) conj(U) + rate T_k (U (x) conj(U))``;
+    never written."""
+    u = np.frombuffer(matrix, dtype=complex).reshape(2**k, 2**k)
+    unitary = np.kron(u, u.conj())
+    superoperator = (1.0 - rate) * unitary + rate * (_depolarizer(k) @ unitary)
+    superoperator.flags.writeable = False
+    return superoperator
 
 
 class _Block:
@@ -450,16 +467,14 @@ def _compose(blocks: list[_Block]) -> Program:
 
 
 def _evolve(
-    tensor: np.ndarray, program: Program, n: int, errors=None, stacked: bool = False
+    tensor: np.ndarray, program: Program, n: int, stacked: bool = False, density: bool = False
 ) -> np.ndarray:
     """Apply ``program`` to a state tensor, checking norm preservation after every gate.
 
     ``tensor`` is shaped ``(2,) * n``, or ``(2,) * n + (columns,)`` for a batch
     of states; the result comes back flat, ``(2**n,)`` or ``(2**n, columns)``.
-    ``errors`` maps a program index to the ``(column, qubit, pauli)`` insertions
-    that follow that gate, each in its own column only and written into
-    ``result`` in place, through a view with the qubit's axis in front (a
-    plain statevector's insertions use column 0 and its one state).
+    With ``density``, ``tensor`` is a density matrix of ``n // 2`` qubits (row
+    bits above column bits), and the check reads its trace instead of a norm.
     ``tensor`` itself is never written; an empty program returns it
     flattened, allocating nothing.
 
@@ -484,18 +499,20 @@ def _evolve(
     gather = np.empty(buffer, dtype=complex)
     result = np.empty(buffer, dtype=complex)
     stack = (columns,) if stacked else ()
-    errors = errors or {}
-    for index, (mat, qubits) in enumerate(program):
+    # the trace sums the entries whose row and column axes match: a view, no copy
+    diagonal = 2 * "".join(map(chr, range(97, 97 + n // 2))) + "->" if density else ""
+    for mat, qubits in program:
         order, inverse = _permutations(qubits, n, len(shape), stacked)
         k = mat.shape[0]
         np.copyto(gather, tensor.transpose(order))
         np.matmul(mat, gather.reshape(stack + (k, -1)), out=result.reshape(stack + (k, -1)))
         tensor = result.transpose(inverse)
-        for column, q, pauli in errors.get(index, ()):
-            wire = (tensor[..., column] if batched else tensor).transpose(_permutations((q,), n, n)[0])
-            wire[...] = (pauli @ wire.reshape(2, -1)).reshape(wire.shape)
         # the checks are written so that a NaN norm counts as drift
-        if batched:
+        if density:
+            trace = np.einsum(diagonal, tensor).real
+            if not abs(trace - 1.0) <= _NORM_TOL:
+                raise ArithmeticError(f"statevector norm drifted to {trace}")
+        elif batched:
             # one conjugated dot product per column, in the layout the matmul wrote:
             # no state-sized temporary per gate
             checked = result.reshape(columns, -1) if stacked else result.reshape(-1, columns).T
@@ -567,71 +584,16 @@ def batch_columns(num_qubits: int) -> int:
     return max(1, _BATCH_AMPLITUDES >> num_qubits)
 
 
-def _error_patterns(program: Program, noise: NoiseConfig, draws: np.ndarray) -> Iterator[tuple]:
-    """The error patterns of the shots in ``draws`` that err, one row of gate uniforms per shot.
-
-    Gate ``g`` errs when its uniform ``u`` falls below its rate; ``u / rate``
-    is then itself uniform, so the Paulis on the gate's ``k`` qubits are the
-    base-3 digits of the pick ``int(u / rate * 3**k)``, its first listed qubit
-    taking the least significant one (0, 1, 2: X, Y, Z). The pick stays below
-    ``3**k``: ``u < rate`` keeps the rounded quotient at most ``1 - 2**-53``,
-    and that times a number that is no power of two rounds below it. A pattern
-    is the shot's (gate, pick) pairs in gate order.
-    """
-    rates = np.array([noise.p1 if len(qubits) == 1 else noise.p2 for _, qubits in program])
-    sizes = np.array([3 ** len(qubits) for _, qubits in program])
-    rows, gates = np.nonzero(draws < rates)
-    picks = (draws[rows, gates] / rates[gates] * sizes[gates]).astype(np.int64)
-    bounds = np.flatnonzero(np.diff(rows, prepend=-1)).tolist() + [len(rows)]
-    gates, picks = gates.tolist(), picks.tolist()
-    return (tuple(zip(gates[a:b], picks[a:b])) for a, b in zip(bounds, bounds[1:]))
-
-
-def _insertions(program: Program, patterns: list[tuple]) -> dict[int, list]:
-    """``_evolve``'s ``errors`` for a batch holding pattern ``i`` in column ``i``."""
-    errors: dict[int, list] = {}
-    for column, pattern in enumerate(patterns):
-        for index, pick in pattern:
-            for q in program[index][1]:
-                pick, pauli = divmod(pick, 3)
-                errors.setdefault(index, []).append((column, q, _PAULI_LIST[pauli]))
-    return errors
-
-
-def _sample_noisy(
-    circuit: Circuit, shots: int, initial, noise: NoiseConfig, seed: int
-) -> Iterator[tuple[np.ndarray, int]]:
-    """(probabilities over basis indices, shots) for each error pattern a noisy run draws.
-
-    One stream, ``derive_rng(seed, "traj", noise.seed)``, fills a ``(shots,
-    gates)`` block of uniforms row by row, in chunks of at most
-    ``_BLOCK_DRAWS`` uniforms (one shot at least), so chunking never changes a
-    draw; ``_error_patterns`` reads each shot's row. Each distinct pattern, the
-    error-free one first (simulated even if every shot errs) and the rest in
-    first-occurrence order, is simulated once, as one column of a batch, and
-    ``run`` draws its shots with one multinomial, as it draws a noiseless run's.
-    """
-    program = _program(circuit)
+def _density_diagonal(circuit: Circuit, initial: np.ndarray | None, noise: NoiseConfig) -> np.ndarray:
+    """The diagonal of ``circuit``'s final density matrix under ``noise``, from the pure
+    state ``initial``: its outcome probabilities over basis indices."""
+    program = _program(circuit, noise=noise)
     n = circuit.num_qubits
     state = _initial_state(n, initial)
-    rng = derive_rng(seed, "traj", noise.seed)
-    patterns = {(): 0}  # pattern -> shots that drew it; the error-free count is set last
-    per_chunk = max(1, _BLOCK_DRAWS // max(1, len(program)))
-    block = np.empty((min(per_chunk, shots), len(program)))
-    for first in range(0, shots, per_chunk):
-        for pattern in _error_patterns(program, noise, rng.random(out=block[: shots - first])):
-            patterns[pattern] = patterns.get(pattern, 0) + 1
-    patterns[()] = shots - sum(patterns.values())
-    distinct = list(patterns)
-    width = batch_columns(n)
-    for start in range(0, len(distinct), width):
-        chunk = distinct[start : start + width]
-        # one pattern evolves as a plain statevector: a batch axis of one is slower
-        batch = np.repeat(state.reshape(-1, 1), len(chunk), axis=1) if len(chunk) > 1 else state
-        tensor = batch.reshape((2,) * n + batch.shape[1:])
-        flat = _evolve(tensor, program, n, _insertions(program, chunk)).reshape(2**n, -1)
-        for column, pattern in enumerate(chunk):
-            yield np.abs(flat[:, column]) ** 2, patterns[pattern]
+    rho = np.outer(state, state.conj()).reshape((2,) * (2 * n))
+    diagonal = _evolve(rho, program, 2 * n, density=True).reshape(2**n, 2**n).diagonal().real
+    # rounding can leave an exact zero a hair below it, which a multinomial refuses
+    return np.maximum(diagonal, 0.0)
 
 
 def _marginal(weights: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
@@ -654,28 +616,24 @@ def run(
     """Simulate and sample ``shots`` outcomes over the measured qubits.
 
     Qubits without measurements are traced out; if the circuit has no measure
-    operations at all, every qubit is measured implicitly.
+    operations at all, every qubit is measured implicitly. A noisy run with
+    any nonzero rate evolves the exact density matrix; its shots are one
+    multinomial, as a noiseless run's are.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     if initial is not None and np.ndim(initial) != 1:
         raise ValueError(f"run samples one state: initial must be 1-D, got shape {np.shape(initial)}")
-    if noise is not None and noise.enabled and shots > _NOISY_SHOT_LIMIT:
-        raise ValueError(f"{shots} shots too many for a noisy run (at most {_NOISY_SHOT_LIMIT})")
     measured = circuit.measured_qubits()
     n = circuit.num_qubits
-    if noise is None or not noise.enabled:
+    if noise is not None and noise.enabled and (noise.p1 or noise.p2):
+        weights = _density_diagonal(circuit, initial, noise)
+    else:
         # statevector's evolution, but the state of an empty program is ``initial`` itself
         program = compile_program(circuit)
-        state = _evolve(_initial_state(n, initial).reshape((2,) * n), program, n)
-        groups = [(np.abs(state) ** 2, shots)]
-    else:
-        groups = _sample_noisy(circuit, shots, initial, noise, seed)
-    rng = derive_rng(seed, "sample")
-    sampled = 0
-    for weights, count in groups:
-        probs = _marginal(weights, measured, n)
-        sampled = sampled + rng.multinomial(count, probs / probs.sum())
+        weights = np.abs(_evolve(_initial_state(n, initial).reshape((2,) * n), program, n)) ** 2
+    probs = _marginal(weights, measured, n)
+    sampled = derive_rng(seed, "sample").multinomial(shots, probs / probs.sum())
     b = len(measured)
     spec, hits = f"0{b}b", np.flatnonzero(sampled)
     counts = {format(i, spec): count for i, count in zip(hits.tolist(), sampled[hits].tolist())}

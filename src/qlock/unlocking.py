@@ -60,9 +60,12 @@ def _on_ancilla(op, ancilla: int | None) -> bool:
     return True
 
 
-def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
+def insert_key_toggles(
+    locked: Circuit, key: Key, ancilla: int, bits: tuple[int, ...] | None = None
+) -> Circuit:
     """Strip the ancilla's Hadamards and toggle it with X gates so that it
     holds |bit_i> during key section i, bit_i being the key's i-th logic bit.
+    ``bits`` is ``key.logic_bits()``, for a caller that already holds them.
 
     Section i must sit in the barrier-delimited block and on the lowest
     non-ancilla qubit that the key's i-th logic entry names.
@@ -70,7 +73,8 @@ def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
     The number of inserted X gates is bit_0 plus the count of adjacent bit
     changes.
     """
-    bits = key.logic_bits()
+    if bits is None:
+        bits = key.logic_bits()
     ops: list = []
     prev = 0
     section = 0
@@ -239,7 +243,7 @@ def _keyed(locked: Circuit, key: Key, logic_bits: tuple[int, ...]) -> tuple[Circ
         raise ValueError("key has logic bits but the circuit has no key ancilla register")
     current = locked
     if logic_bits:
-        current = insert_key_toggles(current, key, ancilla)
+        current = insert_key_toggles(current, key, ancilla, logic_bits)
     return apply_phase_key(current, key.phase_assignments()), ancilla
 
 

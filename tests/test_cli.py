@@ -282,19 +282,15 @@ def test_simulate_too_many_qubits_exit_3_without_allocating(tmp_path, capsys, mo
     assert "too large to simulate" in err and err.count("\n") == 1
 
 
-def test_simulate_noisy_shots_over_bound_exit_3_without_allocating(tmp_path, capsys, monkeypatch):
+def test_simulate_many_noisy_shots(tmp_path):
+    # a noisy run samples one multinomial from its density matrix, so any
+    # shot count runs, as a noiseless one does
     source = tmp_path / "c.qasm"
     source.write_text("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];")
     out = tmp_path / "c.json"
-    with monkeypatch.context() as patched:
-        patched.setattr(simulator, "np", NoNumpy())
-        shots = str(simulator._NOISY_SHOT_LIMIT + 1)
-        assert main(["simulate", str(source), "-o", str(out), "--noise", "--shots", shots]) == 3
-    err = capsys.readouterr().err
-    assert "too many for a noisy run" in err and err.count("\n") == 1
-    # a noiseless run samples one multinomial, whatever the count
-    assert main(["simulate", str(source), "-o", str(out), "--shots", str(10**13)]) == 0
-    assert json.loads(out.read_text())["shots"] == 10**13
+    for noise in (["--noise"], []):
+        assert main(["simulate", str(source), "-o", str(out), *noise, "--shots", str(10**13)]) == 0
+        assert json.loads(out.read_text())["shots"] == 10**13
 
 
 def test_simulate_bell_support(tmp_path):
@@ -413,8 +409,8 @@ def test_pipeline_closure_restored_simulates(tmp_path, adder_path):
 
 
 # sha256 of every file a command writes. The noisy report and noisy counts
-# were fixed when noisy runs moved to one stream of error draws and one
-# multinomial per error pattern, the noiseless counts before the kernel dropped
+# were fixed when noisy runs moved to the exact density matrix and one
+# multinomial, the noiseless counts before the kernel dropped
 # np.moveaxis, the select-lightcone and uncapped dense obfuscate outputs before
 # the site rules and picker were merged, the select-random one when the phase
 # boundary after the last layer stopped being a candidate, the others before
@@ -424,7 +420,7 @@ _GOLDEN = [
     pytest.param(
         ["evaluate", "{adder}", "{locked}", "{key}", "-o", "{out}/report.json",
          "--noise", "--inputs", "1", "--seed", "4"],
-        {"report.json": "b67712176f095310763957a2c6bf03fd8523aa9ad1a19ef3930cd56593e0b373"},
+        {"report.json": "e85edc8dcc4778a8422f60327a83166572d11fd2dcba6803460780b284359d46"},
         id="evaluate-noise",
     ),
     pytest.param(
@@ -440,7 +436,7 @@ _GOLDEN = [
     ),
     pytest.param(
         ["simulate", "{locked}", "-o", "{out}/counts.json", "--seed", "3", "--noise"],
-        {"counts.json": "ca0ddbc3edca30bae067219c37faa035ea0ab16a9e1c646c11d58e75ee72eb9e"},
+        {"counts.json": "3c8da4076bb9861495c8920ee391f838ef19e4f41b9af13881004f5f229e4cf1"},
         id="simulate-noise",
     ),
     pytest.param(
