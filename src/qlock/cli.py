@@ -44,7 +44,7 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _noise_from_args(args) -> NoiseConfig:
-    return NoiseConfig(enabled=args.noise, p1=args.p1, p2=args.p2, seed=args.seed)
+    return NoiseConfig(enabled=args.noise, p1=args.p1, p2=args.p2)
 
 
 def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
@@ -255,7 +255,7 @@ def _cmd_repro(args) -> int:
             n_inputs=args.inputs,
             shots=args.shots,
             seed=seed,
-            noise=NoiseConfig(enabled=args.noise, p1=args.p1, p2=args.p2, seed=seed),
+            noise=_noise_from_args(args),
         )
         rep = evaluation.evaluate(circuit, record, config)
         row = evaluation.report_row(benchmarks.DISPLAY[name], record, rep)

@@ -239,10 +239,11 @@ def _tvds(
     rest, and the sweep's candidates last, each as the arm its
     ``KeyTemplate.restored`` circuit makes, built only when it runs.
     Noiseless inputs go in chunks of ``batch_columns`` of the widest circuit:
-    each arm is compiled once, for all its inputs (``compile_program``), and
-    evolves each chunk in one batched ``statevector``, from each input
+    each arm is compiled once into its fused program (``compile_program``),
+    which evolves each chunk in one batched ``statevector``, from each input
     layer's product state (``_layer_states``); ``run`` then samples each
-    column through the arm's measurements alone. Only one arm's program is
+    column through the arm's measurements alone, whose program is empty, so
+    it evolves nothing. Only one arm's program is
     held at a time. The last chunk's input layers, and their states once per
     circuit width, are kept for the next arm, so a single chunk builds them
     once. Noisy runs take one input at a time through ``with_input_layer``,
@@ -269,7 +270,7 @@ def _tvds(
         return held[width]
 
     def sample(circuit: Circuit, arm: str) -> Iterator[Distribution]:
-        program = None if noisy else compile_program(circuit, config.n_inputs)
+        program = None if noisy else compile_program(circuit)
         measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
         for first in range(0, config.n_inputs, chunk):
             inputs = range(first, min(first + chunk, config.n_inputs))

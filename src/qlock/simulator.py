@@ -20,31 +20,30 @@ columns, as ``np.moveaxis(...).reshape(k, -1)``, so each amplitude is the
 same sum of the same k products, and for a given program the results are
 bit-identical to moving axes there and back per matrix (the oracle tests in
 ``tests/test_simulator.py`` hold them to it).
-The batch columns are input states (``statevector`` takes ``(2**n,
+A batch's columns are input states (``statevector`` takes ``(2**n,
 columns)``, and ``evaluate`` evolves an arm's inputs that way,
-``batch_columns`` at a time) or basis states (``unitary_of``). A batch of
-input states evolves stacked, one matmul per column, so each column is also
-bit-identical to that state evolved alone through the same program.
+``batch_columns`` at a time) or basis states (``unitary_of``). Every batch
+evolves one way: its buffers hold the batch axis in front, and each gate is
+one matmul per column, so each column is bit-identical to that state evolved
+alone through the same program.
 The norm check after every matrix reads the contiguous ``result``: one
 ``np.vdot`` for a statevector, one ``np.vecdot`` per column for a batch, and
 the trace for a density tensor. Circuits beyond ``_STATE_QUBIT_LIMIT``
 qubits, and noisy runs beyond half of it, are refused before anything is
 allocated.
 
-Noiseless programs are fused where that pays (``compile_program``): for a
-batch, a unitary, or a lone state of at least ``_FUSE_LONE_QUBITS`` qubits.
-``_fuse`` groups the gates into blocks of at most ``_FUSE_QUBITS`` qubits
-(barriers do not stop a block). ``_compose`` builds the matrices of closed
-blocks of one width ``m`` together, ``_COMPOSE_GROUP`` at a time: each gate
-is embedded as a ``2**m``-square matrix (one-qubit gates scattered into the
-row pairs they mix, multi-qubit gates by the kernel's own gather and matmul
-steps on the identity, cached), step ``s`` of every block at least that long
-is one stacked matmul, and one column-norm check covers the group. A fused
-program applies one matrix per block; its amplitudes differ from the
+Every noiseless program is fused (``compile_program``), for a lone state, a
+batch and a unitary alike. ``_fuse`` groups the gates into blocks of at most
+``_FUSE_QUBITS`` qubits (barriers do not stop a block). ``_compose`` builds
+the matrices of closed blocks of one width ``m`` together, ``_COMPOSE_GROUP``
+at a time: each gate is embedded as a ``2**m``-square matrix by one rule
+(``_embed``: the gates on the same wires are scattered into their entries in
+one assignment, whatever their width), step ``s`` of every block at least
+that long is one stacked matmul, and one column-norm check covers the group.
+A fused program applies one matrix per block; its amplitudes differ from the
 gate-by-gate ones in the last bits only (the fusion tests bound the drift by
-1e-12, and each block's matrix by 1e-14 from composing it gate by gate). A
-batch takes a lone state's program unless its caller compiles one for all its
-columns, as ``evaluate`` does once per arm. Noisy programs are not fused.
+1e-12, and each block's matrix by 1e-14 from composing it gate by gate).
+Noisy programs are not fused.
 
 Noise, when enabled, is a parametric depolarizing channel after each gate:
 with probability ``p1`` (single-qubit gates) or ``p2`` (multi-qubit gates), a
@@ -80,14 +79,14 @@ _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
 _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector, or per density tensor of 13 qubits
 # amplitudes one batch of noiseless input states may hold (``batch_columns``). Measured on
-# a 2-core x86 host, numpy 2.4.6, process time, median of 5-7: a stacked batch of input
-# states over its columns' separate statevectors, 2 columns 0.84-0.96 at 4-10 qubits, 0.95
-# (0.81-1.12) on the 11-qubit locked 10q/4000 synthetic arm, 1.03 at 15 qubits, 4 columns
-# 0.48-0.76 at 4-10 qubits. Through fused programs (median of 15): 2 columns 0.96-1.02 at
-# 4-7 qubits, 0.85-0.97 at 8-10, 0.93 at 11 and 12, 0.98 at 13, 1.04-1.15 at 14-15; 4
-# columns 0.53-0.61 at 4-9, 0.69 at 10, 0.78 at 11. A larger cap would batch the 11-qubit
-# arm's inputs too; it has not been retuned since. So 2**11: 2 columns at 10 qubits, 4 at
-# 9, 64 at 5, one at 11 and up
+# a 2-core x86 host, numpy 2.4.6, process time, median of 5-7: a batch of input states
+# (one matmul per column) over its columns' separate statevectors, 2 columns 0.84-0.96 at
+# 4-10 qubits, 0.95 (0.81-1.12) on the 11-qubit locked 10q/4000 synthetic arm, 1.03 at 15
+# qubits, 4 columns 0.48-0.76 at 4-10 qubits. Through fused programs (median of 15): 2
+# columns 0.96-1.02 at 4-7 qubits, 0.85-0.97 at 8-10, 0.93 at 11 and 12, 0.98 at 13,
+# 1.04-1.15 at 14-15; 4 columns 0.53-0.61 at 4-9, 0.69 at 10, 0.78 at 11. A larger cap
+# would batch the 11-qubit arm's inputs too; it has not been retuned since. So 2**11: 2
+# columns at 10 qubits, 4 at 9, 64 at 5, one at 11 and up
 _BATCH_AMPLITUDES = 2**11
 # the widest block _fuse builds. perfbench synthetic_pipeline (seed 4, 15 s runs, 3 pairs;
 # 2-core x86 host, numpy 2.4.6, OpenBLAS 0.3.31): evaluate_ref 122-125 at 3 and 116-119
@@ -102,17 +101,18 @@ _FUSE_QUBITS = 3
 # of 30, same host). So 32, below the peak of composing blocks alone
 _COMPOSE_GROUP = 32
 _COMPOSE_WINDOW = 2**9
-# fusing and evolving one state over evolving it gate by gate (process time, median of
-# 15, same host; the synthetic circuits, their locked forms, and 400-700-gate synthetic
-# circuits of 4-7 qubits): 0.84-0.95 at 4-7 qubits, 0.81-0.85 at 8, 0.70-0.75 at 9,
-# 0.60-0.66 at 10, 0.45-0.61 at 11, 0.34-0.40 at 14-15, but 1.0-2.2 on the bundled
-# circuits (3-5 qubits, under 1.3 ms); ten states of the locked bundled circuits
-# 0.56-0.87. So a lone state is fused from 8 qubits, any batch always
-_FUSE_LONE_QUBITS = 8
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
+    """The depolarizing channel a noisy run applies: ``p1`` after each one-qubit
+    gate, ``p2`` after each multi-qubit gate, when ``enabled``.
+
+    ``seed`` feeds no draw: a noisy run evolves its exact density matrix and
+    samples from ``run``'s own ``seed``. The field stays only because the
+    benchmark's workloads still pass ``seed=``.
+    """
+
     enabled: bool = False
     p1: float = 0.001
     p2: float = 0.01
@@ -216,12 +216,10 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _permutations(
-    qubits: tuple[int, ...], n: int, ndim: int, stacked: bool = False
-) -> tuple[tuple[int, ...], ...]:
+def _permutations(qubits: tuple[int, ...], n: int, ndim: int) -> tuple[tuple[int, ...], ...]:
     """Axis order bringing ``qubits`` to the front, as ``np.moveaxis`` would, and its
-    inverse; ``stacked`` puts a batch's axis (axis ``n``) in front of them."""
-    front = ((n,) if stacked else ()) + tuple(n - 1 - q for q in qubits)
+    inverse; a batch's axis (axis ``n``, when ``ndim > n``) goes in front of them."""
+    front = ((n,) if ndim > n else ()) + tuple(n - 1 - q for q in qubits)
     order = front + tuple(i for i in range(ndim) if i not in front)
     return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
@@ -356,35 +354,15 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
 
 
 @lru_cache(maxsize=None)
-def _identity(m: int) -> np.ndarray:
-    """The ``2**m`` identity as a batch of ``m``-qubit basis states; never written."""
-    identity = np.eye(2**m, dtype=complex).reshape((2,) * m + (2**m,))
-    identity.flags.writeable = False
-    return identity
-
-
-@lru_cache(maxsize=2**10)
-def _embedded(matrix: bytes, wires: tuple[int, ...], m: int) -> np.ndarray:
-    """A multi-qubit gate's matrix, given by its bytes, on ``wires`` of an ``m``-qubit
-    block, as the block's ``2**m``-square matrix; never written.
-
-    ``_evolve`` applies the gate to ``_identity(m)``, which copies each entry
-    exactly. Every multi-qubit kind in the alphabet has no parameters, so the
-    cache holds one matrix per kind and placement.
-    """
-    k = 2 ** len(wires)
-    embedded = _evolve(_identity(m), [(np.frombuffer(matrix, dtype=complex).reshape(k, k), wires)], m)
-    embedded.flags.writeable = False
-    return embedded
-
-
-@lru_cache(maxsize=None)
-def _pair_entries(m: int, wire: int) -> np.ndarray:
-    """Flat entries, ``(2, 2, 2**(m-1))``, of a ``2**m``-square matrix that a one-qubit
-    gate on ``wire`` fills: entry ``(a, b, i)`` is at the ``i``-th row pair's row
-    with the wire's bit ``a`` and column with it ``b``, every other bit equal."""
-    pairs = np.array([i for i in range(2**m) if not i >> wire & 1])
-    rows = pairs + np.array([[0], [1 << wire]])
+def _entries(m: int, wires: tuple[int, ...]) -> np.ndarray:
+    """Flat entries, ``(2**k, 2**k, 2**(m-k))``, of a ``2**m``-square matrix that a
+    ``k``-qubit gate on ``wires`` (its first qubit's wire first) fills: entry
+    ``(a, b, i)`` is at the row whose bits on ``wires`` spell ``a``, and the column
+    whose bits there spell ``b``, both with the ``i``-th setting of the other bits."""
+    k = len(wires)
+    rest = np.array([i for i in range(2**m) if not any(i >> w & 1 for w in wires)])
+    spelled = np.array([sum((a >> (k - 1 - j) & 1) << w for j, w in enumerate(wires)) for a in range(2**k)])
+    rows = spelled[:, None] + rest
     entries = rows[:, None, :] * 2**m + rows[None, :, :]
     entries.flags.writeable = False
     return entries
@@ -394,22 +372,18 @@ def _embed(gates: list[tuple[tuple[np.ndarray, tuple[int, ...]], dict[int, int]]
     """``gates``, each a (matrix, qubits) pair and its ``m``-qubit block's map from
     qubits to the block's own wires, as an array ``(len(gates), 2**m, 2**m)``.
 
-    The one-qubit gates on one wire are scattered into their row pairs in one
-    vectorised assignment; each multi-qubit gate copies its ``_embedded``.
+    The gates on the same wires, in the same order, are scattered into their
+    entries (``_entries``) in one vectorised assignment, whatever their width.
     """
     d = 2**m
     embedded = np.zeros((len(gates), d, d), dtype=complex)
-    lone: list[list[int]] = [[] for _ in range(m)]  # indices of the one-qubit gates on each wire
-    for i, ((matrix, qubits), local) in enumerate(gates):
-        if len(qubits) == 1:
-            lone[local[qubits[0]]].append(i)
-        else:
-            embedded[i] = _embedded(matrix.tobytes(), tuple(map(local.__getitem__, qubits)), m)
+    groups: dict[tuple[int, ...], list[int]] = {}  # wires -> indices of the gates on them
+    for i, ((_, qubits), local) in enumerate(gates):
+        groups.setdefault(tuple(map(local.__getitem__, qubits)), []).append(i)
     flat = embedded.reshape(len(gates), d * d)
-    for wire, indices in enumerate(lone):
-        if indices:
-            matrices = np.array([gates[i][0][0] for i in indices])
-            flat[np.array(indices)[:, None, None, None], _pair_entries(m, wire)] = matrices[..., None]
+    for wires, indices in groups.items():
+        matrices = np.array([gates[i][0][0] for i in indices])
+        flat[np.array(indices)[:, None, None, None], _entries(m, wires)] = matrices[..., None]
     return embedded
 
 
@@ -466,9 +440,7 @@ def _compose(blocks: list[_Block]) -> Program:
     return program
 
 
-def _evolve(
-    tensor: np.ndarray, program: Program, n: int, stacked: bool = False, density: bool = False
-) -> np.ndarray:
+def _evolve(tensor: np.ndarray, program: Program, n: int, density: bool = False) -> np.ndarray:
     """Apply ``program`` to a state tensor, checking norm preservation after every gate.
 
     ``tensor`` is shaped ``(2,) * n``, or ``(2,) * n + (columns,)`` for a batch
@@ -478,31 +450,28 @@ def _evolve(
     ``tensor`` itself is never written; an empty program returns it
     flattened, allocating nothing.
 
-    A batch's gate is one matmul over all its columns, the batch axis kept
-    last. With ``stacked``, the buffers hold the batch axis in front instead,
-    and each gate is a stack of per-column matmuls: for each stack item numpy
-    makes the BLAS call a lone statevector makes, with the same shape and
-    strides on the same values, so each column comes out bit-identical to
-    that column evolved alone, whatever kernel the BLAS picks for that shape.
-    One wide matmul does not promise that: OpenBLAS computes 1- and 2-column
-    products with other kernels than wide ones, which differ in the last bit.
-    Only a BLAS whose results depend on where its operands sit in memory (MKL
-    may, outside its reproducibility mode) could still tell the two apart.
+    A batch's buffers hold its axis in front, one contiguous state per
+    column, and each gate is a stack of per-column matmuls: for each stack
+    item numpy makes the BLAS call a lone statevector makes, with the same
+    shape and strides on the same values, so each column comes out
+    bit-identical to that column evolved alone, whatever kernel the BLAS
+    picks for that shape. One wide matmul over all columns would not promise
+    that: OpenBLAS computes 1- and 2-column products with other kernels than
+    wide ones, which differ in the last bit. Only a BLAS whose results depend
+    on where its operands sit in memory (MKL may, outside its
+    reproducibility mode) could still tell the two apart.
     """
     shape = tensor.shape
     batched = len(shape) > n
     if not program:
         return tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
-    columns = shape[-1] if batched else 1
-    # a stacked batch's buffers hold one contiguous state per column
-    buffer = (columns,) + (2,) * n if stacked else shape
-    gather = np.empty(buffer, dtype=complex)
-    result = np.empty(buffer, dtype=complex)
-    stack = (columns,) if stacked else ()
+    stack = shape[n:]  # (columns,) for a batch
+    gather = np.empty(stack + shape[:n], dtype=complex)
+    result = np.empty(stack + shape[:n], dtype=complex)
     # the trace sums the entries whose row and column axes match: a view, no copy
     diagonal = 2 * "".join(map(chr, range(97, 97 + n // 2))) + "->" if density else ""
     for mat, qubits in program:
-        order, inverse = _permutations(qubits, n, len(shape), stacked)
+        order, inverse = _permutations(qubits, n, len(shape))
         k = mat.shape[0]
         np.copyto(gather, tensor.transpose(order))
         np.matmul(mat, gather.reshape(stack + (k, -1)), out=result.reshape(stack + (k, -1)))
@@ -513,9 +482,8 @@ def _evolve(
             if not abs(trace - 1.0) <= _NORM_TOL:
                 raise ArithmeticError(f"statevector norm drifted to {trace}")
         elif batched:
-            # one conjugated dot product per column, in the layout the matmul wrote:
-            # no state-sized temporary per gate
-            checked = result.reshape(columns, -1) if stacked else result.reshape(-1, columns).T
+            # one conjugated dot product per column: no state-sized temporary per gate
+            checked = result.reshape(stack + (-1,))
             norms = np.sqrt(np.vecdot(checked, checked).real)
             drifted = ~(np.abs(norms - 1.0) <= _NORM_TOL)
             if drifted.any():
@@ -527,11 +495,11 @@ def _evolve(
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
     # the state goes into natural order in ``gather``, which no gate reads any more
-    if stacked:
+    if batched:
         np.copyto(gather, np.moveaxis(tensor, -1, 0))
-        return gather.reshape(columns, 2**n).T
+        return gather.reshape(stack[0], 2**n).T
     np.copyto(gather, tensor)
-    return gather.reshape(2**n, -1) if batched else gather.reshape(-1)
+    return gather.reshape(-1)
 
 
 def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
@@ -545,14 +513,11 @@ def _initial_state(n: int, initial: np.ndarray | None) -> np.ndarray:
     return state
 
 
-def compile_program(circuit: Circuit, columns: int = 1) -> Program:
-    """``circuit``'s gates as (matrix, qubits) pairs, for evolving ``columns`` states in all.
-
-    The gates are fused into blocks of at most ``_FUSE_QUBITS`` qubits where
-    that pays: for more than one state, or for one state of at least
-    ``_FUSE_LONE_QUBITS`` qubits. Otherwise each gate stays its own pair.
-    """
-    return _program(circuit, fused=columns > 1 or circuit.num_qubits >= _FUSE_LONE_QUBITS)
+def compile_program(circuit: Circuit) -> Program:
+    """``circuit``'s noiseless program: its gates fused into blocks of at most
+    ``_FUSE_QUBITS`` qubits, one (matrix, qubits) pair each, for one state or a
+    batch alike."""
+    return _program(circuit, fused=True)
 
 
 def statevector(
@@ -563,8 +528,8 @@ def statevector(
     ``initial`` may hold a batch of states, one per column, ``(2**n, columns)``;
     they evolve as one ``_evolve`` batch, and the result has the same shape.
     ``program`` is the circuit's ``compile_program``, for a caller that evolves
-    it more than once; without it, a batch takes the program a lone state
-    would, so each column stays bit-identical to that state evolved alone.
+    it more than once. Every state, alone or in a batch, evolves through that
+    one program, so each column is bit-identical to that state evolved alone.
     """
     if program is None:
         program = compile_program(circuit)
@@ -575,7 +540,7 @@ def statevector(
     # a batch of one evolves as a plain statevector: a batch axis of one is slower
     columns = state.shape[1:] if state.ndim == 2 and state.shape[1] > 1 else ()
     tensor = state.reshape((2,) * n + columns)
-    return _evolve(tensor, program, n, stacked=bool(columns)).reshape(state.shape)
+    return _evolve(tensor, program, n).reshape(state.shape)
 
 
 def batch_columns(num_qubits: int) -> int:
@@ -651,4 +616,4 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"unitary_of supports at most {_UNITARY_QUBIT_LIMIT} qubits")
     dim = 2**n
     # each column of the identity is one basis state, evolved as a batch
-    return _evolve(np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), compile_program(circuit, dim), n)
+    return _evolve(np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), compile_program(circuit), n)

@@ -238,7 +238,7 @@ def test_obfuscate_gateless_circuit_has_no_phase_site(tmp_path, capsys):
 @given(data=st.data())
 def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
     # hand-edited locked files and keys end in exit 0, 2 or 3 with at most one
-    # stderr line, never in a traceback, through deobfuscate and evaluate
+    # stderr line, never in a traceback, through every command that reads them
     directory, lines, key = fuzz_lock
     key = json.loads(json.dumps(key))
     if data.draw(st.booleans()):
@@ -251,9 +251,14 @@ def test_deobfuscate_fuzzed_lock_exits_cleanly(fuzz_lock, data):
         "evaluate", str(directory / "adder.qasm"), str(locked), str(key_path),
         "-o", str(directory / "report.json"), "--inputs", "1", "--shots", "10",
     ]
+    simulate = ["simulate", str(locked), "-o", str(directory / "counts.json"), "--shots", "8"]
+    obfuscate = [
+        "obfuscate", str(locked), "-o", str(directory / "relocked.qasm"), "--key", str(directory / "rekey.json"),
+    ]
     for argv in (
         deobfuscate, [*deobfuscate, "--no-simplify"],
         evaluate, [*evaluate, "--noise"], [*evaluate, "--wrong-key-sweep", "2"],
+        ["stats", str(locked)], simulate, [*simulate, "--noise"], obfuscate,
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -464,12 +464,12 @@ def test_each_arm_is_compiled_once(wide_record, monkeypatch):
     compiled = []
     compile_program = evaluation.compile_program
 
-    def recording(circuit, columns=1):
-        compiled.append((circuit.num_qubits, columns))
-        return compile_program(circuit, columns)
+    def recording(circuit):
+        compiled.append(circuit.num_qubits)
+        return compile_program(circuit)
 
     monkeypatch.setattr(evaluation, "compile_program", recording)
     columns = _recording_statevector(monkeypatch)
     evaluate(original, record, EvalConfig(n_inputs=3, shots=30, seed=1, modes=("combined", "restored")))
-    assert compiled == [(12, 3), (13, 3), (12, 3)]
+    assert compiled == [12, 13, 12]
     assert columns == [1] * 9

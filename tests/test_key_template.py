@@ -81,7 +81,7 @@ def _template_columns(record, candidates, layers):
     out = {}
     for c, bits in enumerate(candidates):
         circuit = template.restored(bits)
-        evolved = statevector(circuit, states, compile_program(circuit, len(layers)))
+        evolved = statevector(circuit, states, compile_program(circuit))
         out.update(((i, c), state) for i, state in enumerate(evolved.T))
     return out
 

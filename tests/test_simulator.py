@@ -232,9 +232,9 @@ def test_nan_norm_counts_as_drift():
     def block(angle):
         return Circuit(2, 0, (_gate("h", 0), _gate("cx", 0, 1), _gate("rz", 1, params=(angle,)), _gate("h", 1)))
 
-    assert len(compile_program(block(0.5), 2)) == 1
+    assert len(compile_program(block(0.5))) == 1
     with pytest.raises(ArithmeticError, match="drifted to nan"):
-        compile_program(block(math.inf), 2)
+        compile_program(block(math.inf))
 
 
 def test_state_size_guard_refuses_before_allocating(monkeypatch):
@@ -422,7 +422,7 @@ def test_batch_columns_do_not_depend_on_their_position(noisy_cases):
     for circuit in noisy_cases[::2]:  # every circuit without an input layer
         n = circuit.num_qubits
         states = np.stack([statevector(Circuit(n, 0, random_input_layer(n, seed))) for seed in range(6)], axis=1)
-        program = compile_program(circuit, 6)
+        program = compile_program(circuit)
         batch = statevector(circuit, states, program)
         permuted = np.random.default_rng(n).permutation(6)
         shuffled = statevector(circuit, states[:, permuted], program)
@@ -443,32 +443,25 @@ def _oracle_apply_matrix(tensor, mat, qubits, n):
     return np.moveaxis(out.reshape(shape), range(k), axes)
 
 
-def _oracle_evolve(tensor, program, n, stacked=False, density=False):
-    """The moveaxis loop; a stacked batch is its columns, each evolved alone, and a
+def _oracle_evolve(tensor, program, n, density=False):
+    """The moveaxis loop; a batch is its columns, each evolved alone, and a
     density tensor is checked by its trace."""
-    if stacked:
+    if tensor.ndim > n:
         flat = tensor.reshape(2**n, -1)
         lone = [_oracle_evolve(flat[:, c].reshape((2,) * n), program, n) for c in range(flat.shape[1])]
         return np.stack(lone, axis=1)
-    shape = tensor.shape
-    batched = len(shape) > n
-    flat = tensor.reshape(2**n, -1) if batched else tensor.reshape(-1)
+    flat = tensor.reshape(-1)
     for mat, qubits in program:
-        flat = _oracle_apply_matrix(tensor, mat, qubits, n).reshape(flat.shape)
+        flat = _oracle_apply_matrix(tensor, mat, qubits, n).reshape(-1)
         if density:
             trace = np.trace(flat.reshape(2 ** (n // 2), -1)).real
             if not abs(trace - 1.0) <= 1e-10:
                 raise ArithmeticError(f"statevector norm drifted to {trace}")
-        elif batched:
-            norms = np.linalg.norm(flat, axis=0)
-            drifted = ~(np.abs(norms - 1.0) <= 1e-10)
-            if drifted.any():
-                raise ArithmeticError(f"statevector norm drifted to {norms[drifted][0]}")
         else:
             norm = np.linalg.norm(flat)
             if not abs(norm - 1.0) <= 1e-10:
                 raise ArithmeticError(f"statevector norm drifted to {norm}")
-        tensor = flat.reshape(shape)
+        tensor = flat.reshape(tensor.shape)
     return flat
 
 
@@ -694,12 +687,11 @@ def test_norm_check_catches_non_unitary_gate_in_a_fused_block(monkeypatch):
     )
     gates = (_gate("h", 0), _gate("cx", 0, 2), _gate("t", 2), _gate("h", 1))
     narrow = Circuit(3, 0, gates)
-    wide = Circuit(12, 0, gates)  # a lone state this wide is fused
     for simulate in (
-        lambda: statevector(narrow, program=compile_program(narrow, 2)),
-        lambda: statevector(narrow, np.eye(8, 3, dtype=complex), compile_program(narrow, 3)),
-        lambda: statevector(wide),
-        lambda: run(wide, 10),
+        lambda: statevector(narrow, program=compile_program(narrow)),
+        lambda: statevector(narrow, np.eye(8, 3, dtype=complex), compile_program(narrow)),
+        lambda: statevector(narrow),
+        lambda: run(narrow, 10),
     ):
         with pytest.raises(ArithmeticError, match="statevector norm drifted"):
             simulate()
@@ -739,10 +731,37 @@ def test_fused_program_matches_the_gate_by_gate_kernel(circuit, k):
         assert np.max(np.abs(unitary_of(circuit) - simulator._evolve(eye, program, n))) <= 1e-12
 
 
+def _placed(matrix, wires, m):
+    """``matrix`` on ``wires`` of ``m`` qubits, built as ``kron(matrix, identity)``
+    on the wires in the order ``wires``, then the others from the highest down,
+    with rows and columns permuted into natural little-endian order."""
+    k = len(wires)
+    order = list(wires) + [w for w in reversed(range(m)) if w not in wires]
+    kron = np.kron(matrix, np.eye(2 ** (m - k)))
+    index = [sum((x >> w & 1) << (m - 1 - j) for j, w in enumerate(order)) for x in range(2**m)]
+    return kron[np.ix_(index, index)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_embed_places_every_gate_exactly(m):
+    # every wire tuple and every gate kind of that arity, in one call; the
+    # block's qubits are not its wires, so the map from one to the other counts
+    rng = np.random.default_rng(m)
+    gates = []
+    for kind, (nq, n_params) in sorted(GATE_SPECS.items()):
+        for wires in itertools.permutations(range(m), nq):
+            gate = _gate(kind, *(20 - w for w in wires), params=tuple(rng.uniform(-7.0, 7.0, n_params)))
+            gates.append(((gate_matrix(gate), gate.qubits), {20 - w: w for w in range(m)}))
+    embedded = simulator._embed(gates, m)
+    assert embedded.shape == (len(gates), 2**m, 2**m)
+    for ((matrix, qubits), local), got in zip(gates, embedded):
+        assert np.array_equal(got, _placed(matrix, tuple(map(local.__getitem__, qubits)), m))
+
+
 def _reference_fuse(program, k, compose=None):
     """Fusion by the general rule alone, each block composed as it closes by one
-    ``_evolve`` step (gather, matmul) per gate on the identity: the reference for
-    the blocks ``_fuse`` forms and the matrices ``_compose`` builds together.
+    ``_oracle_apply_matrix`` per gate on the identity: the reference for the
+    blocks ``_fuse`` forms and the matrices ``_compose`` builds together.
     ``compose`` replaces the per-gate composer."""
     compose = compose or _reference_compose
     fused, open_blocks = [], {}
@@ -780,13 +799,9 @@ def _reference_compose(block):
     order = tuple(sorted(block.qubits, reverse=True))
     m = len(order)
     local = {q: m - 1 - i for i, q in enumerate(order)}
-    tensor = simulator._identity(m)
-    gather, result = np.empty_like(tensor), np.empty_like(tensor)
+    tensor = np.eye(2**m, dtype=complex).reshape((2,) * m + (2**m,))
     for mat, qubits in block.gates:
-        axes, inverse = simulator._permutations(tuple(map(local.__getitem__, qubits)), m, m + 1)
-        np.copyto(gather, tensor.transpose(axes))
-        np.matmul(mat, gather.reshape(mat.shape[0], -1), out=result.reshape(mat.shape[0], -1))
-        tensor = result.transpose(inverse)
+        tensor = _oracle_apply_matrix(tensor, mat, tuple(map(local.__getitem__, qubits)), m)
     return tensor.reshape(2**m, 2**m), order
 
 
@@ -861,11 +876,11 @@ def test_group_and_window_sizes_do_not_change_the_program(group, window, monkeyp
     circuits = [long, _wide_circuit(11, seed=3), _generated_circuit(9, 600, seed=4)]
     monkeypatch.setattr(simulator, "_COMPOSE_GROUP", 2**20)
     monkeypatch.setattr(simulator, "_COMPOSE_WINDOW", 2**20)
-    whole = [compile_program(c, 2) for c in circuits]
+    whole = [compile_program(c) for c in circuits]
     monkeypatch.setattr(simulator, "_COMPOSE_GROUP", group)
     monkeypatch.setattr(simulator, "_COMPOSE_WINDOW", window)
     for circuit, expected in zip(circuits, whole):
-        program = compile_program(circuit, 2)
+        program = compile_program(circuit)
         assert [qubits for _, qubits in program] == [qubits for _, qubits in expected]
         assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(program, expected))
 
@@ -883,10 +898,10 @@ def test_compose_memory_peak_stays_below_the_per_gate_composers():
     gc.collect()
     gc.disable()
     try:
-        compile_program(circuit, 2)
+        compile_program(circuit)
         tracemalloc.start()
         try:
-            program = compile_program(circuit, 2)
+            program = compile_program(circuit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -897,18 +912,24 @@ def test_compose_memory_peak_stays_below_the_per_gate_composers():
 
 def test_fusion_blocks_cross_barriers():
     gates = (_gate("h", 0), Barrier((0, 1)), _gate("cx", 0, 1), Barrier((0, 1)), _gate("t", 1))
-    (block,) = compile_program(Circuit(2, 0, gates), columns=2)
+    (block,) = compile_program(Circuit(2, 0, gates))
     assert block[1] == (1, 0)
     assert np.max(np.abs(block[0] - unitary_of(Circuit(2, 0, gates)))) <= 1e-15
 
 
-def test_only_wide_lone_states_and_batches_are_fused():
-    circuit = _wide_circuit(7, seed=1)
-    gates = len(circuit.gates())
-    assert len(compile_program(circuit)) == gates  # a lone 7-qubit state: one pair per gate
-    assert len(compile_program(circuit, columns=2)) < gates
-    wide = _wide_circuit(8, seed=1)
-    assert len(compile_program(wide)) < len(wide.gates())
+def test_a_lone_state_evolves_through_the_batchs_fused_program():
+    # a lone 3-qubit state is fused, its program is the batch's bit for bit,
+    # and it comes out as its column of the batch
+    circuit = _generated_circuit(3, 40, seed=1)
+    program = compile_program(circuit)
+    batch_program = simulator._fuse(simulator._program(circuit))
+    assert len(program) < len(circuit.gates())
+    assert [qubits for _, qubits in program] == [qubits for _, qubits in batch_program]
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(program, batch_program))
+    states = np.eye(8, 3, dtype=complex)
+    batch = statevector(circuit, states, batch_program)
+    for column in range(3):
+        assert np.array_equal(statevector(circuit, states[:, column]), batch[:, column])
 
 
 def test_evolve_allocates_nothing_for_an_empty_program():
