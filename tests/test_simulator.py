@@ -569,9 +569,8 @@ def test_noisy_evolve_allocates_no_state_per_gate():
 
 
 def test_batch_norm_check_allocates_no_state_per_gate():
-    # every gate acts on qubit 11, axis 0, so the result comes back in natural
-    # order without a copy: gather and result, 2x the batch; a state-sized
-    # temporary per norm check would make it 3x
+    # gather and result, 2x the batch; a state-sized temporary per norm
+    # check, or per copy back into natural order, would make it 3x
     n, columns = 12, 4
     kinds = ("h", "x", "y", "z", "s", "t") * 2
     program = simulator._program(Circuit(n, 0, tuple(_gate(kind, 11) for kind in kinds)))
