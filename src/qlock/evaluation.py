@@ -30,9 +30,16 @@ multinomial draw lands that close to a boundary. ``tests/test_evaluation.py``
 checks the counts for equality.
 
 A wrong-key sweep unlocks no key: the record's ``key_template``, built
-once, gives each random key's restored circuit (``KeyTemplate.restored``),
-the very circuit ``unlock`` would, and that circuit runs as an arm of its
-own. Its counts are those of unlocking each key, bit for bit.
+once, gives what ``unlock`` would restore for any key. Noiseless, the
+template is compiled once too (``keyprogram.compile_key_program``), and each
+random key's program is the template's blocks multiplied out for the gates
+that key picks, so no key's circuit is built or fused; each key then runs as
+an arm of its own. These products group a key's gates otherwise than
+compiling its restored circuit would, so, as above, a count moves only if a
+multinomial draw lands within the last bits of a boundary;
+``tests/test_evaluation.py`` checks the sweep's TVDs against unlocking and
+running each key for equality. A noisy sweep runs each key's restored
+circuit (``KeyTemplate.restored``).
 """
 
 from __future__ import annotations
@@ -47,11 +54,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Barrier, Circuit, Gate, Measure
+from .keyprogram import compile_key_program
 from .locking import ObfuscationRecord
 from .rng import derive_rng
 from .simulator import (
     Distribution,
     NoiseConfig,
+    Program,
     batch_columns,
     compile_program,
     gate_matrix,
@@ -236,18 +245,19 @@ def _tvds(
     every run samples from its own ``_arm_seed`` stream, so neither the order
     of runs nor how inputs are chunked can change any count. The arms run one
     after another, the reference first, whose distributions are kept for the
-    rest, and the sweep's candidates last, each as the arm its
-    ``KeyTemplate.restored`` circuit makes, built only when it runs.
+    rest, and the sweep's candidates last, each built only when it runs.
     Noiseless inputs go in chunks of ``batch_columns`` of the widest circuit:
     each arm is compiled once into its fused program (``compile_program``),
-    which evolves each chunk in one batched ``statevector``, from each input
-    layer's product state (``_layer_states``); ``run`` then samples each
-    column through the arm's measurements alone, whose program is empty, so
-    it evolves nothing. Only one arm's program is
-    held at a time. The last chunk's input layers, and their states once per
-    circuit width, are kept for the next arm, so a single chunk builds them
-    once. Noisy runs take one input at a time through ``with_input_layer``,
-    because the layer's gates carry noise too.
+    and each candidate's program comes from the template's key program
+    (``compile_key_program``, built once); the program evolves each chunk in
+    one batched ``statevector``, from each input layer's product state
+    (``_layer_states``); ``run`` then samples each column through the arm's
+    measurements alone, whose program is empty, so it evolves nothing. Only
+    one arm's program is held at a time. The last chunk's input layers, and
+    their states once per circuit width, are kept for the next arm, so a
+    single chunk builds them once. Noisy runs take one input at a time
+    through ``with_input_layer``, because the layer's gates carry noise too,
+    and a noisy candidate runs its ``KeyTemplate.restored`` circuit.
     """
     template, candidates = sweep or (None, {})
     noisy = config.noise.enabled
@@ -269,8 +279,9 @@ def _tvds(
             held[width] = _layer_states(chunk_layers, width)
         return held[width]
 
-    def sample(circuit: Circuit, arm: str) -> Iterator[Distribution]:
-        program = None if noisy else compile_program(circuit)
+    def sample(circuit: Circuit, arm: str, program: Program | None = None) -> Iterator[Distribution]:
+        if program is None and not noisy:
+            program = compile_program(circuit)
         measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
         for first in range(0, config.n_inputs, chunk):
             inputs = range(first, min(first + chunk, config.n_inputs))
@@ -289,8 +300,13 @@ def _tvds(
 
     reference = list(sample(original, "reference"))
     out = {arm: list(map(tvd, reference, sample(circuit, arm))) for arm, circuit in arms.items()}
-    for arm, bits in candidates.items():
-        out[arm] = list(map(tvd, reference, sample(template.restored(bits), arm)))
+    if noisy:
+        for arm, bits in candidates.items():
+            out[arm] = list(map(tvd, reference, sample(template.restored(bits), arm)))
+    elif candidates:
+        keys = compile_key_program(template)
+        for arm, bits in candidates.items():
+            out[arm] = list(map(tvd, reference, sample(template.circuit, arm, keys.program(bits))))
     return out
 
 
@@ -303,9 +319,10 @@ def evaluate(
     mean TVD of that many uniformly random concrete keys, each as a full
     unlock would restore it, plus a 10-bin histogram of those means. The
     random keys share the mode arms' runs of the reference, so each input's
-    reference is simulated once. Every key's circuit comes from one
-    ``key_template`` of the record, equal to what ``unlock`` restores for
-    it, so no key is unlocked and the counts are those of unlocking each.
+    reference is simulated once. Every key comes from one ``key_template``
+    of the record, equal to what ``unlock`` restores for it, so no key is
+    unlocked; noiseless, each key's program comes from the template's key
+    program, so no key's circuit is compiled either.
     """
     if wrong_keys < 0:
         raise ValueError(f"wrong-key sweep size must not be negative, got {wrong_keys}")

@@ -443,7 +443,16 @@ def import_key(text: str) -> Key:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed key schedule entry: {item!r}") from exc
         # bool is an int subclass, but ``true`` is not an index
-        if not all(type(v) is int and v >= 0 for v in (layer, qubit, span)):
+        if not (type(layer) is int and type(qubit) is int and type(span) is int
+                and layer >= 0 and qubit >= 0 and span >= 0):
             raise ValueError(f"malformed key schedule entry: {item!r}")
-        entries.append(KeyEntry(kind, layer, qubit, span))
+        if (kind == "logic" and span == 1) or (kind == "phase" and span == 3):
+            # what ``KeyEntry.__post_init__`` checks holds, so the fields go in as
+            # ``copy`` puts them, without ``__init__``'s object.__setattr__ per field
+            entry = object.__new__(KeyEntry)
+            fields = entry.__dict__
+            fields["kind"], fields["layer"], fields["qubit"], fields["span"] = kind, layer, qubit, span
+        else:
+            entry = KeyEntry(kind, layer, qubit, span)  # raises what __post_init__ refuses
+        entries.append(entry)
     return Key(bits=bits, schedule=tuple(entries))

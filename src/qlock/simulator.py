@@ -43,7 +43,9 @@ that long is one stacked matmul, and one column-norm check covers the group.
 A fused program applies one matrix per block; its amplitudes differ from the
 gate-by-gate ones in the last bits only (the fusion tests bound the drift by
 1e-12, and each block's matrix by 1e-14 from composing it gate by gate).
-Noisy programs are not fused.
+A wrong-key sweep's candidates get their programs from the blocks of one
+key template, fused by the same rule (``keyprogram``). Noisy programs are
+not fused.
 
 Noise, when enabled, is a parametric depolarizing channel after each gate:
 with probability ``p1`` (single-qubit gates) or ``p2`` (multi-qubit gates), a
@@ -242,6 +244,8 @@ def _program(circuit: Circuit, fused: bool = False, noise: NoiseConfig | None = 
     if n > limit:
         kind = "simulate" if noise is None else "simulate with noise"
         raise ValueError(f"{n}-qubit circuit too large to {kind} (at most {limit} qubits)")
+    if not any(isinstance(op, Gate) for op in circuit.ops):
+        return []  # measurements alone, as each noiseless sample of ``evaluate`` runs: nothing to fuse
     gates = ((gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate))
     if noise is not None:
         return [
@@ -284,7 +288,9 @@ class _Block:
         self.qubits, self.gates = qubits, gates
 
 
-def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_QUBITS) -> Program:
+def _fuse(
+    program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_QUBITS, composed: bool = True
+) -> Program:
     """Group ``program``'s gates into blocks of at most ``k`` qubits, one matrix each.
 
     Each qubit has at most one open block. A gate joins the open blocks on
@@ -296,7 +302,9 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
     ones still open at the end last, so every qubit sees its gates in program
     order. A closed block waits in its place until ``_COMPOSE_GROUP`` blocks
     of its width have closed, and ``_compose`` builds their matrices
-    together; the blocks still waiting at the end are composed last.
+    together; the blocks still waiting at the end are composed last. Unless
+    ``composed``, the ``_Block``s themselves come back, in program order;
+    only each gate's qubits (``gate[1]``) decide its block.
     """
     fused: list = []
     waiting: dict[int, list[int]] = {}  # block width -> places of blocks not yet composed
@@ -311,7 +319,7 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
         places = waiting.setdefault(len(block.qubits), [])
         places.append(len(fused))
         fused.append(block)
-        if len(places) >= _COMPOSE_GROUP:
+        if composed and len(places) >= _COMPOSE_GROUP:
             compose(places)
 
     for gate in program:
@@ -348,7 +356,7 @@ def _fuse(program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_
     for b in dict.fromkeys(open_blocks.values()):
         close(b)
     for places in waiting.values():
-        if places:
+        if composed and places:
             compose(places)
     return fused
 

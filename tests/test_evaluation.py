@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qlock import benchmarks, evaluation, parse_circuit, simulator
+from qlock import benchmarks, evaluation, parse_circuit, simulator, unlocking
 from qlock.circuit import Circuit, Gate
 from qlock.evaluation import (
     EvalConfig,
@@ -414,10 +414,10 @@ def test_evaluate_memory_does_not_grow_with_inputs(wide_record):
 
 
 def test_sweep_memory_holds_one_key_at_a_time(wide_record):
-    # each key's restored circuit and program are built as its arm runs and
-    # let go before the next: more keys add their bits and TVDs, never another
-    # state held at once. Compiling one key's program here peaks up to ~67 KB
-    # above another's (the keys' blocks differ), so the bound is one state
+    # each key's program is built from the record's key program as its arm
+    # runs and let go before the next: more keys add their bits and TVDs, never
+    # another state held at once. Every key's program gathers and multiplies
+    # factor arrays of the same shapes, whatever its bits; the bound is one state
     original, record = wide_record
     state_bytes = 16 * 2**original.num_qubits
     config = EvalConfig(n_inputs=2, shots=30, seed=1, modes=())
@@ -473,3 +473,25 @@ def test_each_arm_is_compiled_once(wide_record, monkeypatch):
     evaluate(original, record, EvalConfig(n_inputs=3, shots=30, seed=1, modes=("combined", "restored")))
     assert compiled == [12, 13, 12]
     assert columns == [1] * 9
+
+
+def test_sweep_compiles_no_key_alone(bundled_records, monkeypatch):
+    # a noiseless sweep compiles its record's key program once, and no key's
+    # circuit: the reference and each mode arm are compiled whatever the keys
+    calls = {"compile": 0, "keys": 0, "restored": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(evaluation, "compile_program", counting("compile", evaluation.compile_program))
+    monkeypatch.setattr(evaluation, "compile_key_program", counting("keys", evaluation.compile_key_program))
+    monkeypatch.setattr(unlocking.KeyTemplate, "restored", counting("restored", unlocking.KeyTemplate.restored))
+    original, record = bundled_records[0]
+    config = EvalConfig(n_inputs=2, shots=30, seed=1)
+    for wrong_keys in (2, 16):
+        calls.update(compile=0, keys=0, restored=0)
+        evaluate(original, record, config, wrong_keys)
+        assert calls == {"compile": 1 + len(config.modes), "keys": 1, "restored": 0}

@@ -1,5 +1,7 @@
 """The key template against ``unlock``: one template for every candidate key
-must restore, simulate and refuse what one ``unlock`` per candidate does."""
+must restore, simulate and refuse what one ``unlock`` per candidate does, and
+its key program must compile each candidate's blocks as the restored circuit
+multiplies out."""
 
 import json
 
@@ -7,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlock import benchmarks, parse_circuit
+from qlock import benchmarks, keyprogram, parse_circuit
 from qlock.evaluation import _layer_states, random_input_layer, with_input_layer
 from qlock.locking import ObfuscationPlan, dense_plan, export_key, import_key, obfuscate, select_sites
 from qlock.qasm import emit_circuit
+from qlock.keyprogram import compile_key_program
 from qlock.qasm import QasmError
-from qlock.simulator import compile_program, statevector
+from qlock.simulator import compile_program, statevector, unitary_of
 from qlock.unlocking import key_template, unlock
 
 from conftest import fuzz_key, fuzz_qasm
@@ -75,13 +78,13 @@ def _oracle(record, candidates, layers):
 
 def _template_columns(record, candidates, layers):
     """Every (input, candidate) column as the sweep evolves it: each candidate's
-    ``restored`` circuit, compiled once for all inputs, evolves them as one batch."""
+    program, from one key program of the template, evolves all inputs as one batch."""
     template = key_template(record.locked_circuit, record.key)
+    keys = compile_key_program(template)
     states = _layer_states(layers, template.circuit.num_qubits)
     out = {}
     for c, bits in enumerate(candidates):
-        circuit = template.restored(bits)
-        evolved = statevector(circuit, states, compile_program(circuit))
+        evolved = statevector(template.circuit, states, keys.program(bits))
         out.update(((i, c), state) for i, state in enumerate(evolved.T))
     return out
 
@@ -102,6 +105,67 @@ def test_template_columns_hold_to_unlock_on_a_wide_circuit(wide_record):
     want = _oracle(record, candidates, layers)
     for (i, c), state in _template_columns(record, candidates, layers).items():
         assert np.max(np.abs(state - want[i][c])) <= 1e-12
+
+
+def _applied(template, program):
+    """The unitary ``program`` applies on ``template``'s qubits: the product of
+    its blocks, one basis state per column."""
+    dim = 2**template.circuit.num_qubits
+    return statevector(template.circuit, np.eye(dim, dtype=complex), program)
+
+
+def test_key_program_blocks_hold_to_the_restored_circuit(record):
+    template = key_template(record.locked_circuit, record.key)
+    keys = compile_key_program(template)
+    blocks = len(compile_program(template.circuit))
+    for bits in _candidates(record, 40, seed=6):
+        program = keys.program(bits)
+        assert len(program) == blocks
+        assert np.max(np.abs(_applied(template, program) - unitary_of(template.restored(bits)))) <= 1e-12
+
+
+def test_key_program_holds_to_unlock_on_flipped_and_random_keys(record):
+    # criterion 8's candidates: the key with each one bit flipped, and random keys
+    template = key_template(record.locked_circuit, record.key)
+    keys = compile_key_program(template)
+    bits = record.key.bits
+    flipped = [bits[:i] + "10"[int(bits[i])] + bits[i + 1 :] for i in range(len(bits))]
+    for candidate in flipped + _candidates(record, 20, seed=7):
+        want = unitary_of(_unlocked(record, candidate))
+        assert np.max(np.abs(_applied(template, keys.program(candidate)) - want)) <= 1e-12
+
+
+def test_key_program_refuses_a_candidate_of_another_length(record):
+    keys = compile_key_program(key_template(record.locked_circuit, record.key))
+    bits = record.key.bits
+    for bad in (bits + "0", "2" + bits[1:]):
+        with pytest.raises(ValueError, match="candidate must be"):
+            keys.program(bad)
+
+
+@pytest.mark.parametrize("window", [1, 40, 100])
+def test_key_program_in_small_gathers_on_a_wide_circuit(wide_record, monkeypatch, window):
+    # blocks with slots gathered a few at a time, or one at a time when a block
+    # alone holds more factors than the window, give the same products
+    monkeypatch.setattr(keyprogram, "_COMPOSE_WINDOW", window)
+    _, record = wide_record
+    keys = compile_key_program(key_template(record.locked_circuit, record.key))
+    assert all(group.factors.size <= window or len(group.places) == 1 for group in keys.keyed)
+    candidates = _candidates(record, 2, seed=8)
+    layers = [random_input_layer(12, seed=9)]
+    want = _oracle(record, candidates, layers)
+    for (i, c), state in _template_columns(record, candidates, layers).items():
+        assert np.max(np.abs(state - want[i][c])) <= 1e-12
+
+
+def test_key_program_bytes_on_a_wide_circuit(wide_record):
+    # the tables, index arrays and fixed blocks of one key program hold less
+    # than one statevector of the locked circuit
+    _, record = wide_record
+    template = key_template(record.locked_circuit, record.key)
+    keys = compile_key_program(template)
+    assert len(keys.program(record.key.bits)) == len(compile_program(template.circuit))
+    assert keys.nbytes < 16 * 2**record.locked_circuit.num_qubits
 
 
 def _outcome(action):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlock import benchmarks, locking, parse_circuit
 from qlock.circuit import Barrier, Circuit, Gate, Measure, layerize, metrics, phase_angle_of
@@ -26,7 +27,7 @@ from qlock.locking import (
 from qlock.rng import derive_rng
 from qlock.unlocking import find_ancilla
 
-from conftest import random_circuit
+from conftest import _WRONG_VALUES, fuzz_key, random_circuit
 
 
 def _gate(kind, *qubits, params=()):
@@ -548,6 +549,79 @@ def test_export_key_bytes_match_json_dumps():
         }
         assert export_key(key) == json.dumps(payload, indent=2) + "\n"
     assert export_key(Key(bits="", schedule=())) == '{\n  "bits": "",\n  "schedule": []\n}\n'
+
+
+def _import_key_per_entry(text):
+    """``import_key`` as one ``KeyEntry(...)`` per schedule entry: the oracle of
+    its checks, their order and their messages."""
+    try:
+        data = json.loads(text)
+        bits = data["bits"]
+        raw = data["schedule"]
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed key file: {exc}") from exc
+    if not isinstance(bits, str):
+        raise ValueError("malformed key file: bits must be a string")
+    if not isinstance(raw, list):
+        raise ValueError("malformed key file: schedule must be a list")
+    entries = []
+    for item in raw:
+        try:
+            kind, layer, qubit, span = item["kind"], item["layer"], item["qubit"], item["span"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed key schedule entry: {item!r}") from exc
+        if not all(type(v) is int and v >= 0 for v in (layer, qubit, span)):
+            raise ValueError(f"malformed key schedule entry: {item!r}")
+        entries.append(KeyEntry(kind, layer, qubit, span))
+    return Key(bits=bits, schedule=tuple(entries))
+
+
+def _imported(read, text):
+    """What ``read`` returns for ``text``, or its ``ValueError``'s message."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_import_key_matches_per_entry_construction(fuzz_lock, data):
+    # the key file untouched or hand-edited once: the same key, entry for
+    # entry, or the same message as building each entry with KeyEntry(...)
+    _, _, key = fuzz_lock
+    key = json.loads(json.dumps(key))
+    if data.draw(st.booleans()):
+        fuzz_key(data, key)
+    schedule = key.get("schedule") if isinstance(key.get("schedule"), list) else []
+    entries = [e for e in schedule if isinstance(e, dict) and e.get("kind") in ("logic", "phase")]
+    if entries and data.draw(st.booleans()):
+        # a valid kind with the other kind's span
+        entry = data.draw(st.sampled_from(entries))
+        entry["kind"] = {"logic": "phase", "phase": "logic"}[entry["kind"]]
+    text = json.dumps(key, indent=data.draw(st.sampled_from((None, 2))))
+    want = _imported(_import_key_per_entry, text)
+    got = _imported(import_key, text)
+    assert got == want
+    if isinstance(want, Key):
+        assert [type(e) for e in got.schedule] == [KeyEntry] * len(want.schedule)
+        assert [vars(e) for e in got.schedule] == [vars(e) for e in want.schedule]
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        assert export_key(got) == export_key(want)
+
+
+def test_import_key_matches_per_entry_construction_on_each_retyped_field(fuzz_lock):
+    # every field of a logic and a phase entry, set to each wrong value of the
+    # fuzz edits in turn, and each kind with the other kind's span
+    _, _, key = fuzz_lock
+    firsts = {entry["kind"]: i for i, entry in reversed(list(enumerate(key["schedule"])))}
+    edits = [(i, field, value) for i in firsts.values() for field in key["schedule"][i] for value in _WRONG_VALUES]
+    edits += [(i, "span", {"logic": 3, "phase": 1}[kind]) for kind, i in firsts.items()]
+    for i, field, value in edits:
+        edited = json.loads(json.dumps(key))
+        edited["schedule"][i][field] = value
+        text = json.dumps(edited)
+        assert _imported(import_key, text) == _imported(_import_key_per_entry, text), (i, field, value)
 
 
 def test_import_rejects_span_mismatch():
