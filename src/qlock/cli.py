@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input/parse error, 3 semantic/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,15 +64,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="qlock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through ``type=int`` like a flag value, so a
-    # malformed QLOCK_SEED is a usage error
-    seed = os.environ.get("QLOCK_SEED", "0")
 
     p = sub.add_parser("obfuscate", help="lock a circuit and emit the correct key")
     p.add_argument("input", help="circuit to lock (.qasm)")
     p.add_argument("-o", "--output", required=True, help="locked circuit path (.qasm)")
     p.add_argument("--key", required=True, help="key file path (.json)")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--logic-sites", type=int, default=None)
     p.add_argument("--phase-sites", type=int, default=None)
     p.add_argument("--dense", action="store_true", help="all eligible gates plus one slot per layer (counts become caps)")
@@ -89,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="circuit to run (.qasm)")
     p.add_argument("-o", "--output", required=True, help="counts path (.json)")
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     _add_noise_flags(p)
 
     p = sub.add_parser("evaluate", help="TVD of locked/restored modes vs the original")
@@ -100,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the report row as CSV")
     p.add_argument("--inputs", type=int, default=10)
     p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--modes", nargs="+", choices=evaluation.MODES, default=list(evaluation.MODES))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--modes", nargs="+", choices=evaluation.MODES, default=evaluation.MODES)
     p.add_argument("--sampling", choices=("independent", "paired"), default="independent",
                    help="fresh stream per run, or common random numbers across arms")
     p.add_argument("--wrong-key-sweep", type=int, default=0, metavar="N",
@@ -115,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the consolidated benchmark experiment")
     p.add_argument("--out-dir", default="repro_out")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--inputs", type=int, default=10)
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--strategy", choices=("random", "lightcone"), default="lightcone")
@@ -287,8 +285,25 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, list[argparse.Action]]:
+    """The parser, built on the first ``main`` call and kept for the process,
+    and its ``--seed`` actions."""
     parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seeds = [a for p in commands.choices.values() for a in p._actions if a.dest == "seed"]
+    return parser, seeds
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; ``QLOCK_SEED`` is read on every call, also when
+    ``main`` is called repeatedly in one process."""
+    parser, seeds = _parser()
+    # a string default goes through ``type=int`` like a flag value, so a
+    # malformed QLOCK_SEED is a usage error
+    default = os.environ.get("QLOCK_SEED", "0")
+    for action in seeds:
+        action.default = default
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

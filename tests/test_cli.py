@@ -549,6 +549,95 @@ def test_env_var_malformed_seed_is_usage_error(tmp_path, adder_path, monkeypatch
     ) == 0
 
 
+# --- the parser is built on the first ``main`` call and kept for the process
+
+
+@pytest.fixture()
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _locked_bytes(tmp_path, adder_path, name, *extra) -> tuple[bytes, bytes]:
+    locked, key = tmp_path / f"{name}.qasm", tmp_path / f"{name}.json"
+    assert main(["obfuscate", str(adder_path), "-o", str(locked), "--key", str(key), *extra]) == 0
+    return locked.read_bytes(), key.read_bytes()
+
+
+def test_parser_built_once_across_main_calls(tmp_path, adder_path, monkeypatch, fresh_parser):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    _locked_bytes(tmp_path, adder_path, "a")
+    assert main(["stats", str(adder_path), "-o", str(tmp_path / "stats.json")]) == 0
+    assert main(["simulate", str(adder_path), "-o", str(tmp_path / "c.json"), "--shots", "8"]) == 0
+    assert built == [1]
+
+
+def test_env_seed_read_on_every_call(tmp_path, adder_path, monkeypatch, fresh_parser):
+    monkeypatch.setenv("QLOCK_SEED", "5")
+    env5 = _locked_bytes(tmp_path, adder_path, "env5")
+    monkeypatch.setenv("QLOCK_SEED", "9")
+    env9 = _locked_bytes(tmp_path, adder_path, "env9")
+    monkeypatch.delenv("QLOCK_SEED")
+    assert env5 == _locked_bytes(tmp_path, adder_path, "flag5", "--seed", "5")
+    assert env9 == _locked_bytes(tmp_path, adder_path, "flag9", "--seed", "9")
+    assert env5 != env9
+    assert _locked_bytes(tmp_path, adder_path, "unset") == _locked_bytes(
+        tmp_path, adder_path, "flag0", "--seed", "0"
+    )
+
+
+def test_malformed_env_seed_after_a_valid_one(tmp_path, adder_path, monkeypatch, capsys, fresh_parser):
+    monkeypatch.setenv("QLOCK_SEED", "5")
+    env5 = _locked_bytes(tmp_path, adder_path, "env5")
+    monkeypatch.setenv("QLOCK_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        _locked_bytes(tmp_path, adder_path, "bad")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "qlock obfuscate: error: argument --seed: invalid int value: 'abc'\n"
+    assert not (tmp_path / "bad.qasm").exists()
+    monkeypatch.setenv("QLOCK_SEED", "5")
+    assert _locked_bytes(tmp_path, adder_path, "again5") == env5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obfuscate", "IN", "-o", "x.qasm", "--key", "x.json", "--strategy", "bogus"],
+        ["obfuscate", "IN", "--key", "x.json"],
+        ["obfuscate", "IN", "-o", "x.qasm", "--key", "x.json", "--bogus"],
+        ["evaluate", "IN", "IN", "IN", "-o", "x.json", "--modes", "bogus"],
+        ["bogus", "IN"],
+    ],
+    ids=["choice", "missing_output", "unknown_flag", "modes", "subcommand"],
+)
+def test_usage_error_leaves_the_next_parse_intact(tmp_path, adder_path, capsys, argv, fresh_parser):
+    want = _locked_bytes(tmp_path, adder_path, "before")
+    with pytest.raises(SystemExit) as exc:
+        main([str(adder_path) if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    assert _locked_bytes(tmp_path, adder_path, "after") == want
+    cli._parser.cache_clear()
+    assert _locked_bytes(tmp_path, adder_path, "fresh") == want
+
+
+def _help(parse, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def test_help_text_equals_a_fresh_parser(tmp_path, adder_path, fresh_parser):
+    _locked_bytes(tmp_path, adder_path, "warm")
+    for argv in (["-h"], *([name, "-h"] for name in cli._COMMANDS)):
+        assert _help(main, argv) == _help(cli._build_parser().parse_args, argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
