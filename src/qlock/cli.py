@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input/parse error, 3 semantic/config error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -55,42 +54,60 @@ def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors as one line, ``qlock <cmd>: error: ...``; subparsers inherit it."""
+    """Usage errors as one line, ``qlock <cmd>: error: ...``."""
 
     def error(self, message: str):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="qlock", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand:
+    """The subparsers' ``parser_class``: a subcommand's parser is built when
+    the command is chosen, so one command builds its own parser, not all six."""
 
-    p = sub.add_parser("obfuscate", help="lock a circuit and emit the correct key")
+    def __init__(self, arguments, **kwargs):
+        self._arguments, self._kwargs = arguments, kwargs
+
+    def parse_known_args(self, args, namespace):
+        parser = _ArgumentParser(**self._kwargs)
+        self._arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
+    # a string default goes through ``type=int`` like a flag value, so a
+    # malformed QLOCK_SEED is a usage error
+    parser.add_argument("--seed", type=int, default=os.environ.get("QLOCK_SEED", "0"))
+
+
+def _obfuscate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="circuit to lock (.qasm)")
     p.add_argument("-o", "--output", required=True, help="locked circuit path (.qasm)")
     p.add_argument("--key", required=True, help="key file path (.json)")
-    p.add_argument("--seed", type=int)
+    _add_seed_flag(p)
     p.add_argument("--logic-sites", type=int, default=None)
     p.add_argument("--phase-sites", type=int, default=None)
     p.add_argument("--dense", action="store_true", help="all eligible gates plus one slot per layer (counts become caps)")
     p.add_argument("--strategy", choices=("random", "lightcone"), default="lightcone")
     p.add_argument("--dummy-gates", choices=("cx", "random"), default="cx")
 
-    p = sub.add_parser("deobfuscate", help="apply a key to a locked circuit")
+
+def _deobfuscate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("locked", help="locked circuit (.qasm)")
     p.add_argument("key", help="key file (.json)")
     p.add_argument("-o", "--output", required=True, help="restored circuit path (.qasm)")
     p.add_argument("--key-bits", default=None, help="override key bits (wrong-key experiments)")
     p.add_argument("--no-simplify", action="store_true", help="keep the ancilla and key sections")
 
-    p = sub.add_parser("simulate", help="sample measurement outcomes")
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="circuit to run (.qasm)")
     p.add_argument("-o", "--output", required=True, help="counts path (.json)")
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int)
+    _add_seed_flag(p)
     _add_noise_flags(p)
 
-    p = sub.add_parser("evaluate", help="TVD of locked/restored modes vs the original")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("original", help="original circuit (.qasm)")
     p.add_argument("locked", help="locked circuit (.qasm)")
     p.add_argument("key", help="key file (.json)")
@@ -98,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the report row as CSV")
     p.add_argument("--inputs", type=int, default=10)
     p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--modes", nargs="+", choices=evaluation.MODES, default=evaluation.MODES)
+    _add_seed_flag(p)
+    p.add_argument("--modes", nargs="+", choices=evaluation.MODES, default=list(evaluation.MODES))
     p.add_argument("--sampling", choices=("independent", "paired"), default="independent",
                    help="fresh stream per run, or common random numbers across arms")
     p.add_argument("--wrong-key-sweep", type=int, default=0, metavar="N",
@@ -107,17 +124,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None, help="circuit name used in the report row")
     _add_noise_flags(p)
 
-    p = sub.add_parser("stats", help="depth and gate count of a circuit")
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="circuit (.qasm)")
     p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
 
-    p = sub.add_parser("repro", help="run the consolidated benchmark experiment")
+
+def _repro_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default="repro_out")
-    p.add_argument("--seed", type=int)
+    _add_seed_flag(p)
     p.add_argument("--inputs", type=int, default=10)
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--strategy", choices=("random", "lightcone"), default="lightcone")
     _add_noise_flags(p)
+
+
+# each subcommand: its name, its ``qlock -h`` summary, and what adds its arguments
+_SUBCOMMANDS = (
+    ("obfuscate", "lock a circuit and emit the correct key", _obfuscate_arguments),
+    ("deobfuscate", "apply a key to a locked circuit", _deobfuscate_arguments),
+    ("simulate", "sample measurement outcomes", _simulate_arguments),
+    ("evaluate", "TVD of locked/restored modes vs the original", _evaluate_arguments),
+    ("stats", "depth and gate count of a circuit", _stats_arguments),
+    ("repro", "run the consolidated benchmark experiment", _repro_arguments),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(prog="qlock", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, summary, arguments in _SUBCOMMANDS:
+        sub.add_parser(name, help=summary, arguments=arguments)
     return parser
 
 
@@ -285,26 +322,10 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, list[argparse.Action]]:
-    """The parser, built on the first ``main`` call and kept for the process,
-    and its ``--seed`` actions."""
-    parser = _build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    seeds = [a for p in commands.choices.values() for a in p._actions if a.dest == "seed"]
-    return parser, seeds
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; ``QLOCK_SEED`` is read on every call, also when
     ``main`` is called repeatedly in one process."""
-    parser, seeds = _parser()
-    # a string default goes through ``type=int`` like a flag value, so a
-    # malformed QLOCK_SEED is a usage error
-    default = os.environ.get("QLOCK_SEED", "0")
-    for action in seeds:
-        action.default = default
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (qasm.QasmError, InputError, OSError) as exc:

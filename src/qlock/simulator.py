@@ -610,12 +610,7 @@ def run(
     b = len(measured)
     spec, hits = f"0{b}b", np.flatnonzero(sampled)
     counts = {format(i, spec): count for i, count in zip(hits.tolist(), sampled[hits].tolist())}
-    # ``shots`` draws over ``b``-bit outcome strings, so what ``Distribution.__post_init__``
-    # checks holds, and the fields go in without ``__init__``'s object.__setattr__ per field
-    dist = object.__new__(Distribution)
-    fields = dist.__dict__
-    fields["counts"], fields["shots"], fields["bits"] = counts, shots, b
-    return dist
+    return Distribution(counts=counts, shots=shots, bits=b)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -549,14 +549,7 @@ def test_env_var_malformed_seed_is_usage_error(tmp_path, adder_path, monkeypatch
     ) == 0
 
 
-# --- the parser is built on the first ``main`` call and kept for the process
-
-
-@pytest.fixture()
-def fresh_parser():
-    cli._parser.cache_clear()
-    yield
-    cli._parser.cache_clear()
+# --- a command builds only its own subcommand's parser
 
 
 def _locked_bytes(tmp_path, adder_path, name, *extra) -> tuple[bytes, bytes]:
@@ -565,17 +558,63 @@ def _locked_bytes(tmp_path, adder_path, name, *extra) -> tuple[bytes, bytes]:
     return locked.read_bytes(), key.read_bytes()
 
 
-def test_parser_built_once_across_main_calls(tmp_path, adder_path, monkeypatch, fresh_parser):
+def _exit(parse, argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def _help(parse, argv) -> str:
+    code, out, _ = _exit(parse, argv)
+    assert code == 0
+    return out
+
+
+def test_a_command_builds_only_its_own_subcommand(tmp_path, adder_path, monkeypatch, capsys):
     built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
-    _locked_bytes(tmp_path, adder_path, "a")
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", tuple(
+        (name, summary, lambda p, add=add, name=name: built.append(name) or add(p))
+        for name, summary, add in cli._SUBCOMMANDS
+    ))
     assert main(["stats", str(adder_path), "-o", str(tmp_path / "stats.json")]) == 0
-    assert main(["simulate", str(adder_path), "-o", str(tmp_path / "c.json"), "--shots", "8"]) == 0
-    assert built == [1]
+    assert built == ["stats"]
+    _help(main, ["evaluate", "-h"])
+    assert built == ["stats", "evaluate"]
+    _help(main, ["-h"])
+    with pytest.raises(SystemExit):
+        main(["bogus", str(adder_path)])
+    assert built == ["stats", "evaluate"]
 
 
-def test_env_seed_read_on_every_call(tmp_path, adder_path, monkeypatch, fresh_parser):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        *([name, "-h"] for name in cli._COMMANDS),
+        [],
+        ["bogus"],
+        ["--bogus", "stats", "IN"],
+        ["obfuscate", "IN"],
+        ["evaluate", "IN", "IN", "IN", "-o", "x.json", "--modes", "bogus"],
+        ["repro", "--seed", "abc"],
+        ["stats", "IN", "--bogus"],
+    ],
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_output_equals_an_eagerly_built_parser(adder_path, argv):
+    # every subcommand's parser built up front, as the tree's own subparsers
+    eager = cli._ArgumentParser(prog="qlock", description=cli.__doc__)
+    sub = eager.add_subparsers(dest="command", required=True)
+    for name, summary, arguments in cli._SUBCOMMANDS:
+        arguments(sub.add_parser(name, help=summary))
+    assert [name for name, _, _ in cli._SUBCOMMANDS] == list(cli._COMMANDS)
+    argv = [str(adder_path) if a == "IN" else a for a in argv]
+    assert _exit(main, argv) == _exit(eager.parse_args, argv)
+
+
+def test_env_seed_read_on_every_call(tmp_path, adder_path, monkeypatch):
     monkeypatch.setenv("QLOCK_SEED", "5")
     env5 = _locked_bytes(tmp_path, adder_path, "env5")
     monkeypatch.setenv("QLOCK_SEED", "9")
@@ -589,7 +628,7 @@ def test_env_seed_read_on_every_call(tmp_path, adder_path, monkeypatch, fresh_pa
     )
 
 
-def test_malformed_env_seed_after_a_valid_one(tmp_path, adder_path, monkeypatch, capsys, fresh_parser):
+def test_malformed_env_seed_after_a_valid_one(tmp_path, adder_path, monkeypatch, capsys):
     monkeypatch.setenv("QLOCK_SEED", "5")
     env5 = _locked_bytes(tmp_path, adder_path, "env5")
     monkeypatch.setenv("QLOCK_SEED", "abc")
@@ -614,28 +653,12 @@ def test_malformed_env_seed_after_a_valid_one(tmp_path, adder_path, monkeypatch,
     ],
     ids=["choice", "missing_output", "unknown_flag", "modes", "subcommand"],
 )
-def test_usage_error_leaves_the_next_parse_intact(tmp_path, adder_path, capsys, argv, fresh_parser):
+def test_usage_error_leaves_the_next_parse_intact(tmp_path, adder_path, capsys, argv):
     want = _locked_bytes(tmp_path, adder_path, "before")
     with pytest.raises(SystemExit) as exc:
         main([str(adder_path) if a == "IN" else a for a in argv])
     assert exc.value.code == 2
     assert _locked_bytes(tmp_path, adder_path, "after") == want
-    cli._parser.cache_clear()
-    assert _locked_bytes(tmp_path, adder_path, "fresh") == want
-
-
-def _help(parse, argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-        parse(argv)
-    assert exc.value.code == 0
-    return out.getvalue()
-
-
-def test_help_text_equals_a_fresh_parser(tmp_path, adder_path, fresh_parser):
-    _locked_bytes(tmp_path, adder_path, "warm")
-    for argv in (["-h"], *([name, "-h"] for name in cli._COMMANDS)):
-        assert _help(main, argv) == _help(cli._build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize(

@@ -215,57 +215,6 @@ def test_distribution_validation():
         Distribution(counts={"2": 2}, shots=2, bits=1)
 
 
-def _distribution_checks(counts, shots, bits) -> None:
-    """What ``Distribution.__post_init__`` checked when ``run`` still called it."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    total, malformed = 0, None
-    for key, count in counts.items():
-        total += count
-        if malformed is None and (len(key) != bits or key.strip("01")):
-            malformed = key
-    if total != shots:
-        raise ValueError("counts do not sum to shot count")
-    if malformed is not None:
-        raise ValueError(f"malformed outcome key {malformed!r}")
-
-
-def _outcome(build, *args):
-    try:
-        build(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-    return "ok"
-
-
-@st.composite
-def _distribution_fields(draw):
-    """Counts over keys mostly of the right width, and a shot count mostly their sum."""
-    bits = draw(st.integers(0, 4))
-    keys = st.one_of(st.text("01", min_size=bits, max_size=bits), st.text("012 ", max_size=4))
-    counts = draw(st.dictionaries(keys, st.integers(-3, 20), max_size=5))
-    shots = sum(counts.values()) + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    return counts, shots, bits
-
-
-@given(_distribution_fields())
-def test_distribution_constructor_keeps_its_checks(fields):
-    counts, shots, bits = fields
-    # ``run`` builds its result without ``__post_init__``; the public constructor
-    # still checks, with the same messages
-    want = _outcome(_distribution_checks, counts, shots, bits)
-    assert _outcome(Distribution, counts, shots, bits) == want
-
-
-@pytest.mark.parametrize("noise", [None, NoiseConfig(enabled=True)])
-def test_run_results_pass_the_distribution_checks(noise):
-    rng = np.random.default_rng(41)
-    for i in range(40):
-        circuit = random_circuit(rng, max_qubits=4, max_gates=10)
-        dist = run(circuit, int(rng.integers(1, 200)), noise=noise, seed=i)
-        assert dist == Distribution(dist.counts, dist.shots, dist.bits)
-
-
 def test_barriers_ignored_by_simulation():
     a = Circuit(2, 0, (_gate("h", 0), Barrier((0, 1)), _gate("cx", 0, 1)))
     b = Circuit(2, 0, (_gate("h", 0), _gate("cx", 0, 1)))
