@@ -6,15 +6,15 @@ only at its key slots, so ``compile_key_program`` compiles the template once
 and ``KeyProgram.program(bits)`` gives each candidate's fused program
 without building or fusing its circuit:
 
-- the template's circuit, in which every slot holds a gate, is fused by the
-  simulator's rule (``simulator._fuse``). A slot's other options are no gate
-  (an identity) or another gate on its qubits, so these blocks hold every
-  candidate's circuit, and every candidate's program has the template's
-  blocks, one matrix each;
-- blocks without slots are composed once, as ``compile_program`` composes
-  them. In a block with slots, each run of fixed gates between its slots is
-  composed once, and each gate that stands alone there, an option or a run
-  of one gate, is embedded once per (gate, wires in the block);
+- the template's circuit, in which every slot holds a gate, is fused once
+  by the simulator's pass (``simulator._fuse``), each slot standing in its
+  gate's place. A slot's other options are no gate (an identity) or another
+  gate on its qubits, so these blocks hold every candidate's circuit, and
+  every candidate's program has the template's blocks, one matrix each;
+- ``_fuse`` composes the blocks without slots as ``compile_program`` does,
+  and hands back the others. In those, each run of fixed gates between
+  slots is composed once, and each gate that stands alone there, an option
+  or a run of one gate, is embedded once per (matrix, wires in the block);
 - a candidate's block is then the product of its runs and the options its
   bits pick: one gather of those factors and a few stacked matmuls per
   width of such blocks (``_chain``), so the Python work per candidate grows
@@ -29,12 +29,13 @@ noisy sweep still runs each candidate's restored circuit.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .circuit import Gate
-from .simulator import _COMPOSE_WINDOW, Program, _Block, _compose, _embed, _fuse, _program, gate_matrix
+from .simulator import _COMPOSE_WINDOW, Program, _Block, _compose, _embed, _fuse, _refuse_too_wide, gate_matrix
 
 if TYPE_CHECKING:
     from .unlocking import KeyTemplate
@@ -58,7 +59,7 @@ class _KeyedBlocks(NamedTuple):
     apply, as rows of ``table``: row 0 is the identity (an absent option, and
     the padding of shorter rows), the others each run of fixed gates between
     slots, composed once, and each gate that stands alone, embedded once per
-    (gate, wires). ``slots`` are the flat places in ``factors`` that the
+    (matrix, wires). ``slots`` are the flat places in ``factors`` that the
     slots fill: slot ``s`` reads the candidate's bits at ``bits[s]`` as a
     number ``v`` and puts row ``picks[s, v]`` of ``table`` there.
     """
@@ -109,77 +110,62 @@ class KeyProgram(NamedTuple):
 def compile_key_program(template: KeyTemplate) -> KeyProgram:
     """``template``'s ``KeyProgram``, built once for any number of candidates."""
     circuit = template.circuit
-    gates = _program(circuit)
-    ops: list[Gate] = []
-    ordinal: dict[int, int] = {}  # place in ``circuit.ops`` -> place in ``gates``
-    for i, op in enumerate(circuit.ops):
-        if isinstance(op, Gate):
-            ordinal[i] = len(ops)
-            ops.append(op)
-    slot_at = {ordinal[slot.index]: slot for slot in template.slots}  # place in ``gates`` -> slot
+    _refuse_too_wide(circuit.num_qubits)
+    slot_at = {slot.index: slot for slot in template.slots}  # place in ``circuit.ops`` -> slot
     span = max((slot.span for slot in template.slots), default=1)
-    blocks = _fuse(((g, qubits) for g, (_, qubits) in enumerate(gates)), composed=False)
-    fixed: list = [None] * len(blocks)
-    plain: dict[int, list[tuple[int, _Block]]] = {}  # width -> each block without slots, and its place
-    keyed: dict[int, list] = {}  # width -> each block with slots: its place, qubits and factors
-    for place, block in enumerate(blocks):
-        factors: list = []  # runs of fixed gates, as lists of places in ``gates``, and slots
-        run: list[int] = []
-        for g, _ in block.gates:
-            if g in slot_at:
-                factors += [run, slot_at[g]] if run else [slot_at[g]]
-                run = []
-            else:
-                run.append(g)
-        if factors:
-            keyed.setdefault(len(block.qubits), []).append((place, block.qubits, factors + [run] if run else factors))
-        else:
-            plain.setdefault(len(block.qubits), []).append((place, _Block(block.qubits, [gates[g] for g in run])))
-    for entries in plain.values():
-        for (place, _), pair in zip(entries, _compose([b for _, b in entries])):
-            fixed[place] = pair
-    groups = [
-        group
-        for m, entries in keyed.items()
-        for group in _keyed_blocks(m, entries, gates, ops, span, template.key_bits)
-    ]
+    fixed = _fuse(
+        (slot_at[i] if i in slot_at else gate_matrix(op), op.qubits)
+        for i, op in enumerate(circuit.ops) if isinstance(op, Gate)
+    )
+    keyed: dict[int, list[tuple[int, _Block]]] = {}  # width -> each block with slots, and its place
+    for place, block in enumerate(fixed):
+        if isinstance(block, _Block):
+            keyed.setdefault(len(block.qubits), []).append((place, block))
+            fixed[place] = None
+    groups = [group for m, entries in keyed.items() for group in _keyed_blocks(m, entries, span, template.key_bits)]
     return KeyProgram(fixed, groups, template.key_bits, 2 ** np.arange(span - 1, -1, -1))
 
 
-def _keyed_blocks(
-    m: int, entries: list, gates: Program, ops: list[Gate], span: int, key_bits: int
-) -> list[_KeyedBlocks]:
-    """``entries``, the blocks of width ``m`` with slots, each as its place, qubits
-    and factors (runs of places in ``gates``, and slots), as ``_KeyedBlocks``
-    over one table. They are taken longest first, as many at a time as
-    ``_COMPOSE_WINDOW`` factor matrices hold, so a candidate's gather never
-    holds more."""
+def _keyed_blocks(m: int, entries: list[tuple[int, _Block]], span: int, key_bits: int) -> list[_KeyedBlocks]:
+    """``entries``, the blocks of width ``m`` with slots, each with its place, as
+    ``_KeyedBlocks`` over one table. They are taken longest first, as many at a
+    time as ``_COMPOSE_WINDOW`` factor matrices hold, so a candidate's gather
+    never holds more."""
     sources: list = []  # each row of the table after the identity: a run's _Block, or one gate to embed
-    embedded: dict[tuple, int] = {}  # (kind, params, wires) -> its row of the table
+    rows: dict[tuple, int] = {}  # (matrix bytes, wires) -> its row of the table
+    options: dict[tuple, int] = {}  # an option's (kind, params, wires) -> its row of the table
 
-    def embed(gate: Gate, local: dict[int, int], matrix: np.ndarray | None = None) -> int:
+    def embed(gate: tuple[np.ndarray, tuple[int, ...]], local: dict[int, int]) -> int:
+        key = (gate[0].tobytes(), tuple(map(local.__getitem__, gate[1])))
+        if key not in rows:
+            sources.append((gate, local))
+            rows[key] = len(sources)
+        return rows[key]
+
+    def option(gate: Gate, local: dict[int, int]) -> int:
         key = (gate.kind, gate.params, tuple(map(local.__getitem__, gate.qubits)))
-        if key not in embedded:
-            sources.append(((gate_matrix(gate) if matrix is None else matrix, gate.qubits), local))
-            embedded[key] = len(sources)
-        return embedded[key]
+        if key not in options:
+            options[key] = embed((gate_matrix(gate), gate.qubits), local)
+        return options[key]
 
     blocks = []  # each block's place, qubits, row of the table per factor, and slots
-    for place, qubits, factors in entries:
-        order = tuple(sorted(qubits, reverse=True))
+    for place, block in entries:
+        order = tuple(sorted(block.qubits, reverse=True))
         local = {q: m - 1 - w for w, q in enumerate(order)}
         row, slots = [], []  # each slot: its column in ``row``, its bits and its options' rows
-        for factor in factors:
-            if isinstance(factor, list) and len(factor) > 1:
-                sources.append(_Block(qubits, [gates[g] for g in factor]))
+        for fixed, run in groupby(block.gates, lambda gate: isinstance(gate[0], np.ndarray)):
+            run = list(run)  # fixed gates, or slots standing in their gates' places
+            if fixed and len(run) > 1:
+                sources.append(_Block(block.qubits, run))
                 row.append(len(sources))
-            elif isinstance(factor, list):
-                row.append(embed(ops[factor[0]], local, gates[factor[0]][0]))
+            elif fixed:
+                row.append(embed(run[0], local))
             else:
-                bits = [key_bits] * (span - factor.span) + list(range(factor.offset, factor.offset + factor.span))
-                options = factor.options + (None,) * (2**span - len(factor.options))
-                slots.append((len(row), bits, [0 if gate is None else embed(gate, local) for gate in options]))
-                row.append(0)
+                for slot, _ in run:
+                    bits = [key_bits] * (span - slot.span) + list(range(slot.offset, slot.offset + slot.span))
+                    picks = slot.options + (None,) * (2**span - len(slot.options))
+                    slots.append((len(row), bits, [0 if gate is None else option(gate, local) for gate in picks]))
+                    row.append(0)
         blocks.append((place, order, row, slots))
     table = np.empty((1 + len(sources), 2**m, 2**m), dtype=complex)
     table[0] = np.eye(2**m)

@@ -43,9 +43,9 @@ that long is one stacked matmul, and one column-norm check covers the group.
 A fused program applies one matrix per block; its amplitudes differ from the
 gate-by-gate ones in the last bits only (the fusion tests bound the drift by
 1e-12, and each block's matrix by 1e-14 from composing it gate by gate).
-A wrong-key sweep's candidates get their programs from the blocks of one
-key template, fused by the same rule (``keyprogram``). Noisy programs are
-not fused.
+A wrong-key sweep's candidates get their programs from one key template,
+fused by the same ``_fuse`` pass with each key slot in its gate's place
+(``keyprogram``). Noisy programs are not fused.
 
 Noise, when enabled, is a parametric depolarizing channel after each gate:
 with probability ``p1`` (single-qubit gates) or ``p2`` (multi-qubit gates), a
@@ -229,6 +229,15 @@ def _permutations(qubits: tuple[int, ...], n: int, ndim: int) -> tuple[tuple[int
 Program = list[tuple[np.ndarray, tuple[int, ...]]]
 
 
+def _refuse_too_wide(n: int, noisy: bool = False) -> None:
+    """Refuse, before anything is allocated, an ``n``-qubit state (a noisy run's
+    density tensor holds ``4**n`` amplitudes) above ``2**_STATE_QUBIT_LIMIT`` amplitudes."""
+    limit = _STATE_QUBIT_LIMIT // 2 if noisy else _STATE_QUBIT_LIMIT
+    if n > limit:
+        kind = "simulate with noise" if noisy else "simulate"
+        raise ValueError(f"{n}-qubit circuit too large to {kind} (at most {limit} qubits)")
+
+
 def _program(circuit: Circuit, fused: bool = False, noise: NoiseConfig | None = None) -> Program:
     """Resolve each gate once to (matrix, qubits); barriers and measurements drop out.
 
@@ -236,14 +245,10 @@ def _program(circuit: Circuit, fused: bool = False, noise: NoiseConfig | None = 
     gate's matrix lives only until its block is built. With ``noise``, each
     gate is its ``_superoperator`` on the density tensor's qubits. Qubit
     indices need no check here: ``Circuit`` keeps them in range. Circuits
-    whose state would exceed ``2**_STATE_QUBIT_LIMIT`` amplitudes (a density
-    tensor holds ``4**n``) are refused before anything is allocated.
+    too wide to simulate are refused first (``_refuse_too_wide``).
     """
     n = circuit.num_qubits
-    limit = _STATE_QUBIT_LIMIT if noise is None else _STATE_QUBIT_LIMIT // 2
-    if n > limit:
-        kind = "simulate" if noise is None else "simulate with noise"
-        raise ValueError(f"{n}-qubit circuit too large to {kind} (at most {limit} qubits)")
+    _refuse_too_wide(n, noise is not None)
     if not any(isinstance(op, Gate) for op in circuit.ops):
         return []  # measurements alone, as each noiseless sample of ``evaluate`` runs: nothing to fuse
     gates = ((gate_matrix(op), op.qubits) for op in circuit.ops if isinstance(op, Gate))
@@ -288,9 +293,7 @@ class _Block:
         self.qubits, self.gates = qubits, gates
 
 
-def _fuse(
-    program: Iterable[tuple[np.ndarray, tuple[int, ...]]], k: int = _FUSE_QUBITS, composed: bool = True
-) -> Program:
+def _fuse(program: Iterable[tuple[object, tuple[int, ...]]], k: int = _FUSE_QUBITS) -> list:
     """Group ``program``'s gates into blocks of at most ``k`` qubits, one matrix each.
 
     Each qubit has at most one open block. A gate joins the open blocks on
@@ -302,9 +305,10 @@ def _fuse(
     ones still open at the end last, so every qubit sees its gates in program
     order. A closed block waits in its place until ``_COMPOSE_GROUP`` blocks
     of its width have closed, and ``_compose`` builds their matrices
-    together; the blocks still waiting at the end are composed last. Unless
-    ``composed``, the ``_Block``s themselves come back, in program order;
-    only each gate's qubits (``gate[1]``) decide its block.
+    together; the blocks still waiting at the end are composed last. Only
+    each gate's qubits (``gate[1]``) decide its block, so ``keyprogram``
+    passes each key slot without a matrix, in its gate's place, and each
+    block holding a slot comes back as its ``_Block``.
     """
     fused: list = []
     waiting: dict[int, list[int]] = {}  # block width -> places of blocks not yet composed
@@ -316,10 +320,12 @@ def _fuse(
         places.clear()
 
     def close(block: _Block) -> None:
-        places = waiting.setdefault(len(block.qubits), [])
-        places.append(len(fused))
         fused.append(block)
-        if composed and len(places) >= _COMPOSE_GROUP:
+        if not all(isinstance(matrix, np.ndarray) for matrix, _ in block.gates):
+            return  # a key slot's block stays a _Block
+        places = waiting.setdefault(len(block.qubits), [])
+        places.append(len(fused) - 1)
+        if len(places) >= _COMPOSE_GROUP:
             compose(places)
 
     for gate in program:
@@ -356,7 +362,7 @@ def _fuse(
     for b in dict.fromkeys(open_blocks.values()):
         close(b)
     for places in waiting.values():
-        if composed and places:
+        if places:
             compose(places)
     return fused
 

@@ -3,20 +3,23 @@ must restore, simulate and refuse what one ``unlock`` per candidate does, and
 its key program must compile each candidate's blocks as the restored circuit
 multiplies out."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlock import benchmarks, keyprogram, parse_circuit
+from qlock import Circuit, Gate, benchmarks, keyprogram, parse_circuit
+from qlock.circuit import GATE_SPECS
 from qlock.evaluation import _layer_states, random_input_layer, with_input_layer
 from qlock.locking import ObfuscationPlan, dense_plan, export_key, import_key, obfuscate, select_sites
 from qlock.qasm import emit_circuit
 from qlock.keyprogram import compile_key_program
 from qlock.qasm import QasmError
 from qlock.simulator import compile_program, statevector, unitary_of
-from qlock.unlocking import key_template, unlock
+from qlock.unlocking import KeyTemplate, key_template, unlock
 
 from conftest import fuzz_key, fuzz_qasm
 
@@ -143,6 +146,12 @@ def test_key_program_refuses_a_candidate_of_another_length(record):
             keys.program(bad)
 
 
+def test_key_program_refuses_a_template_too_wide_to_simulate():
+    template = KeyTemplate(Circuit(27, 0, (Gate("h", (), (0,)),)), (), 0)
+    with pytest.raises(ValueError, match="27-qubit circuit too large to simulate"):
+        compile_key_program(template)
+
+
 @pytest.mark.parametrize("window", [1, 40, 100])
 def test_key_program_in_small_gathers_on_a_wide_circuit(wide_record, monkeypatch, window):
     # blocks with slots gathered a few at a time, or one at a time when a block
@@ -166,6 +175,69 @@ def test_key_program_bytes_on_a_wide_circuit(wide_record):
     keys = compile_key_program(template)
     assert len(keys.program(record.key.bits)) == len(compile_program(template.circuit))
     assert keys.nbytes < 16 * 2**record.locked_circuit.num_qubits
+
+
+def _blocks_without_slots_match_compile_program(record):
+    template = key_template(record.locked_circuit, record.key)
+    fixed = compile_key_program(template).fixed
+    want = compile_program(template.circuit)
+    assert len(fixed) == len(want)
+    for got, (matrix, qubits) in zip(fixed, want):
+        if got is not None:
+            assert got[0].tobytes() == matrix.tobytes() and got[1] == qubits
+    return sum(got is not None for got in fixed)
+
+
+def test_key_program_blocks_without_slots_are_compile_programs(record):
+    # the one fusion pass composes them as compile_program composes the
+    # template's circuit, to the same bytes
+    _blocks_without_slots_match_compile_program(record)
+
+
+def test_key_program_blocks_without_slots_are_compile_programs_on_a_wide_circuit(wide_record):
+    assert _blocks_without_slots_match_compile_program(wide_record[1]) > 0
+
+
+def _generated_lock(n, count, seed):
+    """A dense lock of ``count`` gates on ``n`` qubits, in equal shares of the
+    alphabet, angles on the pi/4 grid so every phase gate is lockable."""
+    rng = np.random.default_rng(seed)
+    kinds = sorted(GATE_SPECS)
+    gates = []
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        arity, n_params = GATE_SPECS[kind]
+        qubits = tuple(int(q) for q in rng.choice(n, arity, replace=False))
+        gates.append(Gate(kind, tuple(float(a) for a in rng.integers(0, 8, n_params) * np.pi / 4), qubits))
+    circuit = Circuit(n, 0, tuple(gates))
+    return obfuscate(circuit, dense_plan(circuit, seed=seed), seed=seed)
+
+
+def test_key_program_compile_peak_stays_near_compile_programs():
+    # the template's gates stream through one _fuse pass, which composes the
+    # blocks without slots as they close, as compile_program does: 1.5x
+    # compile_program's peak on this lock, where a second pass that listed every
+    # gate matrix first and held every block until the end peaked at 2.4x
+    # (tracemalloc, Python 3.11, numpy 2.4). The collector stays off around the
+    # compiles, as in the simulator's compose memory test
+    record = _generated_lock(8, 1000, seed=1)
+    template = key_template(record.locked_circuit, record.key)
+    peaks = []
+    gc.collect()
+    gc.disable()
+    try:
+        for compile_once in (lambda: compile_key_program(template), lambda: compile_program(template.circuit)):
+            compile_once()
+            tracemalloc.start()
+            try:
+                compile_once()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert len(template.slots) > 500
+    assert peaks[0] <= 2 * peaks[1], peaks
 
 
 def _outcome(action):

@@ -850,6 +850,24 @@ def test_one_qubit_gates_join_their_qubits_open_block(monkeypatch):
     assert structure[0] == structure[1] == [({0, 1, 2}, [0, 1, 3, 4, 2, 5]), ({0, 1, 3}, [6, 7, 8])]
 
 
+def test_a_block_holding_a_slot_marker_comes_back_uncomposed():
+    # the z on 1 stands in as a marker without a matrix, as a key slot does in
+    # a key program: its block comes back as its _Block, and every other block
+    # as the bytes that fusing the program with its matrix in place gives
+    gates = [_gate("h", 0), _gate("t", 0), _gate("x", 2), _gate("cx", 0, 1), _gate("z", 1),
+             _gate("cx", 1, 2), _gate("s", 3), _gate("ccx", 3, 0, 1), _gate("y", 3), _gate("cx", 2, 3)]
+    program = simulator._program(Circuit(4, 0, tuple(gates)))
+    marked = list(program)
+    marked[4] = (object(), program[4][1])
+    fused, reference = simulator._fuse(marked, 3), simulator._fuse(program, 3)
+    assert len(fused) == len(reference) == 3
+    block = fused[0]
+    assert isinstance(block, simulator._Block) and block.qubits == {0, 1, 2}
+    assert [id(gate) for gate in block.gates] == [id(marked[i]) for i in (0, 1, 3, 4, 2, 5)]
+    for (matrix, qubits), (expected, want) in zip(fused[1:], reference[1:]):
+        assert matrix.tobytes() == expected.tobytes() and qubits == want
+
+
 def _generated_circuit(n, count, seed):
     """``count`` gates in equal shares of the alphabet, angles on the pi/4 grid."""
     rng = np.random.default_rng(seed)
