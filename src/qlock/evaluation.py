@@ -18,7 +18,9 @@ Runs are compared either as physically separate executions (independent
 sampling streams, the default: TVD then carries the protocol's shot-noise
 floor, roughly sqrt(2^b/(pi*shots)) for identical circuits) or with paired
 streams (common random numbers) that cancel shot noise and expose small
-circuit-level residuals.
+circuit-level residuals. ``tvd`` compares the runs' counts by outcome index,
+so no outcome string is built for a comparison; the count sums are integers
+either way, so the TVD is the same float.
 
 Noiseless inputs are simulated in chunks: each arm is compiled once, fused
 into blocks of a few qubits, and evolves a chunk as the columns of one
@@ -86,16 +88,18 @@ def _arm_seed(seed: int, input_index: int, arm: str, sampling: str) -> int:
     across arms per input when paired."""
     if sampling == "paired":
         arm = "common"
-    return int(derive_rng(seed, "eval-arm", input_index, arm).integers(2**63))
+    # the stream's first raw word, top 63 bits: what ``integers(2**63)`` draws from it
+    return derive_rng(seed, "eval-arm", input_index, arm).bit_generator.random_raw() >> 1
 
 
 def tvd(a: Distribution, b: Distribution) -> float:
-    """Total variation distance: sum |count_a - count_b| over outcomes / (2N)."""
+    """Total variation distance: sum |count_a - count_b| over outcomes / (2N),
+    the outcomes compared by index (``Distribution.by_index``)."""
     if a.shots != b.shots:
         raise ValueError(f"shot counts differ: {a.shots} vs {b.shots}")
     if a.bits != b.bits:
         raise ValueError(f"outcome widths differ: {a.bits} vs {b.bits}")
-    ca, cb = a.counts, b.counts
+    ca, cb = a.by_index, b.by_index
     total = sum(abs(count - cb.get(k, 0)) for k, count in ca.items())
     total += sum(count for k, count in cb.items() if k not in ca)
     return total / (2.0 * a.shots)

@@ -448,10 +448,13 @@ def import_key(text: str) -> Key:
             raise ValueError(f"malformed key schedule entry: {item!r}")
         if (kind == "logic" and span == 1) or (kind == "phase" and span == 3):
             # what ``KeyEntry.__post_init__`` checks holds, so the fields go in as
-            # ``copy`` puts them, without ``__init__``'s object.__setattr__ per field
+            # ``__init__`` sets them, without its call; writing ``entry.__dict__``
+            # instead would give every entry a dict of its own
             entry = object.__new__(KeyEntry)
-            fields = entry.__dict__
-            fields["kind"], fields["layer"], fields["qubit"], fields["span"] = kind, layer, qubit, span
+            object.__setattr__(entry, "kind", kind)
+            object.__setattr__(entry, "layer", layer)
+            object.__setattr__(entry, "qubit", qubit)
+            object.__setattr__(entry, "span", span)
         else:
             entry = KeyEntry(kind, layer, qubit, span)  # raises what __post_init__ refuses
         entries.append(entry)

@@ -2,8 +2,9 @@
 
 Qubit ordering is little-endian throughout: qubit 0 is the least-significant
 bit of a basis index, and outcome strings print the highest measured qubit
-first (qubit 0 rightmost). Distributions serialize as
-``{"shots": N, "bits": b, "counts": {...}}`` with those outcome strings.
+first (qubit 0 rightmost). A ``Distribution`` counts outcomes by index; the
+indices become outcome strings only when read (``counts``) or written
+(``to_json``: ``{"shots": N, "bits": b, "counts": {...}}``).
 
 Every simulation runs one kernel: ``_program`` resolves a circuit's gates once
 into (matrix, qubits) pairs, and ``_evolve`` applies them to a state tensor,
@@ -58,8 +59,8 @@ is ``row * 2**n + col``, and each gate with its channel is one
 ``(n + q..., q...)``. Every run ends the same way: the probabilities (a
 state's squared amplitudes, or the density matrix's diagonal) are summed over
 the unmeasured qubits, the shots are drawn with one multinomial from the
-run's sampling stream, and each remaining index prints as its outcome
-string. Noise with ``p1 = p2 = 0`` runs noiseless, so it gives the noiseless
+run's sampling stream, and each index drawn keeps its count, unformatted.
+Noise with ``p1 = p2 = 0`` runs noiseless, so it gives the noiseless
 counts; a noisy run's memory does not depend on its shot count.
 """
 
@@ -80,27 +81,17 @@ from .rng import derive_rng
 _NORM_TOL = 1e-10
 _UNITARY_QUBIT_LIMIT = 10
 _STATE_QUBIT_LIMIT = 26  # 2**26 amplitudes: 1 GiB per statevector, or per density tensor of 13 qubits
-# amplitudes one batch of noiseless input states may hold (``batch_columns``). Measured on
-# a 2-core x86 host, numpy 2.4.6, process time, median of 5-7: a batch of input states
-# (one matmul per column) over its columns' separate statevectors, 2 columns 0.84-0.96 at
-# 4-10 qubits, 0.95 (0.81-1.12) on the 11-qubit locked 10q/4000 synthetic arm, 1.03 at 15
-# qubits, 4 columns 0.48-0.76 at 4-10 qubits. Through fused programs (median of 15): 2
-# columns 0.96-1.02 at 4-7 qubits, 0.85-0.97 at 8-10, 0.93 at 11 and 12, 0.98 at 13,
-# 1.04-1.15 at 14-15; 4 columns 0.53-0.61 at 4-9, 0.69 at 10, 0.78 at 11. A larger cap
-# would batch the 11-qubit arm's inputs too; it has not been retuned since. So 2**11: 2
+# amplitudes one batch of noiseless input states may hold (``batch_columns``): a batch of
+# 2 columns took 0.84-0.96 of its columns' separate time at 4-10 qubits, and 0.81-1.12 on
+# the 11-qubit locked 10q/4000 arm (CHANGES.md; not retuned since fusion). So 2**11: 2
 # columns at 10 qubits, 4 at 9, 64 at 5, one at 11 and up
 _BATCH_AMPLITUDES = 2**11
-# the widest block _fuse builds. perfbench synthetic_pipeline (seed 4, 15 s runs, 3 pairs;
-# 2-core x86 host, numpy 2.4.6, OpenBLAS 0.3.31): evaluate_ref 122-125 at 3 and 116-119
-# at 4, but peak_rss_mb 50.6-50.8 at 3 and 53.2-54.0 at 4 (51.1 unfused): a 4-qubit block
-# holds 4 KB, and the locked 10q/4000 arm's 9,251 gates fuse into 2.1 MB at 3 and 4.3 MB
-# at 4 (tracemalloc; each block a view into its group's array)
+# the widest block _fuse builds: 4 was ~5% faster on synthetic_pipeline than 3, but its
+# blocks hold 4 KB and peak_rss_mb rose (53.2-54.0 against 50.6-50.8 MB; CHANGES.md)
 _FUSE_QUBITS = 3
 # closed blocks of one width that _compose builds together, and the most gate matrices
-# it embeds at once (512 KB at 3 qubits). Compiling the locked 10q/4000 arm peaks at
-# 2.13 MB of tracemalloc at 16, 2.24 at 32 and 2.49 at 64 (2.27 composing each block
-# alone as it closes); fusing the nine synthetic programs took 110, 100 and 94 ms (best
-# of 30, same host). So 32, below the peak of composing blocks alone
+# it embeds at once (512 KB at 3 qubits): at 32, compiling the locked 10q/4000 arm peaks
+# below composing each block alone as it closes (2.24 against 2.27 MB; CHANGES.md)
 _COMPOSE_GROUP = 32
 _COMPOSE_WINDOW = 2**9
 
@@ -125,24 +116,55 @@ class NoiseConfig:
             raise ValueError("depolarizing probabilities must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Distribution:
-    counts: dict[str, int]
+    """Shot counts by outcome index (``by_index``: each outcome string read as
+    a binary number, in the order given). The constructor takes and checks
+    outcome strings; ``counts`` prints them back.
+    """
+
+    by_index: dict[int, int]
     shots: int
     bits: int
 
-    def __post_init__(self):
-        if self.shots < 1:
+    def __init__(self, counts: dict[str, int], shots: int, bits: int):
+        if shots < 1:
             raise ValueError("shots must be positive")
-        total, malformed = 0, None
-        for key, count in self.counts.items():
+        total, malformed, by_index = 0, None, {}
+        for key, count in counts.items():
             total += count
-            if malformed is None and (len(key) != self.bits or key.strip("01")):
-                malformed = key
-        if total != self.shots:
+            if malformed is None:
+                if len(key) != bits or key.strip("01"):
+                    malformed = key
+                else:
+                    by_index[int(key or "0", 2)] = count
+        if total != shots:
             raise ValueError("counts do not sum to shot count")
         if malformed is not None:
             raise ValueError(f"malformed outcome key {malformed!r}")
+        self._fill(by_index, shots, bits)
+
+    def _fill(self, by_index: dict[int, int], shots: int, bits: int) -> None:
+        object.__setattr__(self, "by_index", by_index)
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _sampled(cls, by_index: dict[int, int], shots: int, bits: int) -> Distribution:
+        """``run``'s result, whose indices fit ``bits`` by construction."""
+        if sum(by_index.values()) != shots:
+            raise ValueError("counts do not sum to shot count")
+        dist = object.__new__(cls)
+        dist._fill(by_index, shots, bits)
+        return dist
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The counts by outcome string, highest measured qubit first."""
+        if not self.bits:
+            return {"": count for count in self.by_index.values()}
+        spec = f"0{self.bits}b"
+        return {format(i, spec): count for i, count in self.by_index.items()}
 
     def to_json(self) -> str:
         return json.dumps(
@@ -597,7 +619,9 @@ def run(
     Qubits without measurements are traced out; if the circuit has no measure
     operations at all, every qubit is measured implicitly. A noisy run with
     any nonzero rate evolves the exact density matrix; its shots are one
-    multinomial, as a noiseless run's are.
+    multinomial, as a noiseless run's are. A noiseless circuit without gates
+    samples ``initial`` as it is. The result keeps each drawn outcome's
+    index; its outcome string is built only when read or written.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -608,15 +632,12 @@ def run(
     if noise is not None and noise.enabled and (noise.p1 or noise.p2):
         weights = _density_diagonal(circuit, initial, noise)
     else:
-        # statevector's evolution, but the state of an empty program is ``initial`` itself
-        program = compile_program(circuit)
-        weights = np.abs(_evolve(_initial_state(n, initial).reshape((2,) * n), program, n)) ** 2
+        state = statevector(circuit, initial)  # refuses a circuit too wide before numpy is called
+        weights = np.abs(state) ** 2
     probs = _marginal(weights, measured, n)
     sampled = derive_rng(seed, "sample").multinomial(shots, probs / probs.sum())
-    b = len(measured)
-    spec, hits = f"0{b}b", np.flatnonzero(sampled)
-    counts = {format(i, spec): count for i, count in zip(hits.tolist(), sampled[hits].tolist())}
-    return Distribution(counts=counts, shots=shots, bits=b)
+    hits = np.flatnonzero(sampled)
+    return Distribution._sampled(dict(zip(hits.tolist(), sampled[hits].tolist())), shots, len(measured))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

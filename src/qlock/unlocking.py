@@ -259,6 +259,13 @@ def unlock(
     wrong-key experiments. Unless ``keep_ancilla`` is set, the result is
     passed through ``simplify``; with the locking key it is then unitarily
     equivalent to the original circuit up to global phase.
+
+    ``locked`` may come back from a compiler, which may reorder the gates
+    of a barrier-delimited block as their shared qubits allow, rewrite
+    ``cx`` as ``h cz h`` on its target, and rewrite ``x`` off the ancilla
+    as ``h z h``. It must keep the barriers, the ancilla's ``h`` gates and
+    the gates it controls as single ops, and the ``rz`` gates at phase
+    sites.
     """
     applied = key if candidate_bits is None else key.with_bits(candidate_bits)
     logic_bits = applied.logic_bits()

@@ -96,6 +96,38 @@ def test_tvd_metric_properties(triple):
     assert tvd(a, c) <= tvd(a, b) + tvd(b, c) + 1e-12
 
 
+def _tvd_of_strings(a, b):
+    """``tvd`` as computed over the outcome strings."""
+    ca, cb = a.counts, b.counts
+    total = sum(abs(count - cb.get(k, 0)) for k, count in ca.items())
+    total += sum(count for k, count in cb.items() if k not in ca)
+    return total / (2.0 * a.shots)
+
+
+@given(distribution_triples())
+def test_tvd_by_index_is_the_float_of_outcome_strings(triple):
+    # index-built as run builds them, in ascending order, against the string-built ones
+    indexed = [Distribution._sampled(dict(sorted(d.by_index.items())), d.shots, d.bits) for d in triple]
+    for (a, b), (x, y) in zip(zip(triple, triple[1:] + triple[:1]), zip(indexed, indexed[1:] + indexed[:1])):
+        assert x == a and y == b
+        want = _tvd_of_strings(a, b)
+        assert tvd(x, y) == tvd(a, b) == tvd(x, b) == want
+        assert tvd(y, x) == _tvd_of_strings(b, a)
+
+
+def test_arm_seed_is_the_bounded_draw_it_replaced():
+    # the first raw word's top 63 bits are what integers(2**63) draws; the
+    # benchmark's tracer still draws them that way, and must agree
+    rng = np.random.default_rng(2026)
+    arms = ["reference", "combined", "logic_only", "phase_only", "restored", "wrong-key-0", "wrong-key-19"]
+    for case in range(1200):
+        seed = int(rng.integers(2**64, dtype=np.uint64)) if case % 3 else int(rng.integers(100))
+        i, arm = int(rng.integers(1000)), arms[int(rng.integers(len(arms)))]
+        sampling = ("independent", "paired")[case % 2]
+        drawn = int(derive_rng(seed, "eval-arm", i, "common" if sampling == "paired" else arm).integers(2**63))
+        assert evaluation._arm_seed(seed, i, arm, sampling) == drawn, (seed, i, arm, sampling)
+
+
 # --- input sampling -----------------------------------------------------------
 
 

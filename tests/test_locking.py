@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -622,6 +623,28 @@ def test_import_key_matches_per_entry_construction_on_each_retyped_field(fuzz_lo
         edited["schedule"][i][field] = value
         text = json.dumps(edited)
         assert _imported(import_key, text) == _imported(_import_key_per_entry, text), (i, field, value)
+
+
+def test_import_key_holds_no_more_than_per_entry_construction():
+    # an entry whose fields were set one by one holds what KeyEntry(...) holds;
+    # one written through its instance dict held ~64 B more
+    schedule = tuple(
+        KeyEntry(*(("logic", i // 8, i % 11, 1) if i % 2 else ("phase", i // 8, i % 11, 3))) for i in range(5000)
+    )
+    text = export_key(Key(bits="0" * sum(e.span for e in schedule), schedule=schedule))
+
+    def held(read):
+        tracemalloc.start()
+        try:
+            key = read(text)
+            return tracemalloc.get_traced_memory()[0], key
+        finally:
+            tracemalloc.stop()
+
+    imported, key = held(import_key)
+    built, want = held(_import_key_per_entry)
+    assert key == want
+    assert imported <= 1.02 * built, (imported, built)
 
 
 def test_import_rejects_span_mismatch():

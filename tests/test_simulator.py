@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,75 @@ def test_distribution_validation():
         Distribution(counts={"0": 1}, shots=2, bits=1)
     with pytest.raises(ValueError, match="malformed outcome"):
         Distribution(counts={"2": 2}, shots=2, bits=1)
+
+
+@pytest.mark.parametrize(
+    "counts, shots, bits, message",
+    [
+        ({"0": 1}, 0, 1, "shots must be positive"),
+        ({"0": 1}, 2, 1, "counts do not sum to shot count"),
+        ({"2": 1, "0": 0}, 2, 1, "counts do not sum to shot count"),  # the sum is checked first
+        ({"2": 2}, 2, 1, "malformed outcome key '2'"),
+        ({"0": 1, "00": 1, "x": 1}, 3, 1, "malformed outcome key '00'"),  # the first one is named
+        ({"1_0": 2}, 2, 3, "malformed outcome key '1_0'"),  # int(..., 2) would read it
+        ({"0b1": 2}, 2, 3, "malformed outcome key '0b1'"),
+        ({" 10": 2}, 2, 3, "malformed outcome key ' 10'"),
+        ({"": 2}, 2, 1, "malformed outcome key ''"),
+    ],
+)
+def test_distribution_refuses_what_it_refused_with_string_keys(counts, shots, bits, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Distribution(counts=counts, shots=shots, bits=bits)
+
+
+def test_distribution_counts_by_index_and_prints_outcome_strings():
+    dist = Distribution(counts={"110": 3, "000": 0, "011": 2}, shots=5, bits=3)
+    assert dist.by_index == {6: 3, 0: 0, 3: 2}  # zero counts and the given order kept
+    assert dist.counts == {"110": 3, "000": 0, "011": 2}
+    assert list(dist.counts) == ["110", "000", "011"]
+    assert dist != Distribution(counts={"110": 3, "011": 2}, shots=5, bits=3)
+    assert dist != Distribution(counts={"0110": 3, "0000": 0, "0011": 2}, shots=5, bits=4)
+    assert dist != Distribution(counts={"110": 4, "000": 0, "011": 2}, shots=6, bits=3)
+    empty = Distribution(counts={"": 4}, shots=4, bits=0)
+    assert empty.counts == {"": 4} and Distribution(**json.loads(empty.to_json())) == empty
+
+
+def test_distribution_from_run_equals_its_string_built_twin():
+    circuit = parse_circuit(benchmarks.load("wstate_n3"))
+    for seed in range(20):
+        dist = run(circuit, 100, seed=seed)
+        twin = Distribution(counts=dist.counts, shots=dist.shots, bits=dist.bits)
+        assert twin == dist and twin.by_index == dist.by_index
+        assert list(dist.by_index) == sorted(dist.by_index)  # ascending, as the strings were
+        text = dist.to_json()
+        assert Distribution(**json.loads(text)) == dist
+        assert Distribution(**json.loads(text)).to_json() == text == twin.to_json()
+
+
+def test_distribution_is_immutable():
+    dist = run(Circuit(1, 0, (_gate("h", 0),)), 10, seed=1)
+    for name, value in [("by_index", {}), ("shots", 5), ("bits", 2), ("counts", {}), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(dist, name, value)
+    assert dist.shots == 10 and dist.bits == 1 and sum(dist.by_index.values()) == 10
+
+
+def test_run_formats_no_outcome_string_until_read(monkeypatch):
+    formatted = []
+
+    def counting_format(value, spec=""):
+        formatted.append(value)
+        return format(value, spec)
+
+    # a module global named ``format`` shadows the builtin inside simulator
+    monkeypatch.setattr(simulator, "format", counting_format, raising=False)
+    dist = run(parse_circuit(benchmarks.load("wstate_n3")), 300, seed=4)
+    assert formatted == []
+    outcomes = len(dist.by_index)
+    assert outcomes == 3
+    assert len(dist.counts) == outcomes and len(formatted) == outcomes
+    dist.to_json()
+    assert len(formatted) == 2 * outcomes
 
 
 def test_barriers_ignored_by_simulation():

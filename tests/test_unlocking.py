@@ -1,12 +1,13 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qlock import equivalent_up_to_global_phase, parse_circuit
-from qlock.circuit import Circuit, Gate, flatten, layerize, phase_angle_of
+from qlock import benchmarks, equivalent_up_to_global_phase, parse_circuit
+from qlock.circuit import Barrier, Circuit, Gate, flatten, layerize, phase_angle_of
 from qlock.locking import Key, KeyEntry, ObfuscationPlan, dense_plan, obfuscate, select_sites
 from qlock.simulator import run, unitary_of
 from qlock.unlocking import apply_phase_key, find_ancilla, insert_key_toggles, simplify, unlock
@@ -272,4 +273,59 @@ def test_unlock_from_emitted_files(bench_circuits):
     locked = reparse(emit_circuit(record.locked_circuit))
     key = import_key(export_key(record.key))
     restored = unlock(locked, key).restored_circuit
+    assert equivalent_up_to_global_phase(restored, flatten(layerize(circuit)), 1e-9)
+
+
+# --- the compiler contract -----------------------------------------------------
+
+
+def _compiled(locked: Circuit, random, reorder: bool, rewrite: bool) -> Circuit:
+    """``locked`` as a compiler may return it: each block's ``cx`` gates as
+    ``h cz h`` on their targets and its ``x`` gates off the ancilla as
+    ``h z h`` (each with probability 1/2, when ``rewrite``), then the block's
+    ops in a random order that keeps every qubit's own order (when
+    ``reorder``); barriers stay where they are."""
+    ancilla = find_ancilla(locked)
+    ops: list = []
+    block: list = []
+
+    def close_block():
+        while block:
+            # an op is ready when no op before it in the block shares a qubit with it
+            busy: set[int] = set()
+            ready = []
+            for j, op in enumerate(block):
+                qubits = set(op.qubits) if isinstance(op, Gate) else {op.qubit}
+                if not qubits & busy:
+                    ready.append(j)
+                busy |= qubits
+            ops.append(block.pop(random.choice(ready) if reorder else 0))
+
+    for op in locked.ops:
+        if isinstance(op, Barrier):
+            close_block()
+            ops.append(op)
+        elif rewrite and isinstance(op, Gate) and op.kind == "cx" and random.random() < 0.5:
+            target = op.qubits[1:]
+            block += [_gate("h", *target), _gate("cz", *op.qubits), _gate("h", *target)]
+        elif rewrite and isinstance(op, Gate) and op.kind == "x" and op.qubits != (ancilla,) and random.random() < 0.5:
+            block += [_gate("h", *op.qubits), _gate("z", *op.qubits), _gate("h", *op.qubits)]
+        else:
+            block.append(op)
+    close_block()
+    return replace(locked, ops=tuple(ops))
+
+
+@given(
+    name=st.sampled_from(benchmarks.NAMES),
+    seed=st.integers(0, 2**32 - 1),
+    changes=st.sampled_from([(True, False), (False, True), (True, True)]),
+    random=st.randoms(use_true_random=False),
+)
+def test_unlock_survives_the_changes_a_compiler_may_make(bench_circuits, name, seed, changes, random):
+    circuit = bench_circuits[name]
+    record = obfuscate(circuit, dense_plan(circuit, seed=seed), seed=seed)
+    compiled = _compiled(record.locked_circuit, random, *changes)
+    assert equivalent_up_to_global_phase(compiled, record.locked_circuit, 1e-9)
+    restored = unlock(compiled, record.key).restored_circuit
     assert equivalent_up_to_global_phase(restored, flatten(layerize(circuit)), 1e-9)
