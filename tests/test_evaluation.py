@@ -108,10 +108,10 @@ def _tvd_of_strings(a, b):
 def test_tvd_by_index_is_the_float_of_outcome_strings(triple):
     # index-built as run builds them, in ascending order, against the string-built ones
     indexed = [Distribution._sampled(dict(sorted(d.by_index.items())), d.shots, d.bits) for d in triple]
-    for (a, b), (x, y) in zip(zip(triple, triple[1:] + triple[:1]), zip(indexed, indexed[1:] + indexed[:1])):
+    for i in range(3):
+        (a, b), (x, y) = (triple[i], triple[i - 1]), (indexed[i], indexed[i - 1])
         assert x == a and y == b
-        want = _tvd_of_strings(a, b)
-        assert tvd(x, y) == tvd(a, b) == tvd(x, b) == want
+        assert tvd(x, y) == tvd(a, b) == tvd(x, b) == _tvd_of_strings(a, b)
         assert tvd(y, x) == _tvd_of_strings(b, a)
 
 
