@@ -139,25 +139,6 @@ def _repro_arguments(p: argparse.ArgumentParser) -> None:
     _add_noise_flags(p)
 
 
-# each subcommand: its name, its ``qlock -h`` summary, and what adds its arguments
-_SUBCOMMANDS = (
-    ("obfuscate", "lock a circuit and emit the correct key", _obfuscate_arguments),
-    ("deobfuscate", "apply a key to a locked circuit", _deobfuscate_arguments),
-    ("simulate", "sample measurement outcomes", _simulate_arguments),
-    ("evaluate", "TVD of locked/restored modes vs the original", _evaluate_arguments),
-    ("stats", "depth and gate count of a circuit", _stats_arguments),
-    ("repro", "run the consolidated benchmark experiment", _repro_arguments),
-)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="qlock", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, summary, arguments in _SUBCOMMANDS:
-        sub.add_parser(name, help=summary, arguments=arguments)
-    return parser
-
-
 def _make_plan(circuit, args):
     explicit = args.logic_sites is not None or args.phase_sites is not None
     if args.dense or not explicit:
@@ -312,14 +293,24 @@ def _cmd_repro(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "obfuscate": _cmd_obfuscate,
-    "deobfuscate": _cmd_deobfuscate,
-    "simulate": _cmd_simulate,
-    "evaluate": _cmd_evaluate,
-    "stats": _cmd_stats,
-    "repro": _cmd_repro,
-}
+# each subcommand: its name, its ``qlock -h`` summary, what adds its arguments
+# and what runs it
+_SUBCOMMANDS = (
+    ("obfuscate", "lock a circuit and emit the correct key", _obfuscate_arguments, _cmd_obfuscate),
+    ("deobfuscate", "apply a key to a locked circuit", _deobfuscate_arguments, _cmd_deobfuscate),
+    ("simulate", "sample measurement outcomes", _simulate_arguments, _cmd_simulate),
+    ("evaluate", "TVD of locked/restored modes vs the original", _evaluate_arguments, _cmd_evaluate),
+    ("stats", "depth and gate count of a circuit", _stats_arguments, _cmd_stats),
+    ("repro", "run the consolidated benchmark experiment", _repro_arguments, _cmd_repro),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(prog="qlock", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, summary, arguments, _ in _SUBCOMMANDS:
+        sub.add_parser(name, help=summary, arguments=arguments)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -327,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     ``main`` is called repeatedly in one process."""
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler = next(row[3] for row in _SUBCOMMANDS if row[0] == args.command)
+        return handler(args)
     except (qasm.QasmError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

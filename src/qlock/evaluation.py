@@ -259,12 +259,13 @@ def _tvds(
     measurements alone, whose program is empty, so it evolves nothing. Only
     one arm's program is held at a time. The last chunk's input layers, and
     their states once per circuit width, are kept for the next arm, so a
-    single chunk builds them once. Noisy runs take one input at a time
-    through ``with_input_layer``, because the layer's gates carry noise too,
-    and a noisy candidate runs its ``KeyTemplate.restored`` circuit.
+    single chunk builds them once. Noisy runs (``NoiseConfig.active``) take
+    one input at a time through ``with_input_layer``, because the layer's
+    gates carry noise too, and a noisy candidate runs its
+    ``KeyTemplate.restored`` circuit.
     """
     template, candidates = sweep or (None, {})
-    noisy = config.noise.enabled
+    noisy = config.noise.active
     widest = max(c.num_qubits for c in (original, *arms.values(), *([template.circuit] if template else [])))
     chunk = 1 if noisy else batch_columns(widest)
     held: dict = {}  # the last chunk's inputs, their layers and, by circuit width, their states
@@ -326,13 +327,22 @@ def evaluate(
     reference is simulated once. Every key comes from one ``key_template``
     of the record, equal to what ``unlock`` restores for it, so no key is
     unlocked; noiseless, each key's program comes from the template's key
-    program, so no key's circuit is compiled either.
+    program, so no key's circuit is compiled either. A locked circuit whose
+    data qubits (those besides the key ancilla) do not match the original's
+    is refused before any run.
     """
     if wrong_keys < 0:
         raise ValueError(f"wrong-key sweep size must not be negative, got {wrong_keys}")
+    locked = record.locked_circuit
+    data_qubits = locked.num_qubits - (find_ancilla(locked) is not None)
+    if data_qubits != original.num_qubits:
+        raise ValueError(
+            f"the original circuit has {original.num_qubits} qubits "
+            f"but the locked circuit has {data_qubits} data qubits"
+        )
     arms = mode_circuits(record, config.modes)
     candidates = _wrong_key_arms(record, config, wrong_keys)
-    sweep = (key_template(record.locked_circuit, record.key), candidates) if candidates else None
+    sweep = (key_template(locked, record.key), candidates) if candidates else None
     per_input = _tvds(original, arms, config, sweep)
     modes = {m: per_input[m] for m in config.modes}
     summary = _sweep_summary(wrong_keys, [per_input[k] for k in candidates]) if wrong_keys else None

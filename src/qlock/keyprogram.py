@@ -83,13 +83,6 @@ class KeyProgram(NamedTuple):
     key_bits: int
     weights: np.ndarray  # each bit's weight in a slot's option value
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of every array the key program holds."""
-        arrays = [pair[0] for pair in self.fixed if pair is not None]
-        arrays += [array for group in self.keyed for array in group[2:]]
-        return sum(array.nbytes for array in {id(array): array for array in arrays}.values())
-
     def program(self, bits: str) -> Program:
         """The fused program of candidate ``bits``: each block with slots is the
         product of its fixed runs and the options ``bits`` picks, one gather

@@ -446,16 +446,5 @@ def import_key(text: str) -> Key:
         if not (type(layer) is int and type(qubit) is int and type(span) is int
                 and layer >= 0 and qubit >= 0 and span >= 0):
             raise ValueError(f"malformed key schedule entry: {item!r}")
-        if (kind == "logic" and span == 1) or (kind == "phase" and span == 3):
-            # what ``KeyEntry.__post_init__`` checks holds, so the fields go in as
-            # ``__init__`` sets them, without its call; writing ``entry.__dict__``
-            # instead would give every entry a dict of its own
-            entry = object.__new__(KeyEntry)
-            object.__setattr__(entry, "kind", kind)
-            object.__setattr__(entry, "layer", layer)
-            object.__setattr__(entry, "qubit", qubit)
-            object.__setattr__(entry, "span", span)
-        else:
-            entry = KeyEntry(kind, layer, qubit, span)  # raises what __post_init__ refuses
-        entries.append(entry)
+        entries.append(KeyEntry(kind, layer, qubit, span))
     return Key(bits=bits, schedule=tuple(entries))

@@ -115,6 +115,11 @@ class NoiseConfig:
         if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
             raise ValueError("depolarizing probabilities must lie in [0, 1]")
 
+    @property
+    def active(self) -> bool:
+        """Whether a run under this config is noisy: enabled with a nonzero rate."""
+        return self.enabled and bool(self.p1 or self.p2)
+
 
 @dataclass(frozen=True, init=False)
 class Distribution:
@@ -629,7 +634,7 @@ def run(
         raise ValueError(f"run samples one state: initial must be 1-D, got shape {np.shape(initial)}")
     measured = circuit.measured_qubits()
     n = circuit.num_qubits
-    if noise is not None and noise.enabled and (noise.p1 or noise.p2):
+    if noise is not None and noise.active:
         weights = _density_diagonal(circuit, initial, noise)
     else:
         state = statevector(circuit, initial)  # refuses a circuit too wide before numpy is called

@@ -60,12 +60,9 @@ def _on_ancilla(op, ancilla: int | None) -> bool:
     return True
 
 
-def insert_key_toggles(
-    locked: Circuit, key: Key, ancilla: int, bits: tuple[int, ...] | None = None
-) -> Circuit:
+def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
     """Strip the ancilla's Hadamards and toggle it with X gates so that it
     holds |bit_i> during key section i, bit_i being the key's i-th logic bit.
-    ``bits`` is ``key.logic_bits()``, for a caller that already holds them.
 
     Section i must sit in the barrier-delimited block and on the lowest
     non-ancilla qubit that the key's i-th logic entry names.
@@ -73,8 +70,7 @@ def insert_key_toggles(
     The number of inserted X gates is bit_0 plus the count of adjacent bit
     changes.
     """
-    if bits is None:
-        bits = key.logic_bits()
+    bits = key.logic_bits()
     ops: list = []
     prev = 0
     section = 0
@@ -243,7 +239,7 @@ def _keyed(locked: Circuit, key: Key, logic_bits: tuple[int, ...]) -> tuple[Circ
         raise ValueError("key has logic bits but the circuit has no key ancilla register")
     current = locked
     if logic_bits:
-        current = insert_key_toggles(current, key, ancilla, logic_bits)
+        current = insert_key_toggles(current, key, ancilla)
     return apply_phase_key(current, key.phase_assignments()), ancilla
 
 

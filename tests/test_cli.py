@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlock import benchmarks, cli, equivalent_up_to_global_phase, locking, parse_circuit, simulator, unlocking
+from qlock import benchmarks, cli, equivalent_up_to_global_phase, evaluation, locking, parse_circuit, simulator, unlocking
 from qlock import circuit as qlock_circuit
 from qlock.circuit import flatten, layerize, metrics
 from qlock.cli import main
@@ -205,6 +205,48 @@ def test_deobfuscate_broken_lock_exit_3(tmp_path, adder_path, capsys, edit_locke
     assert code == 3
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "y.qasm").exists()
+
+
+def _ccx_network(match: re.Match) -> str:
+    """A ``ccx a,b,c;`` statement as the 15-gate Clifford+T network."""
+    a, b, c = match.group(1).split(",")
+    gates = (
+        ("h", c), ("cx", f"{b},{c}"), ("tdg", c), ("cx", f"{a},{c}"), ("t", c),
+        ("cx", f"{b},{c}"), ("tdg", c), ("cx", f"{a},{c}"), ("t", b), ("t", c),
+        ("h", c), ("cx", f"{a},{b}"), ("t", a), ("tdg", b), ("cx", f"{a},{b}"),
+    )
+    return "".join(f"{kind} {operands};\n" for kind, operands in gates)
+
+
+# what a compiler may not do to a locked file, though each keeps its unitary,
+# and the message unlocking refuses it with
+_CONTRACT_BREAKS = {
+    "barriers_dropped": (
+        lambda text: re.sub(r"^barrier .*\n", "", text, flags=re.M), "but its key section is at"
+    ),
+    "first_ccx_decomposed": (
+        lambda text: re.sub(r"^ccx (.*);\n", _ccx_network, text, count=1, flags=re.M),
+        "unexpected t gate on the key ancilla",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", _CONTRACT_BREAKS.values(), ids=_CONTRACT_BREAKS)
+@pytest.mark.parametrize("name", benchmarks.NAMES)
+def test_deobfuscate_refuses_a_lock_compiled_against_the_contract(tmp_path, capsys, name, edit, message):
+    source = tmp_path / f"{name}.qasm"
+    source.write_text(benchmarks.load(name), encoding="utf-8")
+    locked, key = _obfuscate(tmp_path, source, "--dense")
+    text = locked.read_text()
+    locked.write_text(edit(text))
+    assert locked.read_text() != text
+    assert equivalent_up_to_global_phase(parse_circuit(locked.read_text()), parse_circuit(text), 1e-9)
+    capsys.readouterr()
+    code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "y.qasm").exists()
 
 
@@ -575,8 +617,8 @@ def _help(parse, argv) -> str:
 def test_a_command_builds_only_its_own_subcommand(tmp_path, adder_path, monkeypatch, capsys):
     built = []
     monkeypatch.setattr(cli, "_SUBCOMMANDS", tuple(
-        (name, summary, lambda p, add=add, name=name: built.append(name) or add(p))
-        for name, summary, add in cli._SUBCOMMANDS
+        (name, summary, lambda p, add=add, name=name: built.append(name) or add(p), handler)
+        for name, summary, add, handler in cli._SUBCOMMANDS
     ))
     assert main(["stats", str(adder_path), "-o", str(tmp_path / "stats.json")]) == 0
     assert built == ["stats"]
@@ -592,7 +634,7 @@ def test_a_command_builds_only_its_own_subcommand(tmp_path, adder_path, monkeypa
     "argv",
     [
         ["-h"],
-        *([name, "-h"] for name in cli._COMMANDS),
+        *([name, "-h"] for name, *_ in cli._SUBCOMMANDS),
         [],
         ["bogus"],
         ["--bogus", "stats", "IN"],
@@ -607,9 +649,8 @@ def test_output_equals_an_eagerly_built_parser(adder_path, argv):
     # every subcommand's parser built up front, as the tree's own subparsers
     eager = cli._ArgumentParser(prog="qlock", description=cli.__doc__)
     sub = eager.add_subparsers(dest="command", required=True)
-    for name, summary, arguments in cli._SUBCOMMANDS:
+    for name, summary, arguments, _ in cli._SUBCOMMANDS:
         arguments(sub.add_parser(name, help=summary))
-    assert [name for name, _, _ in cli._SUBCOMMANDS] == list(cli._COMMANDS)
     argv = [str(adder_path) if a == "IN" else a for a in argv]
     assert _exit(main, argv) == _exit(eager.parse_args, argv)
 
@@ -788,6 +829,27 @@ def test_evaluate_negative_wrong_key_sweep_exits_3(tmp_path, adder_path, capsys)
     assert code == 3
     err = capsys.readouterr().err
     assert "must not be negative" in err and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--modes", "restored"], ["--noise"], ["--noise", "--modes", "restored"]],
+    ids=lambda extra: " ".join(extra) or "all-modes",
+)
+def test_evaluate_width_mismatch_exits_3_before_any_run(tmp_path, adder_path, capsys, monkeypatch, extra):
+    # the adder (4 qubits) against fredkin's lock (3 data qubits): one message
+    # on every path, before any circuit is simulated
+    fredkin = tmp_path / "fredkin_n3.qasm"
+    fredkin.write_text(benchmarks.load("fredkin_n3"), encoding="utf-8")
+    locked, key = _obfuscate(tmp_path, fredkin)
+    for name in ("run", "statevector"):
+        monkeypatch.setattr(evaluation, name, lambda *args, **kwargs: pytest.fail("simulated"))
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    code = main(["evaluate", str(adder_path), str(locked), str(key), "-o", str(report), *extra])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: the original circuit has 4 qubits but the locked circuit has 3 data qubits\n"
     assert not report.exists()
 
 

@@ -507,23 +507,42 @@ def test_each_arm_is_compiled_once(wide_record, monkeypatch):
     assert columns == [1] * 9
 
 
+def _counting(calls, name, function):
+    """``function``, counting its calls in ``calls[name]``."""
+    def counted(*args):
+        calls[name] += 1
+        return function(*args)
+    return counted
+
+
 def test_sweep_compiles_no_key_alone(bundled_records, monkeypatch):
     # a noiseless sweep compiles its record's key program once, and no key's
     # circuit: the reference and each mode arm are compiled whatever the keys
     calls = {"compile": 0, "keys": 0, "restored": 0}
-
-    def counting(name, function):
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
-        return counted
-
-    monkeypatch.setattr(evaluation, "compile_program", counting("compile", evaluation.compile_program))
-    monkeypatch.setattr(evaluation, "compile_key_program", counting("keys", evaluation.compile_key_program))
-    monkeypatch.setattr(unlocking.KeyTemplate, "restored", counting("restored", unlocking.KeyTemplate.restored))
+    monkeypatch.setattr(evaluation, "compile_program", _counting(calls, "compile", evaluation.compile_program))
+    monkeypatch.setattr(evaluation, "compile_key_program", _counting(calls, "keys", evaluation.compile_key_program))
+    monkeypatch.setattr(
+        unlocking.KeyTemplate, "restored", _counting(calls, "restored", unlocking.KeyTemplate.restored)
+    )
     original, record = bundled_records[0]
     config = EvalConfig(n_inputs=2, shots=30, seed=1)
     for wrong_keys in (2, 16):
         calls.update(compile=0, keys=0, restored=0)
         evaluate(original, record, config, wrong_keys)
         assert calls == {"compile": 1 + len(config.modes), "keys": 1, "restored": 0}
+
+
+def test_zero_rate_noise_is_evaluated_noiseless(bundled_records, monkeypatch):
+    # noise enabled at p1 = p2 = 0 changes no run, so evaluate takes the
+    # batched noiseless path, sweep included, and reports what it reports
+    # without noise: no input layer prepended, no key's circuit restored
+    calls = {"layered": 0, "restored": 0}
+    monkeypatch.setattr(evaluation, "with_input_layer", _counting(calls, "layered", evaluation.with_input_layer))
+    monkeypatch.setattr(
+        unlocking.KeyTemplate, "restored", _counting(calls, "restored", unlocking.KeyTemplate.restored)
+    )
+    config = EvalConfig(n_inputs=3, shots=40, seed=4)
+    zero = replace(config, noise=NoiseConfig(enabled=True, p1=0.0, p2=0.0))
+    for original, record in bundled_records:
+        assert evaluate(original, record, zero, wrong_keys=4) == evaluate(original, record, config, wrong_keys=4)
+    assert calls == {"layered": 0, "restored": 0}

@@ -626,8 +626,8 @@ def test_import_key_matches_per_entry_construction_on_each_retyped_field(fuzz_lo
 
 
 def test_import_key_holds_no_more_than_per_entry_construction():
-    # an entry whose fields were set one by one holds what KeyEntry(...) holds;
-    # one written through its instance dict held ~64 B more
+    # an imported entry holds what KeyEntry(...) holds; one written through
+    # its instance dict held ~64 B more
     schedule = tuple(
         KeyEntry(*(("logic", i // 8, i % 11, 1) if i % 2 else ("phase", i // 8, i % 11, 3))) for i in range(5000)
     )
