@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import benchmarks, evaluation, locking, qasm, unlocking
 from .circuit import flatten, layerize, metrics
-from .rng import derive_rng
+from .rng import stream_seed
 from .simulator import NoiseConfig, run
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def _cmd_repro(args) -> int:
     notes = []
     for name in benchmarks.NAMES:
         circuit = qasm.parse_circuit(benchmarks.load(name))
-        seed = int(derive_rng(args.seed, "repro", name).integers(2**63))
+        seed = stream_seed(args.seed, "repro", name)
         plan = locking.dense_plan(circuit, strategy=args.strategy, seed=seed)
         record = locking.obfuscate(circuit, plan, seed=seed)
         _write_text(str(out / f"{name}.locked.qasm"), qasm.emit_circuit(record.locked_circuit))

@@ -5,7 +5,8 @@ Input sampling prepends an independent Haar-random ``u3`` to every original
 qubit (theta = 2*arccos(sqrt(u)), phi and lambda uniform), so results reflect
 the whole input space rather than the all-zeros state. For each sampled
 input, the original circuit is the golden reference and each requested mode
-is compared against it:
+is compared against it, every arm sampled on the original's measured qubits
+(all of them when it measures none), so the key ancilla is never an outcome:
 
 - ``combined``: the locked circuit exactly as compiled (ancilla Hadamards in
   place, randomized angles);
@@ -14,33 +15,19 @@ is compared against it:
 - ``phase_only``: logic key resolved correctly, randomized angles kept;
 - ``restored``: full correct-key unlock with simplification.
 
-Runs are compared either as physically separate executions (independent
-sampling streams, the default: TVD then carries the protocol's shot-noise
-floor, roughly sqrt(2^b/(pi*shots)) for identical circuits) or with paired
-streams (common random numbers) that cancel shot noise and expose small
-circuit-level residuals. ``tvd`` compares the runs' counts by outcome index,
-so no outcome string is built for a comparison; the count sums are integers
-either way, so the TVD is the same float.
+Runs sample independent or paired streams (``EvalConfig.sampling``), and
+``tvd`` compares their counts by outcome index, so no outcome string is built.
 
-Noiseless inputs are simulated in chunks: each arm is compiled once, fused
-into blocks of a few qubits, and evolves a chunk as the columns of one
-batched statevector (see ``_tvds``). The counts are those of running every
-arm behind every input layer on its own (``with_input_layer``, then ``run``):
-the two paths multiply the same gates in other groupings, so their
-probabilities differ in the last bits, which moves a count only if a
-multinomial draw lands that close to a boundary. ``tests/test_evaluation.py``
-checks the counts for equality.
-
-A wrong-key sweep unlocks no key: the record's ``key_template``, built
-once, gives what ``unlock`` would restore for any key. Noiseless, the
-template is compiled once too (``keyprogram.compile_key_program``), and each
-random key's program is the template's blocks multiplied out for the gates
-that key picks, so no key's circuit is built or fused; each key then runs as
-an arm of its own. These products group a key's gates otherwise than
-compiling its restored circuit would, so, as above, a count moves only if a
+Noiseless inputs are simulated in chunks, each arm compiled once into a
+fused program (see ``_tvds``). A wrong-key sweep unlocks no key: the
+record's ``key_template`` gives what ``unlock`` would restore for any key,
+and noiseless, each key's program comes from the template's key program
+(described in ``simulator``). Both multiply the gates in other groupings
+than running every arm behind every input layer on its own
+(``with_input_layer``, then ``run``), which moves a count only if a
 multinomial draw lands within the last bits of a boundary;
-``tests/test_evaluation.py`` checks the sweep's TVDs against unlocking and
-running each key for equality. A noisy sweep runs each key's restored
+``tests/test_evaluation.py`` checks the counts, and the sweep's TVDs against
+one unlock per key, for equality. A noisy sweep runs each key's restored
 circuit (``KeyTemplate.restored``).
 """
 
@@ -56,14 +43,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Barrier, Circuit, Gate, Measure
-from .keyprogram import compile_key_program
 from .locking import ObfuscationRecord
-from .rng import derive_rng
+from .rng import derive_rng, stream_seed
 from .simulator import (
     Distribution,
     NoiseConfig,
     Program,
     batch_columns,
+    compile_key_program,
     compile_program,
     gate_matrix,
     run,
@@ -76,6 +63,7 @@ from .unlocking import (
     find_ancilla,
     insert_key_toggles,
     key_template,
+    measured_data_qubits,
     simplify,
     unlock,
 )
@@ -88,8 +76,7 @@ def _arm_seed(seed: int, input_index: int, arm: str, sampling: str) -> int:
     across arms per input when paired."""
     if sampling == "paired":
         arm = "common"
-    # the stream's first raw word, top 63 bits: what ``integers(2**63)`` draws from it
-    return derive_rng(seed, "eval-arm", input_index, arm).bit_generator.random_raw() >> 1
+    return stream_seed(seed, "eval-arm", input_index, arm)
 
 
 def tvd(a: Distribution, b: Distribution) -> float:
@@ -255,26 +242,27 @@ def _tvds(
     and each candidate's program comes from the template's key program
     (``compile_key_program``, built once); the program evolves each chunk in
     one batched ``statevector``, from each input layer's product state
-    (``_layer_states``); ``run`` then samples each column through the arm's
-    measurements alone, whose program is empty, so it evolves nothing. Only
+    (``_layer_states``); ``run`` then samples each column through the
+    original's measurements alone, so it evolves nothing. Only
     one arm's program is held at a time. The last chunk's input layers, and
     their states once per circuit width, are kept for the next arm, so a
     single chunk builds them once. Noisy runs (``NoiseConfig.active``) take
-    one input at a time through ``with_input_layer``, because the layer's
-    gates carry noise too, and a noisy candidate runs its
-    ``KeyTemplate.restored`` circuit.
+    one input at a time through ``with_input_layer`` of the arm's gates and
+    the original's measurements, because the layer's gates carry noise too,
+    and a noisy candidate runs its ``KeyTemplate.restored`` circuit.
     """
     template, candidates = sweep or (None, {})
     noisy = config.noise.active
     widest = max(c.num_qubits for c in (original, *arms.values(), *([template.circuit] if template else [])))
     chunk = 1 if noisy else batch_columns(widest)
     held: dict = {}  # the last chunk's inputs, their layers and, by circuit width, their states
+    outcome = tuple(Measure(q, c) for c, q in enumerate(original.measured_qubits()))
 
     def layers(inputs: range) -> list[tuple[Gate, ...]]:
         if held.get("inputs") != inputs:
             held.clear()
             held["inputs"] = inputs
-            seeds = (int(derive_rng(config.seed, "eval-input", i).integers(2**63)) for i in inputs)
+            seeds = (stream_seed(config.seed, "eval-input", i) for i in inputs)
             held["layers"] = [random_input_layer(original.num_qubits, seed) for seed in seeds]
         return held["layers"]
 
@@ -287,17 +275,18 @@ def _tvds(
     def sample(circuit: Circuit, arm: str, program: Program | None = None) -> Iterator[Distribution]:
         if program is None and not noisy:
             program = compile_program(circuit)
-        measures = replace(circuit, ops=tuple(op for op in circuit.ops if isinstance(op, Measure)))
+        kept = tuple(op for op in circuit.ops if not isinstance(op, Measure)) if noisy else ()
+        measured = Circuit(circuit.num_qubits, len(outcome), kept + outcome)
         for first in range(0, config.n_inputs, chunk):
             inputs = range(first, min(first + chunk, config.n_inputs))
             seeds = [_arm_seed(config.seed, i, arm, config.sampling) for i in inputs]
             if noisy:
                 for layer, seed in zip(layers(inputs), seeds):
-                    yield run(with_input_layer(circuit, layer), config.shots, noise=config.noise, seed=seed)
+                    yield run(with_input_layer(measured, layer), config.shots, noise=config.noise, seed=seed)
                 continue
             states = statevector(circuit, starts(inputs, circuit.num_qubits), program)
             runs = [
-                run(measures, config.shots, initial=state, noise=config.noise, seed=seed)
+                run(measured, config.shots, initial=state, noise=config.noise, seed=seed)
                 for state, seed in zip(states.T, seeds)
             ]
             del states  # let the chunk's states go before the next chunk evolves
@@ -327,9 +316,10 @@ def evaluate(
     reference is simulated once. Every key comes from one ``key_template``
     of the record, equal to what ``unlock`` restores for it, so no key is
     unlocked; noiseless, each key's program comes from the template's key
-    program, so no key's circuit is compiled either. A locked circuit whose
-    data qubits (those besides the key ancilla) do not match the original's
-    is refused before any run.
+    program (see ``simulator``), so no key's circuit is compiled either.
+    Every arm is scored on the original's measured qubits, and a lock is
+    refused before any arm is built if its data qubits (those besides the key
+    ancilla), or those it measures, differ from the original's.
     """
     if wrong_keys < 0:
         raise ValueError(f"wrong-key sweep size must not be negative, got {wrong_keys}")
@@ -339,6 +329,12 @@ def evaluate(
         raise ValueError(
             f"the original circuit has {original.num_qubits} qubits "
             f"but the locked circuit has {data_qubits} data qubits"
+        )
+    measured, locked_measured = original.measured_qubits(), measured_data_qubits(locked)
+    if locked_measured != measured:
+        raise ValueError(
+            f"the original circuit measures qubits {list(measured)} "
+            f"but the locked circuit measures data qubits {list(locked_measured)}"
         )
     arms = mode_circuits(record, config.modes)
     candidates = _wrong_key_arms(record, config, wrong_keys)

@@ -57,3 +57,9 @@ def derive_rng(seed: int, *path) -> np.random.Generator:
             words += _words(_component(part))
     ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def stream_seed(seed: int, *path) -> int:
+    """An integer seed drawn from the stream named by (seed, *path): the top 63
+    bits of its first raw word, which is what ``integers(2**63)`` draws from it."""
+    return derive_rng(seed, *path).bit_generator.random_raw() >> 1

@@ -26,7 +26,7 @@ from collections.abc import Collection, Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .circuit import PHASE_KINDS, Barrier, Circuit, Gate, phase_angle_of
+from .circuit import PHASE_KINDS, Barrier, Circuit, Gate, Measure, phase_angle_of
 from .locking import (
     ANCILLA_REGISTER,
     KAPPA_STEP,
@@ -35,6 +35,9 @@ from .locking import (
     UNCONTROLLED_FORM,
     normalize_phase_angle,
 )
+
+
+_ANCILLA_MEASURED = "key ancilla must not be measured"
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,15 @@ def find_ancilla(circuit: Circuit) -> int | None:
         if label.startswith(f"{ANCILLA_REGISTER}["):
             return q
     return None
+
+
+def measured_data_qubits(circuit: Circuit) -> tuple[int, ...]:
+    """The qubits but the key ancilla that ``circuit``'s outcomes read, ascending
+    (all of them when none is measured); a measured ancilla is refused."""
+    ancilla = find_ancilla(circuit)
+    if any(isinstance(op, Measure) and op.qubit == ancilla for op in circuit.ops):
+        raise ValueError(_ANCILLA_MEASURED)
+    return tuple(q for q in circuit.measured_qubits() if q != ancilla)
 
 
 def _on_ancilla(op, ancilla: int | None) -> bool:
@@ -83,7 +95,10 @@ def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
         if _on_ancilla(op, ancilla):
             if len(op.qubits) == 1:
                 if op.kind != "h":
-                    raise ValueError(f"unexpected {op.kind} gate on the key ancilla")
+                    raise ValueError(
+                        f"unexpected {op.kind} gate on the key ancilla: a compiler must keep "
+                        "the ancilla's h gates and the gates it controls as single ops"
+                    )
                 removed_h += 1
                 continue
             if section >= len(bits):
@@ -105,6 +120,11 @@ def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
         raise ValueError(f"{removed_h} ancilla Hadamards for {section} key sections")
     sites = [(e.layer, e.qubit) for e in key.schedule if e.kind == "logic"]
     for i, (want, here) in enumerate(zip(sites, found)):
+        if want[0] > block:
+            raise ValueError(
+                f"logic key entry {i} names (layer, qubit) {want}, but the lock's last block "
+                f"is {block}: a compiler must keep the barriers"
+            )
         if want != here:
             raise ValueError(
                 f"logic key entry {i} names (layer, qubit) {want} but its key section is at {here}"
@@ -212,7 +232,7 @@ def _walk(
                 ops.append(Barrier(span))
         else:
             if op.qubit == ancilla:
-                raise ValueError("key ancilla must not be measured")
+                raise ValueError(_ANCILLA_MEASURED)
             ops.append(op)
     return ops, sections, rotations
 
@@ -257,11 +277,11 @@ def unlock(
     equivalent to the original circuit up to global phase.
 
     ``locked`` may come back from a compiler, which may reorder the gates
-    of a barrier-delimited block as their shared qubits allow, rewrite
-    ``cx`` as ``h cz h`` on its target, and rewrite ``x`` off the ancilla
-    as ``h z h``. It must keep the barriers, the ancilla's ``h`` gates and
-    the gates it controls as single ops, and the ``rz`` gates at phase
-    sites.
+    of a barrier-delimited block as their shared qubits allow, and rewrite
+    ``cx`` as ``h cz h`` on its target and ``x`` off the ancilla as ``h z h``.
+    It must keep the barriers, the ancilla's ``h`` gates and the gates it
+    controls as single ops, and the ``rz`` gates at phase sites; dropped
+    barriers and decomposed ancilla gates are refused with the rule broken.
     """
     applied = key if candidate_bits is None else key.with_bits(candidate_bits)
     logic_bits = applied.logic_bits()

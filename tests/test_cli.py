@@ -223,11 +223,13 @@ def _ccx_network(match: re.Match) -> str:
 # and the message unlocking refuses it with
 _CONTRACT_BREAKS = {
     "barriers_dropped": (
-        lambda text: re.sub(r"^barrier .*\n", "", text, flags=re.M), "but its key section is at"
+        lambda text: re.sub(r"^barrier .*\n", "", text, flags=re.M),
+        "but the lock's last block is 0: a compiler must keep the barriers",
     ),
     "first_ccx_decomposed": (
         lambda text: re.sub(r"^ccx (.*);\n", _ccx_network, text, count=1, flags=re.M),
-        "unexpected t gate on the key ancilla",
+        "unexpected t gate on the key ancilla: a compiler must keep the ancilla's h gates "
+        "and the gates it controls as single ops",
     ),
 }
 
@@ -850,6 +852,73 @@ def test_evaluate_width_mismatch_exits_3_before_any_run(tmp_path, adder_path, ca
     assert code == 3
     err = capsys.readouterr().err
     assert err == "error: the original circuit has 4 qubits but the locked circuit has 3 data qubits\n"
+    assert not report.exists()
+
+
+_UNMEASURED = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\nt q[2];\nx q[1];\n"
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise"]], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("modes", [list(evaluation.MODES), *([m] for m in evaluation.MODES)], ids=" ".join)
+def test_evaluate_unmeasured_lock(tmp_path, capsys, modes, noise):
+    # a circuit without measurements measures every qubit; its lock's arms that
+    # keep the key ancilla are still scored on the original's three qubits
+    source = tmp_path / "unmeasured.qasm"
+    source.write_text(_UNMEASURED, encoding="utf-8")
+    locked, key = _obfuscate(tmp_path, source)
+    report = tmp_path / "r.json"
+    code = main(
+        [
+            "evaluate", str(source), str(locked), str(key), "-o", str(report), "--inputs", "2", "--shots", "20",
+            "--wrong-key-sweep", "2", "--modes", *modes, *noise,
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    payload = json.loads(report.read_text())
+    assert sorted(payload["per_input"]) == sorted(modes)
+    assert payload["wrong_key_sweep"]["n_keys"] == 2
+
+
+def _drop_line(line: str):
+    return lambda text: text.replace(line + "\n", "", 1)
+
+
+# an original and a lock that do not measure the same data qubits, and the one
+# line ``evaluate`` refuses them with
+_OUTCOME_MISMATCHES = {
+    "other_qubits": (
+        _drop_line("measure q[3] -> c[3];"),
+        _drop_line("measure q[0] -> c[0];"),
+        "the original circuit measures qubits [0, 1, 2] but the locked circuit measures data qubits [1, 2, 3]",
+    ),
+    "other_count": (
+        _drop_line("measure q[3] -> c[3];"),
+        lambda text: text,
+        "the original circuit measures qubits [0, 1, 2] but the locked circuit measures data qubits [0, 1, 2, 3]",
+    ),
+    "ancilla_measured": (
+        lambda text: text,
+        lambda text: text + "measure qk[0] -> c[0];\n",
+        "key ancilla must not be measured",
+    ),
+}
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise"]], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("edit_original, edit_locked, message", _OUTCOME_MISMATCHES.values(), ids=_OUTCOME_MISMATCHES)
+def test_evaluate_outcome_mismatch_exits_3_before_any_arm(
+    tmp_path, adder_path, capsys, monkeypatch, edit_original, edit_locked, message, noise
+):
+    locked, key = _obfuscate(tmp_path, adder_path)
+    for path, edit in ((adder_path, edit_original), (locked, edit_locked)):
+        path.write_text(edit(path.read_text()))
+    for name in ("run", "statevector", "mode_circuits"):
+        monkeypatch.setattr(evaluation, name, lambda *args, **kwargs: pytest.fail("an arm was built"))
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    code = main(["evaluate", str(adder_path), str(locked), str(key), "-o", str(report), *noise])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlock import benchmarks, evaluation, parse_circuit, simulator, unlocking
-from qlock.circuit import Circuit, Gate
+from qlock.circuit import Circuit, Gate, Measure
 from qlock.evaluation import (
     EvalConfig,
     equivalent_up_to_global_phase,
@@ -24,7 +24,7 @@ from qlock.evaluation import (
     wrong_key_sweep,
 )
 from qlock.locking import ObfuscationPlan, dense_plan, obfuscate
-from qlock.rng import derive_rng
+from qlock.rng import derive_rng, stream_seed
 from qlock.simulator import Distribution, NoiseConfig, statevector
 from qlock.simulator import run as simulate
 from qlock.unlocking import unlock
@@ -117,15 +117,22 @@ def test_tvd_by_index_is_the_float_of_outcome_strings(triple):
 
 def test_arm_seed_is_the_bounded_draw_it_replaced():
     # the first raw word's top 63 bits are what integers(2**63) draws; the
-    # benchmark's tracer still draws them that way, and must agree
+    # benchmark's tracer still draws them that way, and must agree, and so
+    # must every stream_seed, whatever its path
     rng = np.random.default_rng(2026)
     arms = ["reference", "combined", "logic_only", "phase_only", "restored", "wrong-key-0", "wrong-key-19"]
+    labels = ["eval-input", "repro", "adder_n4", "", "\u00e9"]
     for case in range(1200):
         seed = int(rng.integers(2**64, dtype=np.uint64)) if case % 3 else int(rng.integers(100))
         i, arm = int(rng.integers(1000)), arms[int(rng.integers(len(arms)))]
         sampling = ("independent", "paired")[case % 2]
         drawn = int(derive_rng(seed, "eval-arm", i, "common" if sampling == "paired" else arm).integers(2**63))
         assert evaluation._arm_seed(seed, i, arm, sampling) == drawn, (seed, i, arm, sampling)
+        path = [
+            labels[int(rng.integers(len(labels)))] if rng.integers(2) else int(rng.integers(2**64, dtype=np.uint64))
+            for _ in range(int(rng.integers(4)))
+        ]
+        assert stream_seed(seed, *path) == int(derive_rng(seed, *path).integers(2**63)), (seed, path)
 
 
 # --- input sampling -----------------------------------------------------------
@@ -424,6 +431,27 @@ def test_evaluate_matches_per_input_path_on_wide_circuit(wide_record, monkeypatc
     config = EvalConfig(n_inputs=3, shots=30, seed=1)
     _assert_evaluate_matches_per_input_path(original, record, config, wrong_keys=1)
     assert {c for c in columns if c is not None} == {1}
+
+
+def _measuring(circuit: Circuit, qubits: int) -> Circuit:
+    """``circuit`` with a measurement on each of its first ``qubits`` qubits."""
+    measures = tuple(Measure(q, q) for q in range(qubits))
+    return replace(circuit, num_clbits=qubits, clbit_labels=(), ops=circuit.ops + measures)
+
+
+@pytest.mark.parametrize(
+    "noise", [NoiseConfig(), NoiseConfig(enabled=True, p1=0.05, p2=0.1)], ids=["noiseless", "noisy"]
+)
+def test_unmeasured_lock_is_scored_on_the_originals_qubits(noise):
+    # a circuit without measurements measures every qubit; its lock, whose
+    # arms keep the key ancilla, is scored as if it measured its data qubits
+    original = parse_circuit("qreg q[3]; h q[0]; cx q[0],q[1]; t q[2]; x q[1];")
+    record = obfuscate(original, dense_plan(original, seed=3), seed=3)
+    measured = replace(record, locked_circuit=_measuring(record.locked_circuit, 3))
+    config = EvalConfig(n_inputs=3, shots=40, seed=4, noise=noise)
+    report = evaluate(original, record, config, wrong_keys=2)
+    assert report == evaluate(_measuring(original, 3), measured, config, wrong_keys=2)
+    _assert_evaluate_matches_per_input_path(_measuring(original, 3), measured, config, wrong_keys=2)
 
 
 def test_evaluate_memory_does_not_grow_with_inputs(wide_record):

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlock import Circuit, Gate, benchmarks, keyprogram, parse_circuit
+from qlock import Circuit, Gate, benchmarks, parse_circuit, simulator
 from qlock.circuit import GATE_SPECS
 from qlock.evaluation import _layer_states, random_input_layer, with_input_layer
 from qlock.locking import ObfuscationPlan, dense_plan, export_key, import_key, obfuscate, select_sites
 from qlock.qasm import emit_circuit
-from qlock.keyprogram import compile_key_program
 from qlock.qasm import QasmError
-from qlock.simulator import compile_program, statevector, unitary_of
+from qlock.simulator import compile_key_program, compile_program, statevector, unitary_of
 from qlock.unlocking import KeyTemplate, key_template, unlock
 
 from conftest import fuzz_key, fuzz_qasm
@@ -156,7 +155,7 @@ def test_key_program_refuses_a_template_too_wide_to_simulate():
 def test_key_program_in_small_gathers_on_a_wide_circuit(wide_record, monkeypatch, window):
     # blocks with slots gathered a few at a time, or one at a time when a block
     # alone holds more factors than the window, give the same products
-    monkeypatch.setattr(keyprogram, "_COMPOSE_WINDOW", window)
+    monkeypatch.setattr(simulator, "_COMPOSE_WINDOW", window)
     _, record = wide_record
     keys = compile_key_program(key_template(record.locked_circuit, record.key))
     assert all(group.factors.size <= window or len(group.places) == 1 for group in keys.keyed)
