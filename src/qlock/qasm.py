@@ -11,11 +11,12 @@ unknown mnemonics) is rejected with a line/column diagnostic: parsing is
 total on the subset and never drops statements silently.
 
 Source text becomes ``(kind, text, offset)`` tuples in one ``finditer``
-pass of one regex. Whitespace, newlines and ``//`` comments are skipped;
-digits are ASCII only; the first character no token can start with is
-refused before any parsing. A token carries only its offset: an error turns
-it into a 1-based line and column, counting every character, ``\\r`` and
-``\\t`` too, as one column.
+pass of one regex, one match per token: the whitespace, newlines and ``//``
+comments before a token are taken with it and dropped, and an ``eof`` token
+takes those at the end. Digits are ASCII only; the first character no token
+can start with is refused before any parsing. A token carries only its
+offset: an error turns it into a 1-based line and column, counting every
+character, ``\\r`` and ``\\t`` too, as one column.
 
 A gate or barrier statement in the layout ``emit_circuit`` writes (name,
 optional ``(params)`` of plain numeric literals each with an optional ``-``,
@@ -26,16 +27,20 @@ fails, or the token stands where no statement starts (after a ``measure``
 missing its ``;``, say), it is split into the tokens the other alternatives
 give for its text, and the token grammar parses it or raises its usual error
 at its usual position. So there is one grammar: the statement path accepts
-only what the token path accepts, with bit-identical parameters. Headers,
-declarations, ``measure``, ``pi`` expressions and any other spacing take the
-token path.
+only what the token path accepts, with bit-identical parameters. Each
+distinct statement text is built once: a repeat reuses its immutable op.
+Headers, declarations, ``measure``, ``pi`` expressions and any other spacing
+take the token path.
 
 ``parse_circuit`` flattens registers into the circuit's global qubit and
 classical-bit indices and keeps each bit's ``name[i]`` label. ``emit_circuit``
 derives the declarations from those labels and produces a canonical
 one-statement-per-line layout with angles printed to 17 significant digits,
 so ``parse_circuit(emit_circuit(c)) == c`` for every parsed circuit ``c``,
-angles bit-identical. Input accepts LF or CRLF; output is LF.
+angles bit-identical. The operand text of each distinct tuple of two or
+more qubits is joined once; parameters are formatted each time, so
+``rz(-0)`` and ``rz(0)``, equal as values, stay apart. Input accepts LF or
+CRLF; output is LF.
 """
 
 from __future__ import annotations
@@ -67,16 +72,18 @@ class QasmError(Exception):
 
 # --- tokenizer ---------------------------------------------------------------
 
-# one alternative per token kind; ``bad`` catches the first character no
-# token can start with
+# one alternative per token kind, each taking the whitespace and ``//``
+# comments before it; ``eof`` matches at the end of the input, ``bad`` the
+# first character no token can start with
+_GAP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 _PLAIN = r"""
-    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
-  | (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)
+    (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)
   | (?P<int>[0-9]+)
   | (?P<arrow>->)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<sym>==|[()\[\],;+\-*/{}<>=!])
+  | (?P<eof>\Z)
   | (?P<bad>.)
 """
 
@@ -90,8 +97,8 @@ _STATEMENT = rf"""
         (?:\({_NUMBER}(?:,{_NUMBER})*\))?[ ]{_OPERAND}(?:,{_OPERAND})*;)
 """
 
-_PLAIN_RE = re.compile(_PLAIN, re.VERBOSE)
-_TOKEN_RE = re.compile(_STATEMENT + "|" + _PLAIN, re.VERBOSE)
+_PLAIN_RE = re.compile(f"{_GAP}(?:{_PLAIN})", re.VERBOSE)
+_TOKEN_RE = re.compile(f"{_GAP}(?:{_STATEMENT}|{_PLAIN})", re.VERBOSE)
 
 
 _Token = tuple[str, str, int]  # (kind, text, offset into the source)
@@ -103,29 +110,28 @@ def _where(source: str, offset: int) -> tuple[int, int]:
 
 
 def _scan(pattern: re.Pattern, source: str, pos: int, endpos: int) -> list[_Token]:
-    """``(kind, text, offset)`` tokens of ``source[pos:endpos]``."""
+    """``(kind, text, offset)`` tokens of ``source[pos:endpos]``, ending in ``eof``."""
     tokens: list[_Token] = []
     append = tokens.append
     for m in pattern.finditer(source, pos, endpos):
         kind = m.lastgroup
         if kind == "bad":
-            raise QasmError(f"unexpected character {m.group()!r}", *_where(source, m.start()))
-        if kind != "skip":
-            append((kind, m.group(), m.start()))
+            raise QasmError(f"unexpected character {m[kind]!r}", *_where(source, m.start(kind)))
+        append((kind, m[kind], m.start(kind)))
+    if len(tokens) > 1 and tokens[-2][0] == "eof":
+        tokens.pop()  # after a gap that ends the input, ``eof`` also matches empty
     return tokens
 
 
 def _tokenize(source: str) -> list[_Token]:
     """Tokens ending in ``eof``, where each canonical gate or barrier
     statement is one ``statement`` token."""
-    tokens = _scan(_TOKEN_RE, source, 0, len(source))
-    tokens.append(("eof", "", len(source)))
-    return tokens
+    return _scan(_TOKEN_RE, source, 0, len(source))
 
 
 def _split(source: str, tok: _Token) -> list[_Token]:
     """The tokens the other alternatives give for a ``statement`` token."""
-    return _scan(_PLAIN_RE, source, tok[2], tok[2] + len(tok[1]))
+    return _scan(_PLAIN_RE, source, tok[2], tok[2] + len(tok[1]))[:-1]
 
 
 # --- parser ------------------------------------------------------------------
@@ -151,6 +157,7 @@ class _Parser:
         # this process's limit on ``int()`` of a digit string (0: none; absent before 3.10.7)
         self.max_digits = getattr(sys, "get_int_max_str_digits", int)()
         self.operand_lists: dict[str, tuple[int, ...]] = {}
+        self.statements: dict[str, Op] = {}  # ``statement`` token text -> its op
         self.nesting = 0  # open parentheses of the angle expression being parsed
 
     def peek(self) -> _Token:
@@ -194,12 +201,13 @@ class _Parser:
             if tok[1] != "2.0":
                 raise self.error(f"unsupported OPENQASM version {tok[1]!r}", tok)
             self.expect("sym", ";")
+        statements, append = self.statements, self.ops.append
         while True:
             tok = tokens[self.pos]
             if tok[0] == "statement":
-                op = self._statement(tok[1])
+                op = statements.get(tok[1]) or self._statement(tok[1])
                 if op is not None:
-                    self.ops.append(op)
+                    append(op)
                     self.pos += 1
                     continue
             elif tok[0] == "eof":
@@ -255,7 +263,8 @@ class _Parser:
         check of the token path would fail: an undeclared or classical
         register, an index too long or out of range, a parameter or operand
         count that does not fit the gate, repeated gate operands, a
-        non-finite parameter."""
+        non-finite parameter. An op is kept under its text, as its operand
+        list is, and the same text then parses to the same op."""
         head, _, operands = text.partition(" ")
         name, _, params = head.partition("(")
         qubits = self.operand_lists.get(operands)
@@ -264,7 +273,10 @@ class _Parser:
             if qubits is None:
                 return None
         if name == "barrier":
-            return None if params else Barrier(qubits)
+            if params:
+                return None
+            self.statements[text] = op = Barrier(qubits)
+            return op
         nq, np_ = GATE_SPECS[name]
         # ``float("-x")`` is ``-float("x")``, bit for bit, as the token path computes it
         values = tuple(map(float, params[:-1].split(","))) if params else ()
@@ -272,7 +284,8 @@ class _Parser:
             return None
         if not all(map(math.isfinite, values)):
             return None
-        return Gate(name, values, qubits)
+        self.statements[text] = op = Gate(name, values, qubits)
+        return op
 
     def _operand_list(self, text: str) -> tuple[int, ...] | None:
         """Global qubits of a ``statement`` token's ``name[int],...;`` tail,
@@ -463,8 +476,7 @@ def parse_circuit(source: str) -> Circuit:
 
 # --- emitter -----------------------------------------------------------------
 
-def _fmt_angle(value: float) -> str:
-    return format(value, ".17g")
+_fmt_angle = "{:.17g}".format  # ``format(value, ".17g")``, without a Python frame per angle
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
@@ -489,14 +501,26 @@ def emit_circuit(circuit: Circuit) -> str:
     qubits, clbits = circuit.qubit_labels, circuit.clbit_labels
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines += _declarations("qreg", qubits) + _declarations("creg", clbits)
+    # the operand text of each distinct tuple of two or more qubits; parameters
+    # are formatted each time: kept by value, ``rz(-0)`` would print as
+    # ``rz(0)``, since ``-0.0 == 0.0``
+    label, operands = qubits.__getitem__, {}
+    append = lines.append
     for op in circuit.ops:
         if isinstance(op, Gate):
-            head = op.kind
+            qs = op.qubits
+            if len(qs) == 1:
+                text = qubits[qs[0]]
+            elif (text := operands.get(qs)) is None:
+                operands[qs] = text = ",".join(map(label, qs))
             if op.params:
-                head += "(" + ",".join(_fmt_angle(v) for v in op.params) + ")"
-            lines.append(f"{head} {','.join(qubits[q] for q in op.qubits)};")
+                append(f"{op.kind}({','.join(map(_fmt_angle, op.params))}) {text};")
+            else:
+                append(f"{op.kind} {text};")
         elif isinstance(op, Barrier):
-            lines.append(f"barrier {','.join(qubits[q] for q in op.qubits)};")
+            if (text := operands.get(op.qubits)) is None:
+                operands[op.qubits] = text = ",".join(map(label, op.qubits))
+            append(f"barrier {text};")
         else:
-            lines.append(f"measure {qubits[op.qubit]} -> {clbits[op.clbit]};")
+            append(f"measure {qubits[op.qubit]} -> {clbits[op.clbit]};")
     return "\n".join(lines) + "\n"

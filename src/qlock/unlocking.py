@@ -45,10 +45,17 @@ class UnlockResult:
     restored_circuit: Circuit
 
 
+def _check_last(circuit: Circuit, ancilla: int | None) -> None:
+    if ancilla not in (None, circuit.num_qubits - 1):
+        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
+
+
 def find_ancilla(circuit: Circuit) -> int | None:
-    """Locate the key ancilla by its register label."""
+    """Locate the key ancilla by its register label; it must be the last
+    qubit, where ``obfuscate`` puts it."""
     for q, label in enumerate(circuit.qubit_labels):
         if label.startswith(f"{ANCILLA_REGISTER}["):
+            _check_last(circuit, q)
             return q
     return None
 
@@ -198,8 +205,7 @@ def _walk(
     where the ancilla holds 0, ancilla X gates, zero-angle phase gates and
     barriers left with no qubit are dropped.
     """
-    if ancilla not in (None, circuit.num_qubits - 1):
-        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
+    _check_last(circuit, ancilla)
     bits = None if logic_bits is None else [int(b) for b in logic_bits]
     ops: list = []
     sections: list[int] = []

@@ -167,6 +167,15 @@ def _duplicate_phase_entry(key: dict) -> None:
     key["bits"] += "101"
 
 
+def _ancilla_first(text: str) -> str:
+    """The key register declared before the data register, as a compiler
+    that reorders registers leaves it: the ancilla becomes qubit 0."""
+    return text.replace("qreg q[4];\nqreg qk[1];\n", "qreg qk[1];\nqreg q[4];\n")
+
+
+_ANCILLA_FIRST = "key ancilla is qubit 0, not the last qubit"
+
+
 # hand edits of a locked file or its key that unlocking refuses
 _BROKEN_LOCKS = {
     "ancilla_as_target": (
@@ -184,6 +193,7 @@ _BROKEN_LOCKS = {
         lambda text: text + "measure qk[0] -> c[0];\n", None, "must not be measured"
     ),
     "ancilla_renamed": (lambda text: text.replace("qk", "qz"), None, "no key ancilla"),
+    "ancilla_first": (_ancilla_first, None, _ANCILLA_FIRST),
     "phase_entry_repeated": (None, _duplicate_phase_entry, "listed twice"),
     "logic_entry_moved": (None, _move_first_logic_entry, "logic key entry 0 names (layer, qubit) (999, 77)"),
 }
@@ -883,8 +893,8 @@ def _drop_line(line: str):
     return lambda text: text.replace(line + "\n", "", 1)
 
 
-# an original and a lock that do not measure the same data qubits, and the one
-# line ``evaluate`` refuses them with
+# an original and a lock that do not measure the same data qubits, or whose key
+# ancilla is not the last qubit, and the one line ``evaluate`` refuses them with
 _OUTCOME_MISMATCHES = {
     "other_qubits": (
         _drop_line("measure q[3] -> c[3];"),
@@ -901,6 +911,7 @@ _OUTCOME_MISMATCHES = {
         lambda text: text + "measure qk[0] -> c[0];\n",
         "key ancilla must not be measured",
     ),
+    "ancilla_first": (lambda text: text, _ancilla_first, _ANCILLA_FIRST),
 }
 
 

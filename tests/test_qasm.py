@@ -153,6 +153,41 @@ def test_measure_emitted_with_arrow():
     assert "measure q[0] -> c[0];" in emit_circuit(circuit)
 
 
+def test_emit_keeps_signed_zeros_apart():
+    # equal by value and hash, so a line kept per op value would print one for both
+    statements = ["rz(0) q[0];", "rz(-0) q[0];", "u3(-0,0,-0) q[0];", "u3(0,0,0) q[0];"]
+    circuit = parse_circuit("qreg q[1]; " + " ".join(statements))
+    assert [math.copysign(1, op.params[0]) for op in circuit.ops] == [1, -1, -1, 1]
+    text = emit_circuit(circuit)
+    assert text.splitlines()[3:] == statements
+    assert emit_circuit(parse_circuit(text)) == text
+
+
+def test_repeated_statements_share_one_op():
+    circuit = parse_circuit(
+        "qreg q[2]; cx q[0],q[1]; h q[0]; cx q[0],q[1]; rz(-0.5) q[1]; rz(-0.5) q[1];"
+        " barrier q[0],q[1]; barrier q[0],q[1]; cx q[1],q[0];"
+    )
+    ops = circuit.ops
+    assert ops[0] is ops[2] and ops[3] is ops[4] and ops[5] is ops[6]
+    assert ops[7] is not ops[0] and ops[7].qubits == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # the failing text parses once its register is declared
+        ("qreg q[2];\nx r[0];\nqreg r[1];\nx r[0];", "line 2, col 3: undeclared register 'r'"),
+        ("qreg q[2];\nrz(1e400) q[0];\nh q[1];\nrz(1e400) q[0];", "line 2, col 4: gate parameter is not finite (inf)"),
+        ("qreg q[2];\nh q[0];\nh q[0];\nh q[2];\nh q[2];", "line 4, col 5: index 2 out of range for 'q'[2]"),
+    ],
+)
+def test_failing_statement_raises_at_its_own_position(source, message):
+    with pytest.raises(QasmError) as err:
+        parse_circuit(source)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name", benchmarks.NAMES)
 def test_round_trip_benchmarks(name):
     circuit = parse_circuit(benchmarks.load(name))
