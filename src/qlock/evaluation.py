@@ -211,13 +211,8 @@ def mode_circuits(record: ObfuscationRecord, modes: tuple[str, ...]) -> dict[str
         elif mode == "phase_only":
             if n_phase == 0:
                 raise ValueError("record has no phase sites; phase_only mode is undefined")
-            resolved = locked
-            ancilla = find_ancilla(locked)
-            bits = key.logic_bits()
-            if bits:
-                resolved = insert_key_toggles(resolved, key, ancilla)
-                resolved = simplify(resolved, bits, ancilla)
-            out[mode] = resolved
+            toggled, bits = insert_key_toggles(locked, key), key.logic_bits()
+            out[mode] = simplify(toggled, bits) if bits else toggled
         else:
             raise ValueError(f"unknown mode {mode!r}")
     return out

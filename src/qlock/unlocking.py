@@ -1,5 +1,9 @@
 """Key application and cleanup for locked circuits.
 
+A locked circuit may come back from an untrusted compiler, so ``_read``
+checks every rule of a lock in one pass before a key touches it (the
+phase-site rule is ``_phase_places``'s) and raises the first rule broken.
+
 A candidate key (correct or not) is applied in three steps: the ancilla's
 Hadamards are removed and Pauli-X toggles inserted so the ancilla carries each
 logic bit through its key section; locked rotation angles are reset to
@@ -10,19 +14,16 @@ form, |0> -> deleted), removes the ancilla, and drops zero-angle phase gates.
 Wrong keys follow the same path and always yield a well-formed circuit; the
 ancilla stays classical no matter which bits are supplied.
 
-Since only the key-bearing gates depend on the bits, ``key_template`` runs
-those steps once for a lock and lists what any candidate restores: fixed
-gates, and one slot per key entry (a logic entry's uncontrolled gate, present
-iff its bit is 1, or a phase entry's ``rz(kappa * pi/4)``, absent for kappa
-0). ``KeyTemplate.restored(bits)`` equals ``unlock``'s restored circuit for
-those bits, so the wrong-key sweep builds each candidate's circuit from one
-template instead of unlocking it. ``simplify`` and the template make one
-pass over the keyed circuit (``_walk``), which raises their shared errors.
+Since only the key-bearing gates depend on the bits, ``key_template`` lists
+what any candidate restores, built from the reading: fixed gates, and one
+slot per key entry (a logic entry's uncontrolled gate, present iff its bit is
+1, or a phase entry's ``rz(kappa * pi/4)``, absent for kappa 0). ``unlock``
+restores through it, as the wrong-key sweep does for each candidate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ from .locking import (
 
 
 _ANCILLA_MEASURED = "key ancilla must not be measured"
+_PHASE_RULE = "a compiler must keep each phase-site rz as one gate"
 
 
 @dataclass(frozen=True)
@@ -45,17 +47,13 @@ class UnlockResult:
     restored_circuit: Circuit
 
 
-def _check_last(circuit: Circuit, ancilla: int | None) -> None:
-    if ancilla not in (None, circuit.num_qubits - 1):
-        raise ValueError(f"key ancilla is qubit {ancilla}, not the last qubit")
-
-
 def find_ancilla(circuit: Circuit) -> int | None:
     """Locate the key ancilla by its register label; it must be the last
     qubit, where ``obfuscate`` puts it."""
     for q, label in enumerate(circuit.qubit_labels):
         if label.startswith(f"{ANCILLA_REGISTER}["):
-            _check_last(circuit, q)
+            if q != circuit.num_qubits - 1:
+                raise ValueError(f"key ancilla is qubit {q}, not the last qubit")
             return q
     return None
 
@@ -79,54 +77,79 @@ def _on_ancilla(op, ancilla: int | None) -> bool:
     return True
 
 
-def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
-    """Strip the ancilla's Hadamards and toggle it with X gates so that it
-    holds |bit_i> during key section i, bit_i being the key's i-th logic bit.
-
-    Section i must sit in the barrier-delimited block and on the lowest
-    non-ancilla qubit that the key's i-th logic entry names.
-
-    The number of inserted X gates is bit_0 plus the count of adjacent bit
-    changes.
-    """
-    bits = key.logic_bits()
-    ops: list = []
-    prev = 0
-    section = 0
-    removed_h = 0
+def _phase_places(circuit: Circuit, sites: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The place in ``circuit.ops`` of the one ``rz`` gate at each phase key
+    site, in the order ``sites`` lists them; a site is a (block, qubit) pair
+    whose blocks are counted by barriers. A site listed twice, or holding no
+    ``rz`` or more than one, is refused."""
+    places: dict[tuple[int, int], int | None] = {}
+    for site in sites:
+        if site in places:
+            raise ValueError(f"phase key site {site} is listed twice")
+        places[site] = None
     block = 0
-    found: list[tuple[int, int]] = []  # (block, qubit) of each key section
-    for op in locked.ops:
+    for i, op in enumerate(circuit.ops):
         if isinstance(op, Barrier):
             block += 1
-        if _on_ancilla(op, ancilla):
+        elif isinstance(op, Gate) and op.kind == "rz" and (site := (block, op.qubits[0])) in places:
+            if places[site] is not None:
+                raise ValueError(f"phase key site {site} holds more than one rz gate: {_PHASE_RULE}")
+            places[site] = i
+    for site, place in places.items():
+        if place is None:
+            raise ValueError(f"phase key site {site} not found (no rz gate there): {_PHASE_RULE}")
+    return places
+
+
+def _read(locked: Circuit, key: Key) -> tuple[int | None, dict[int, int | None]]:
+    """Read ``locked`` as a lock under ``key``'s schedule, raising the first
+    rule of a lock that it breaks.
+
+    Returns the key ancilla and, for each keyed op's place in ``locked.ops``,
+    its key entry's first bit in ``key.bits``: a logic entry's for its key
+    section, a phase entry's for its ``rz``, and None for an ancilla ``h``.
+    The ancilla is the last qubit and never measured; only ``h`` gates and
+    the section gates it controls touch it, one ``h`` per section and one
+    section per logic entry, in order, each in the barrier-delimited block
+    and on the lowest non-ancilla qubit that its entry names.
+    """
+    ancilla = find_ancilla(locked)
+    logic: list[tuple[int, tuple[int, int]]] = []  # (first bit, site) of each entry
+    phase: list[tuple[int, tuple[int, int]]] = []
+    offset = 0
+    for entry in key.schedule:
+        (logic if entry.kind == "logic" else phase).append((offset, (entry.layer, entry.qubit)))
+        offset += entry.span
+    if logic and ancilla is None:
+        raise ValueError("key has logic bits but the circuit has no key ancilla register")
+    places: dict[int, int | None] = {}
+    found: list[tuple[int, int]] = []  # (block, qubit) of each key section
+    hadamards = block = 0
+    measured = False
+    for i, op in enumerate(locked.ops):
+        if isinstance(op, Barrier):
+            block += 1
+        elif isinstance(op, Measure):
+            measured = measured or op.qubit == ancilla
+        elif _on_ancilla(op, ancilla):
             if len(op.qubits) == 1:
                 if op.kind != "h":
                     raise ValueError(
                         f"unexpected {op.kind} gate on the key ancilla: a compiler must keep "
                         "the ancilla's h gates and the gates it controls as single ops"
                     )
-                removed_h += 1
+                places[i] = None
+                hadamards += 1
                 continue
-            if section >= len(bits):
-                raise ValueError(
-                    f"{section + 1} key sections but only {len(bits)} logic bits"
-                )
+            if len(found) >= len(logic):
+                raise ValueError(f"{len(found) + 1} key sections but only {len(logic)} logic bits")
+            places[i] = logic[len(found)][0]
             found.append((block, min(op.qubits[1:])))
-            bit = bits[section]
-            if bit != prev:
-                ops.append(Gate("x", (), (ancilla,)))
-                prev = bit
-            section += 1
-            ops.append(op)
-        else:
-            ops.append(op)
-    if section != len(bits):
-        raise ValueError(f"{section} key sections but {len(bits)} logic bits")
-    if removed_h != section:
-        raise ValueError(f"{removed_h} ancilla Hadamards for {section} key sections")
-    sites = [(e.layer, e.qubit) for e in key.schedule if e.kind == "logic"]
-    for i, (want, here) in enumerate(zip(sites, found)):
+    if len(found) != len(logic):
+        raise ValueError(f"{len(found)} key sections but {len(logic)} logic bits")
+    if hadamards != len(found):
+        raise ValueError(f"{hadamards} ancilla Hadamards for {len(found)} key sections")
+    for i, ((_, want), here) in enumerate(zip(logic, found)):
         if want[0] > block:
             raise ValueError(
                 f"logic key entry {i} names (layer, qubit) {want}, but the lock's last block "
@@ -136,6 +159,32 @@ def insert_key_toggles(locked: Circuit, key: Key, ancilla: int) -> Circuit:
             raise ValueError(
                 f"logic key entry {i} names (layer, qubit) {want} but its key section is at {here}"
             )
+    rotations = _phase_places(locked, (site for _, site in phase))
+    places.update(zip(rotations.values(), (first for first, _ in phase)))
+    if measured:
+        raise ValueError(_ANCILLA_MEASURED)
+    return ancilla, places
+
+
+def insert_key_toggles(locked: Circuit, key: Key) -> Circuit:
+    """Strip the ancilla's Hadamards and toggle it with X gates so that it
+    holds |bit_i> during key section i, bit_i being the key's i-th logic bit.
+
+    ``locked`` must keep every rule of a lock (``_read``), its phase sites
+    included. The number of inserted X gates is bit_0 plus the count of
+    adjacent bit changes.
+    """
+    ancilla, places = _read(locked, key)
+    ops: list = []
+    state = "0"
+    for i, op in enumerate(locked.ops):
+        if i in places and ancilla in op.qubits:
+            if (first := places[i]) is None:  # an ancilla h
+                continue
+            if key.bits[first] != state:
+                ops.append(Gate("x", (), (ancilla,)))
+                state = key.bits[first]
+        ops.append(op)
     return replace(locked, ops=tuple(ops))
 
 
@@ -143,39 +192,16 @@ def apply_phase_key(locked: Circuit, assignments: Iterable[tuple[KeyEntry, int]]
     """Set each addressed locked phase gate's angle to kappa * pi/4.
 
     Sites address the locked circuit by barrier-delimited block index and
-    qubit; every assignment must land on an ``rz`` gate.
+    qubit; each must hold one ``rz`` gate (``_phase_places``).
     """
-    targets: dict[tuple[int, int], int] = {}
-    for entry, kappa in assignments:
+    assignments = tuple(assignments)
+    places = _phase_places(locked, ((entry.layer, entry.qubit) for entry, _ in assignments))
+    ops = list(locked.ops)
+    for (_, kappa), i in zip(assignments, places.values()):
         if not 0 <= kappa <= 7:
             raise ValueError(f"kappa {kappa} outside 0..7")
-        site = (entry.layer, entry.qubit)
-        if site in targets:
-            raise ValueError(f"phase key site {site} is listed twice")
-        targets[site] = kappa
-    ops: list = []
-    block = 0
-    found: set[tuple[int, int]] = set()
-    for op in locked.ops:
-        if isinstance(op, Barrier):
-            block += 1
-            ops.append(op)
-            continue
-        if isinstance(op, Gate) and op.kind == "rz" and (block, op.qubits[0]) in targets:
-            key = (block, op.qubits[0])
-            ops.append(Gate("rz", (targets[key] * KAPPA_STEP,), op.qubits))
-            found.add(key)
-        else:
-            ops.append(op)
-    missing = set(targets) - found
-    if missing:
-        raise ValueError(f"phase key sites not found in locked circuit: {sorted(missing)}")
+        ops[i] = Gate("rz", (kappa * KAPPA_STEP,), ops[i].qubits)
     return replace(locked, ops=tuple(ops))
-
-
-def _identity_phase(gate: Gate) -> bool:
-    """Whether ``gate`` is a phase gate of angle 0 (mod 2 pi), which ``simplify`` drops."""
-    return gate.kind in PHASE_KINDS and normalize_phase_angle(phase_angle_of(gate)) == 0
 
 
 def _without_ancilla(circuit: Circuit, ancilla: int | None, ops: list) -> Circuit:
@@ -190,83 +216,48 @@ def _without_ancilla(circuit: Circuit, ancilla: int | None, ops: list) -> Circui
     )
 
 
-def _walk(
-    circuit: Circuit,
-    ancilla: int | None,
-    logic_bits: Iterable[int] | None = None,
-    sites: Collection[tuple[int, int]] = (),
-) -> tuple[list, list[int], list[tuple[int, tuple[int, int]]]]:
-    """``simplify``'s pass over ``circuit``, raising its errors.
-
-    Returns the ops that stay, in order; the places among them of the key
-    sections' gates, each in uncontrolled form because the ancilla holds 1
-    there; and the place and site of each ``rz`` gate at one of ``sites``,
-    (block, qubit) pairs whose blocks are counted by barriers. Sections
-    where the ancilla holds 0, ancilla X gates, zero-angle phase gates and
-    barriers left with no qubit are dropped.
-    """
-    _check_last(circuit, ancilla)
-    bits = None if logic_bits is None else [int(b) for b in logic_bits]
-    ops: list = []
-    sections: list[int] = []
-    rotations: list[tuple[int, tuple[int, int]]] = []
-    state = 0
-    section = 0
-    block = 0
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            if ancilla not in op.qubits:
-                if not _identity_phase(op):
-                    if sites and op.kind == "rz" and (block, op.qubits[0]) in sites:
-                        rotations.append((len(ops), (block, op.qubits[0])))
-                    ops.append(op)
-            elif _on_ancilla(op, ancilla) and len(op.qubits) > 1:
-                if bits is not None and (section >= len(bits) or bits[section] != state):
-                    raise ValueError("ancilla state disagrees with the supplied logic bits")
-                section += 1
-                if state == 1:
-                    sections.append(len(ops))
-                    ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
-            elif op.kind == "x":
-                state ^= 1
-            else:
-                raise ValueError(f"cannot simplify: ancilla evolution is not classical ({op.kind} present)")
-        elif isinstance(op, Barrier):
-            block += 1
-            span = tuple(q for q in op.qubits if q != ancilla)
-            if span:
-                ops.append(Barrier(span))
-        else:
-            if op.qubit == ancilla:
-                raise ValueError(_ANCILLA_MEASURED)
-            ops.append(op)
-    return ops, sections, rotations
+def _fixed(op, ancilla: int | None):
+    """What a restoration keeps of ``op``, a gate off the ancilla, a barrier or
+    a measurement: a barrier without the ancilla, or None if that spans no
+    qubit; None for a phase gate of angle 0 (mod 2 pi); ``op`` otherwise."""
+    if isinstance(op, Barrier):
+        span = tuple(q for q in op.qubits if q != ancilla)
+        return Barrier(span) if span else None
+    if isinstance(op, Gate) and op.kind in PHASE_KINDS and normalize_phase_angle(phase_angle_of(op)) == 0:
+        return None
+    return op
 
 
-def simplify(
-    circuit: Circuit, logic_bits: Iterable[int] | None = None, ancilla: int | None = None
-) -> Circuit:
+def simplify(circuit: Circuit, logic_bits: Iterable[int] | None = None) -> Circuit:
     """Resolve key sections against the ancilla's classical state and drop it.
 
-    The ancilla must be the last qubit, where ``obfuscate`` puts it, so no
-    other qubit moves. Requires every remaining single-qubit ancilla gate to be
-    an X (a surviving Hadamard means the circuit was not toggled first, and
-    simplification is refused). Zero-angle phase gates are removed; barriers
+    The ancilla (``find_ancilla``) must be the last qubit, where
+    ``obfuscate`` puts it, so no other qubit moves. Requires every remaining
+    single-qubit ancilla gate to be an X (a surviving Hadamard means the
+    circuit was not toggled first, and simplification is refused). Zero-angle phase gates are removed; barriers
     are retained with the ancilla stripped from their span.
     """
-    return _without_ancilla(circuit, ancilla, _walk(circuit, ancilla, logic_bits)[0])
-
-
-def _keyed(locked: Circuit, key: Key, logic_bits: tuple[int, ...]) -> tuple[Circuit, int | None]:
-    """``locked`` with ``key``'s ancilla toggles (for its ``logic_bits``) and phase
-    key applied, and its ancilla."""
-    ancilla = find_ancilla(locked)
-    if logic_bits and ancilla is None:
-        raise ValueError("key has logic bits but the circuit has no key ancilla register")
-    current = locked
-    if logic_bits:
-        current = insert_key_toggles(current, key, ancilla)
-    return apply_phase_key(current, key.phase_assignments()), ancilla
+    ancilla = find_ancilla(circuit)
+    bits = None if logic_bits is None else [int(b) for b in logic_bits]
+    ops: list = []
+    state = section = 0
+    for op in circuit.ops:
+        if not _on_ancilla(op, ancilla):
+            if isinstance(op, Measure) and op.qubit == ancilla:
+                raise ValueError(_ANCILLA_MEASURED)
+            if (kept := _fixed(op, ancilla)) is not None:
+                ops.append(kept)
+        elif len(op.qubits) > 1:
+            if bits is not None and (section >= len(bits) or bits[section] != state):
+                raise ValueError("ancilla state disagrees with the supplied logic bits")
+            section += 1
+            if state == 1:
+                ops.append(Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:]))
+        elif op.kind == "x":
+            state ^= 1
+        else:
+            raise ValueError(f"cannot simplify: ancilla evolution is not classical ({op.kind} present)")
+    return _without_ancilla(circuit, ancilla, ops)
 
 
 def unlock(
@@ -279,22 +270,24 @@ def unlock(
 
     ``candidate_bits`` overrides the key's own bits (same length) for
     wrong-key experiments. Unless ``keep_ancilla`` is set, the result is
-    passed through ``simplify``; with the locking key it is then unitarily
-    equivalent to the original circuit up to global phase.
+    what ``key_template`` restores for those bits, the simplified circuit;
+    with the locking key it is unitarily equivalent to the original circuit
+    up to global phase. With ``keep_ancilla`` set, the result is the
+    toggled, phase-keyed lock (``insert_key_toggles``, ``apply_phase_key``).
 
     ``locked`` may come back from a compiler, which may reorder the gates
     of a barrier-delimited block as their shared qubits allow, and rewrite
     ``cx`` as ``h cz h`` on its target and ``x`` off the ancilla as ``h z h``.
     It must keep the barriers, the ancilla's ``h`` gates and the gates it
-    controls as single ops, and the ``rz`` gates at phase sites; dropped
-    barriers and decomposed ancilla gates are refused with the rule broken.
+    controls as single ops, and each phase-site ``rz`` as one gate; a lock
+    that breaks one of these rules is refused with the rule broken, with or
+    without ``keep_ancilla``.
     """
     applied = key if candidate_bits is None else key.with_bits(candidate_bits)
-    logic_bits = applied.logic_bits()
-    current, ancilla = _keyed(locked, applied, logic_bits)
-    if not keep_ancilla:
-        current = simplify(current, logic_bits if logic_bits else None, ancilla)
-    return UnlockResult(restored_circuit=current)
+    if keep_ancilla:
+        toggled = insert_key_toggles(locked, applied)
+        return UnlockResult(restored_circuit=apply_phase_key(toggled, applied.phase_assignments()))
+    return UnlockResult(restored_circuit=key_template(locked, applied).restored(applied.bits))
 
 
 class KeySlot(NamedTuple):
@@ -318,7 +311,7 @@ class KeyTemplate(NamedTuple):
 
     ``circuit`` is the restoration under the all-ones candidate, in which
     every slot holds a gate (its last option); every other gate is the same
-    for all candidates. ``restored(bits)`` equals
+    for all candidates. ``restored(bits)`` is
     ``unlock(locked, key, candidate_bits=bits).restored_circuit``.
     """
 
@@ -340,34 +333,30 @@ def key_template(locked: Circuit, key: Key) -> KeyTemplate:
     """The ``KeyTemplate`` of ``locked`` under ``key``'s schedule, built once
     for any number of candidates.
 
-    It applies the all-ones candidate as ``unlock`` does, then makes
-    ``simplify``'s pass (``_walk``) with its checks, so a lock that
-    ``unlock`` refuses raises the same error here: whether a lock is refused
-    never depends on the key's bit values. In that pass each key section is
-    a logic slot, and each ``rz`` at a phase entry's (block, qubit), the
-    gates ``apply_phase_key`` sets, a phase slot; every other gate goes as
-    ``simplify`` decides.
+    It reads the lock (``_read``), so a lock broken for one candidate is
+    refused for all: whether a lock is refused never depends on the key's bit
+    values. Then, in one pass, each key section becomes a logic slot, each
+    phase site's ``rz`` a phase slot, and every other op goes as ``simplify``
+    decides: the template restores, for any candidate, what ``simplify``
+    restores from ``insert_key_toggles`` and ``apply_phase_key`` under it.
     """
-    ones = key.with_bits("1" * len(key.bits))
-    logic_bits = ones.logic_bits()
-    keyed, ancilla = _keyed(locked, ones, logic_bits)
-    sections: list[int] = []  # each logic entry's bit offset, in section order
-    phase: dict[tuple[int, int], int] = {}  # (block, qubit) -> the phase entry's bit offset
-    offset = 0
-    for entry in key.schedule:
-        if entry.kind == "logic":
-            sections.append(offset)
-        else:
-            phase[(entry.layer, entry.qubit)] = offset
-        offset += entry.span
-    ops, logic, phase_gates = _walk(keyed, ancilla, logic_bits or None, phase)
-    # under the all-ones toggles the ancilla holds 1 at every section; a key
-    # without logic entries has no offsets, its sections resolved as simplify does
-    slots = [KeySlot(i, offset, 1, (None, ops[i])) for i, offset in zip(logic, sections)]
+    ancilla, places = _read(locked, key)
+    ops: list = []
+    slots: list[KeySlot] = []
     options: dict[tuple[int, ...], tuple[Gate | None, ...]] = {}  # a phase slot's, by qubit
-    for i, site in phase_gates:
-        qubits = ops[i].qubits
-        if qubits not in options:
-            options[qubits] = (None, *(Gate("rz", (kappa * KAPPA_STEP,), qubits) for kappa in range(1, 8)))
-        slots.append(KeySlot(i, phase[site], 3, options[qubits]))
-    return KeyTemplate(_without_ancilla(keyed, ancilla, ops), tuple(slots), len(key.bits))
+    for i, op in enumerate(locked.ops):
+        if i not in places:
+            if (kept := _fixed(op, ancilla)) is not None:
+                ops.append(kept)
+            continue
+        if (first := places[i]) is None:  # an ancilla h
+            continue
+        if op.kind == "rz":
+            if op.qubits not in options:
+                options[op.qubits] = (None, *(Gate("rz", (kappa * KAPPA_STEP,), op.qubits) for kappa in range(1, 8)))
+            slots.append(KeySlot(len(ops), first, 3, options[op.qubits]))
+        else:  # a key section: its uncontrolled gate when the bit is 1
+            gate = Gate(UNCONTROLLED_FORM[op.kind], op.params, op.qubits[1:])
+            slots.append(KeySlot(len(ops), first, 1, (None, gate)))
+        ops.append(slots[-1].options[-1])
+    return KeyTemplate(_without_ancilla(locked, ancilla, ops), tuple(slots), len(key.bits))

@@ -177,7 +177,7 @@ def test_criterion_6_toggle_count():
             ops.append(Gate("cx", (), (1, 0)))
         locked = Circuit(2, 0, tuple(ops), qubit_labels=("q[0]", "qk[0]"))
         key = Key("".join(map(str, bits)), (KeyEntry("logic", 0, 0, 1),) * n)
-        toggled = insert_key_toggles(locked, key, 1)
+        toggled = insert_key_toggles(locked, key)
         inserted = sum(
             1 for op in toggled.ops if isinstance(op, Gate) and op.kind == "x" and op.qubits == (1,)
         )

@@ -175,6 +175,14 @@ def _ancilla_first(text: str) -> str:
 
 _ANCILLA_FIRST = "key ancilla is qubit 0, not the last qubit"
 
+_PHASE_RULE = "phase key site (0, 0) {}: a compiler must keep each phase-site rz as one gate"
+
+
+def _first_rz(text: str, rewrite) -> str:
+    """``text`` with its first ``rz`` statement, the adder lock's phase site
+    (0, 0), as ``rewrite`` gives it from the angle and operand."""
+    return re.sub(r"^rz\((.+)\) (.+);\n", lambda m: rewrite(float(m[1]), m[2]), text, count=1, flags=re.M)
+
 
 # hand edits of a locked file or its key that unlocking refuses
 _BROKEN_LOCKS = {
@@ -196,11 +204,34 @@ _BROKEN_LOCKS = {
     "ancilla_first": (_ancilla_first, None, _ANCILLA_FIRST),
     "phase_entry_repeated": (None, _duplicate_phase_entry, "listed twice"),
     "logic_entry_moved": (None, _move_first_logic_entry, "logic key entry 0 names (layer, qubit) (999, 77)"),
+    "phase_rz_split": (
+        lambda text: _first_rz(text, lambda angle, q: f"rz({angle / 2!r}) {q};\n" * 2),
+        None,
+        _PHASE_RULE.format("holds more than one rz gate"),
+    ),
+    "phase_rz0_inserted": (
+        lambda text: _first_rz(text, lambda angle, q: f"rz({angle!r}) {q};\nrz(0) {q};\n"),
+        None,
+        _PHASE_RULE.format("holds more than one rz gate"),
+    ),
+    "phase_rz_as_p": (
+        lambda text: _first_rz(text, lambda angle, q: f"p({angle!r}) {q};\n"),
+        None,
+        _PHASE_RULE.format("not found (no rz gate there)"),
+    ),
 }
 
 
-@pytest.mark.parametrize("edit_locked, edit_key, message", _BROKEN_LOCKS.values(), ids=_BROKEN_LOCKS)
-def test_deobfuscate_broken_lock_exit_3(tmp_path, adder_path, capsys, edit_locked, edit_key, message):
+@pytest.mark.parametrize(
+    "edit_locked, edit_key, message, flags",
+    # each broken lock is refused alike with and without --no-simplify
+    [
+        pytest.param(*case, flags, id=name + suffix)
+        for name, case in _BROKEN_LOCKS.items()
+        for flags, suffix in (([], ""), (["--no-simplify"], "-no_simplify"))
+    ],
+)
+def test_deobfuscate_broken_lock_exit_3(tmp_path, adder_path, capsys, edit_locked, edit_key, message, flags):
     locked, key = _obfuscate(tmp_path, adder_path)
     if edit_locked is not None:
         text = locked.read_text()
@@ -211,7 +242,7 @@ def test_deobfuscate_broken_lock_exit_3(tmp_path, adder_path, capsys, edit_locke
         edit_key(data)
         key.write_text(json.dumps(data))
     capsys.readouterr()
-    code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm")])
+    code = main(["deobfuscate", str(locked), str(key), "-o", str(tmp_path / "y.qasm"), *flags])
     assert code == 3
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
@@ -569,8 +600,8 @@ def test_output_bytes_golden(tmp_path, adder_path, argv, digests):
 
 
 def test_repro_refuses_failed_restoration(tmp_path, monkeypatch, capsys):
-    # a broken unlock that skips the phase key leaves randomized angles behind
-    monkeypatch.setattr(unlocking, "apply_phase_key", lambda circuit, assignments: circuit)
+    # a broken restoration that ignores the key's bits restores the all-ones candidate
+    monkeypatch.setattr(unlocking.KeyTemplate, "restored", lambda template, bits: template.circuit)
     code = main(["repro", "--out-dir", str(tmp_path / "repro"), "--inputs", "1", "--shots", "10"])
     assert code == 3
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlock import benchmarks, evaluation, parse_circuit, simulator, unlocking
-from qlock.circuit import Circuit, Gate, Measure
+from qlock.circuit import Barrier, Circuit, Gate, Measure
 from qlock.evaluation import (
     EvalConfig,
     equivalent_up_to_global_phase,
@@ -231,6 +232,24 @@ def test_evaluate_rejects_inexpressible_mode():
         mode_circuits(record, ("phase_only",))
     with pytest.raises(ValueError, match="logic_only"):
         mode_circuits(record, ("logic_only",))
+
+
+@pytest.mark.parametrize("mode", ["logic_only", "phase_only", "restored"])
+def test_keyed_arms_refuse_a_split_phase_site(bundled_records, mode):
+    # each arm that applies part of the key reads the phase sites: the first
+    # phase site's rz split in two halves keeps the unitary, and is refused
+    _, record = bundled_records[0]
+    site = next((e.layer, e.qubit) for e in record.key.schedule if e.kind == "phase")
+    ops, block = [], 0
+    for op in record.locked_circuit.ops:
+        block += isinstance(op, Barrier)
+        if isinstance(op, Gate) and op.kind == "rz" and (block, op.qubits[0]) == site:
+            op = Gate("rz", (op.params[0] / 2,), op.qubits)
+            ops.append(op)
+        ops.append(op)
+    split = replace(record, locked_circuit=replace(record.locked_circuit, ops=tuple(ops)))
+    with pytest.raises(ValueError, match=re.escape(f"phase key site {site} holds more than one rz gate")):
+        mode_circuits(split, (mode,))
 
 
 def test_mode_circuits_shapes(wstate_record):
@@ -545,7 +564,8 @@ def _counting(calls, name, function):
 
 def test_sweep_compiles_no_key_alone(bundled_records, monkeypatch):
     # a noiseless sweep compiles its record's key program once, and no key's
-    # circuit: the reference and each mode arm are compiled whatever the keys
+    # circuit: the reference and each mode arm are compiled whatever the keys,
+    # and only the restored arm's unlock restores a circuit from a template
     calls = {"compile": 0, "keys": 0, "restored": 0}
     monkeypatch.setattr(evaluation, "compile_program", _counting(calls, "compile", evaluation.compile_program))
     monkeypatch.setattr(evaluation, "compile_key_program", _counting(calls, "keys", evaluation.compile_key_program))
@@ -557,13 +577,14 @@ def test_sweep_compiles_no_key_alone(bundled_records, monkeypatch):
     for wrong_keys in (2, 16):
         calls.update(compile=0, keys=0, restored=0)
         evaluate(original, record, config, wrong_keys)
-        assert calls == {"compile": 1 + len(config.modes), "keys": 1, "restored": 0}
+        assert calls == {"compile": 1 + len(config.modes), "keys": 1, "restored": config.modes.count("restored")}
 
 
 def test_zero_rate_noise_is_evaluated_noiseless(bundled_records, monkeypatch):
     # noise enabled at p1 = p2 = 0 changes no run, so evaluate takes the
     # batched noiseless path, sweep included, and reports what it reports
-    # without noise: no input layer prepended, no key's circuit restored
+    # without noise: no input layer prepended, no key's circuit restored (the
+    # restored arm's unlock restores one circuit per evaluation)
     calls = {"layered": 0, "restored": 0}
     monkeypatch.setattr(evaluation, "with_input_layer", _counting(calls, "layered", evaluation.with_input_layer))
     monkeypatch.setattr(
@@ -573,4 +594,4 @@ def test_zero_rate_noise_is_evaluated_noiseless(bundled_records, monkeypatch):
     zero = replace(config, noise=NoiseConfig(enabled=True, p1=0.0, p2=0.0))
     for original, record in bundled_records:
         assert evaluate(original, record, zero, wrong_keys=4) == evaluate(original, record, config, wrong_keys=4)
-    assert calls == {"layered": 0, "restored": 0}
+    assert calls == {"layered": 0, "restored": 2 * len(bundled_records) * config.modes.count("restored")}

@@ -18,7 +18,7 @@ from qlock.locking import ObfuscationPlan, dense_plan, export_key, import_key, o
 from qlock.qasm import emit_circuit
 from qlock.qasm import QasmError
 from qlock.simulator import compile_key_program, compile_program, statevector, unitary_of
-from qlock.unlocking import KeyTemplate, key_template, unlock
+from qlock.unlocking import KeyTemplate, key_template, simplify, unlock
 
 from conftest import fuzz_key, fuzz_qasm
 
@@ -53,8 +53,15 @@ def _candidates(record, count, seed):
     return list(dict.fromkeys([record.key.bits, "0" * n, "1" * n, *drawn]))
 
 
+def _stepwise(locked, key, bits):
+    """What ``bits`` restore step by step: toggles and phase key applied
+    (``unlock`` keeping the ancilla), then ``simplify``; ``unlock`` itself
+    restores through the template."""
+    return simplify(unlock(locked, key, bits, keep_ancilla=True).restored_circuit)
+
+
 def _unlocked(record, bits):
-    return unlock(record.locked_circuit, record.key, candidate_bits=bits).restored_circuit
+    return _stepwise(record.locked_circuit, record.key, bits)
 
 
 def test_template_restores_what_unlock_restores(record):
@@ -255,7 +262,8 @@ def _outcome(action):
 @given(data=st.data())
 def test_template_refuses_what_unlock_refuses(fuzz_lock, data):
     # the hand-edited locks of the CLI fuzz test: the template must raise
-    # exactly what unlock raises, and restore what it restores otherwise
+    # exactly what the step-by-step restoration raises, and restore what it
+    # restores otherwise
     _, lines, key = fuzz_lock
     key = json.loads(json.dumps(key))
     if data.draw(st.booleans()):
@@ -265,14 +273,14 @@ def test_template_refuses_what_unlock_refuses(fuzz_lock, data):
         parsed = import_key(json.dumps(key))
     except (QasmError, ValueError):
         return  # refused before any key is applied
-    want = _outcome(lambda: unlock(locked, parsed).restored_circuit)
+    want = _outcome(lambda: _stepwise(locked, parsed, None))
     template = _outcome(lambda: key_template(locked, parsed))
     if isinstance(want, str):
         assert template == want
         return
     assert template.restored(parsed.bits) == want
     bits = data.draw(st.text("01", min_size=len(parsed.bits), max_size=len(parsed.bits)))
-    assert template.restored(bits) == unlock(locked, parsed, candidate_bits=bits).restored_circuit
+    assert template.restored(bits) == _stepwise(locked, parsed, bits)
 
 
 def test_template_refuses_an_ancilla_declared_first():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ def _logic_key(bits) -> Key:
 
 
 def _toggle_count(bits) -> int:
-    toggled = insert_key_toggles(_sections(len(bits)), _logic_key(bits), 1)
+    toggled = insert_key_toggles(_sections(len(bits)), _logic_key(bits))
     return sum(
         1 for op in toggled.ops if isinstance(op, Gate) and op.kind == "x" and op.qubits == (1,)
     )
@@ -63,25 +64,25 @@ def test_toggle_count_law(bits):
 
 
 def test_toggles_remove_every_hadamard():
-    toggled = insert_key_toggles(_sections(4), _logic_key([1, 0, 1, 1]), 1)
+    toggled = insert_key_toggles(_sections(4), _logic_key([1, 0, 1, 1]))
     assert not any(isinstance(op, Gate) and op.kind == "h" for op in toggled.ops)
 
 
 def test_toggles_bit_count_mismatch():
     with pytest.raises(ValueError, match="logic bits"):
-        insert_key_toggles(_sections(3), _logic_key([1, 0]), 1)
+        insert_key_toggles(_sections(3), _logic_key([1, 0]))
 
 
 def test_toggles_reject_entry_off_its_section():
     moved = Key("10", (KeyEntry("logic", 0, 0, 1), KeyEntry("logic", 1, 0, 1)))
     with pytest.raises(ValueError, match=r"logic key entry 1 names \(layer, qubit\) \(1, 0\)"):
-        insert_key_toggles(_sections(2), moved, 1)
+        insert_key_toggles(_sections(2), moved)
 
 
 def test_toggles_reject_non_hadamard_ancilla_gate():
     circuit = Circuit(2, 0, (_gate("t", 1), _gate("cx", 1, 0)), qubit_labels=("q[0]", "qk[0]"))
     with pytest.raises(ValueError, match="unexpected t gate"):
-        insert_key_toggles(circuit, _logic_key([1]), 1)
+        insert_key_toggles(circuit, _logic_key([1]))
 
 
 # --- phase key ---------------------------------------------------------------
@@ -124,7 +125,7 @@ def test_phase_key_site_not_found():
 
 def test_simplify_resolves_controlled_x():
     circuit = Circuit(2, 0, (_gate("x", 1), _gate("cx", 1, 0)), qubit_labels=("q[0]", "qk[0]"))
-    out = simplify(circuit, [1], 1)
+    out = simplify(circuit, [1])
     assert [(op.kind, op.qubits) for op in out.ops] == [("x", (0,))]
     assert out.num_qubits == 1
     reference = Circuit(1, 0, (_gate("x", 0),))
@@ -133,7 +134,7 @@ def test_simplify_resolves_controlled_x():
 
 def test_simplify_drops_zero_controlled_dummy():
     circuit = Circuit(2, 0, (_gate("cx", 1, 0),), qubit_labels=("q[0]", "qk[0]"))
-    out = simplify(circuit, [0], 1)
+    out = simplify(circuit, [0])
     assert out.ops == ()
 
 
@@ -146,13 +147,13 @@ def test_simplify_removes_zero_angle_phase_gates():
 def test_simplify_refuses_live_hadamard():
     circuit = Circuit(2, 0, (_gate("h", 1), _gate("cx", 1, 0)), qubit_labels=("q[0]", "qk[0]"))
     with pytest.raises(ValueError, match="not classical"):
-        simplify(circuit, [1], 1)
+        simplify(circuit, [1])
 
 
 def test_simplify_refuses_an_ancilla_that_is_not_the_last_qubit():
     circuit = Circuit(2, 0, (_gate("x", 0), _gate("cx", 0, 1)), qubit_labels=("qk[0]", "q[0]"))
     with pytest.raises(ValueError, match="key ancilla is qubit 0, not the last qubit"):
-        simplify(circuit, [1], 0)
+        simplify(circuit, [1])
 
 
 def test_simplify_keeps_barriers_without_ancilla():
@@ -161,7 +162,7 @@ def test_simplify_keeps_barriers_without_ancilla():
     circuit = Circuit(
         2, 0, (_gate("x", 1), Barrier((0, 1)), _gate("cx", 1, 0)), qubit_labels=("q[0]", "qk[0]")
     )
-    out = simplify(circuit, [1], 1)
+    out = simplify(circuit, [1])
     barriers = [op for op in out.ops if isinstance(op, Barrier)]
     assert barriers == [Barrier((0,))]
 
@@ -279,11 +280,54 @@ def test_unlock_from_emitted_files(bench_circuits):
 # --- the compiler contract -----------------------------------------------------
 
 
-def _compiled(locked: Circuit, random, reorder: bool, rewrite: bool) -> Circuit:
-    """``locked`` as a compiler may return it: each block's ``cx`` gates as
-    ``h cz h`` on their targets and its ``x`` gates off the ancilla as
-    ``h z h`` (each with probability 1/2, when ``rewrite``), then the block's
-    ops in a random order that keeps every qubit's own order (when
+def _wrapped(angle: float) -> float:
+    """``angle`` wrapped into (-pi, pi]."""
+    wrapped = math.remainder(angle, 2 * math.pi)
+    return math.pi if wrapped == -math.pi else wrapped
+
+
+# unitary-preserving rewrites of one gate of a locked circuit (the ancilla given):
+# each returns the gates that replace it, or None where it does not apply
+_REWRITES = {
+    "cx as h cz h": lambda op, ancilla: (
+        [_gate("h", *op.qubits[1:]), _gate("cz", *op.qubits), _gate("h", *op.qubits[1:])]
+        if op.kind == "cx" else None
+    ),
+    "x as h z h": lambda op, ancilla: (
+        [_gate("h", *op.qubits), _gate("z", *op.qubits), _gate("h", *op.qubits)]
+        if op.kind == "x" and op.qubits != (ancilla,) else None
+    ),
+    "rz split": lambda op, ancilla: (
+        [_gate("rz", *op.qubits, params=(op.params[0] / 2,))] * 2 if op.kind == "rz" else None
+    ),
+    "rz(0) inserted": lambda op, ancilla: (
+        [op, _gate("rz", *op.qubits, params=(0.0,))] if op.kind == "rz" else None
+    ),
+    "x x on a data qubit": lambda op, ancilla: (
+        [op, _gate("x", op.qubits[-1]), _gate("x", op.qubits[-1])] if op.qubits[-1] != ancilla else None
+    ),
+    "h h on a data qubit": lambda op, ancilla: (
+        [op, _gate("h", op.qubits[-1]), _gate("h", op.qubits[-1])] if op.qubits[-1] != ancilla else None
+    ),
+    "x x on the ancilla": lambda op, ancilla: (
+        [op, _gate("x", ancilla), _gate("x", ancilla)] if ancilla is not None else None
+    ),
+    "h h on the ancilla": lambda op, ancilla: (
+        [op, _gate("h", ancilla), _gate("h", ancilla)] if ancilla is not None else None
+    ),
+    "angle wrapped": lambda op, ancilla: (
+        [_gate(op.kind, *op.qubits, params=(_wrapped(op.params[0]),))] if op.kind in ("rz", "p") else None
+    ),
+}
+
+# the rewrites a compiler may make, which unlock must undo
+_ALLOWED = ("cx as h cz h", "x as h z h")
+
+
+def _compiled(locked: Circuit, random, reorder: bool, rewrites: Collection[str]) -> Circuit:
+    """``locked`` as a compiler may return it: each gate rewritten by one of
+    ``rewrites`` that applies to it (each with probability 1/2), then each
+    block's ops in a random order that keeps every qubit's own order (when
     ``reorder``); barriers stay where they are."""
     ancilla = find_ancilla(locked)
     ops: list = []
@@ -305,13 +349,10 @@ def _compiled(locked: Circuit, random, reorder: bool, rewrite: bool) -> Circuit:
         if isinstance(op, Barrier):
             close_block()
             ops.append(op)
-        elif rewrite and isinstance(op, Gate) and op.kind == "cx" and random.random() < 0.5:
-            target = op.qubits[1:]
-            block += [_gate("h", *target), _gate("cz", *op.qubits), _gate("h", *target)]
-        elif rewrite and isinstance(op, Gate) and op.kind == "x" and op.qubits != (ancilla,) and random.random() < 0.5:
-            block += [_gate("h", *op.qubits), _gate("z", *op.qubits), _gate("h", *op.qubits)]
-        else:
-            block.append(op)
+            continue
+        applied = [_REWRITES[name](op, ancilla) for name in rewrites] if isinstance(op, Gate) else []
+        applied = [gates for gates in applied if gates is not None and random.random() < 0.5]
+        block += random.choice(applied) if applied else [op]
     close_block()
     return replace(locked, ops=tuple(ops))
 
@@ -319,7 +360,7 @@ def _compiled(locked: Circuit, random, reorder: bool, rewrite: bool) -> Circuit:
 @given(
     name=st.sampled_from(benchmarks.NAMES),
     seed=st.integers(0, 2**32 - 1),
-    changes=st.sampled_from([(True, False), (False, True), (True, True)]),
+    changes=st.sampled_from([(True, ()), (False, _ALLOWED), (True, _ALLOWED)]),
     random=st.randoms(use_true_random=False),
 )
 def test_unlock_survives_the_changes_a_compiler_may_make(bench_circuits, name, seed, changes, random):
@@ -328,4 +369,26 @@ def test_unlock_survives_the_changes_a_compiler_may_make(bench_circuits, name, s
     compiled = _compiled(record.locked_circuit, random, *changes)
     assert equivalent_up_to_global_phase(compiled, record.locked_circuit, 1e-9)
     restored = unlock(compiled, record.key).restored_circuit
+    assert equivalent_up_to_global_phase(restored, flatten(layerize(circuit)), 1e-9)
+
+
+@given(
+    name=st.sampled_from(benchmarks.NAMES),
+    seed=st.integers(0, 2**32 - 1),
+    reorder=st.booleans(),
+    rewrites=st.lists(st.sampled_from(sorted(_REWRITES)), min_size=1, max_size=3, unique=True),
+    random=st.randoms(use_true_random=False),
+)
+def test_unlock_is_never_silently_wrong(bench_circuits, name, seed, reorder, rewrites, random):
+    # whatever unitary-preserving rewrites a lock went through, unlock either
+    # restores the original or refuses the lock with one line
+    circuit = bench_circuits[name]
+    record = obfuscate(circuit, dense_plan(circuit, seed=seed), seed=seed)
+    compiled = _compiled(record.locked_circuit, random, reorder, rewrites)
+    assert equivalent_up_to_global_phase(compiled, record.locked_circuit, 1e-9)
+    try:
+        restored = unlock(compiled, record.key).restored_circuit
+    except ValueError as exc:
+        assert str(exc) and "\n" not in str(exc)
+        return
     assert equivalent_up_to_global_phase(restored, flatten(layerize(circuit)), 1e-9)
